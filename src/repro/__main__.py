@@ -524,7 +524,6 @@ def cmd_analyze(args) -> int:
 def cmd_import(args) -> int:
     import json
 
-    from repro.errors import TraceError
     from repro.traces.ingest import CsvSpec, import_trace, parse_column_map
     from repro.traces.io import save_trace
     from repro.traces.stats import compute_statistics
@@ -556,13 +555,9 @@ def cmd_import(args) -> int:
     if args.expect:
         with open(args.expect) as handle:
             expect = json.load(handle)
-    try:
-        trace, report = import_trace(
-            args.source, format=args.format, expect=expect, **options
-        )
-    except TraceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    trace, report = import_trace(
+        args.source, format=args.format, expect=expect, **options
+    )
     save_trace(trace, args.output)
     stats = compute_statistics(trace)
     print(report.summary())
@@ -582,15 +577,10 @@ def cmd_import(args) -> int:
 def cmd_fit(args) -> int:
     import json
 
-    from repro.errors import TraceError
     from repro.traces.fitting import fit_trace
 
-    try:
-        trace = _load_workload(args.trace, args.ops, args.seed)
-        model = fit_trace(trace, name=args.name, source=args.trace)
-    except TraceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    trace = _load_workload(args.trace, args.ops, args.seed)
+    model = fit_trace(trace, name=args.name, source=args.trace)
     model.save(args.output)
     print(f"fitted {model.spec.name!r} from {args.trace} "
           f"({model.reference.n_records} records)")
@@ -631,30 +621,20 @@ def _workload_override_kwargs(experiment_id: str, workload: str | None) -> dict:
 
 
 def cmd_experiment(args) -> int:
-    from repro.errors import ConfigurationError
     from repro.experiments.runner import run_experiment
 
-    try:
-        kwargs = _workload_override_kwargs(args.experiment_id, args.workload)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    kwargs = _workload_override_kwargs(args.experiment_id, args.workload)
     print(run_experiment(args.experiment_id, scale=args.scale, seed=args.seed,
                          kernel=args.kernel, **kwargs).render())
     return 0
 
 
 def cmd_inspect(args) -> int:
-    from repro.errors import ConfigurationError
     from repro.experiments.inspection import inspect_experiment
 
-    try:
-        report, ok = inspect_experiment(
-            args.experiment_id, scale=args.scale, seed=args.seed
-        )
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report, ok = inspect_experiment(
+        args.experiment_id, scale=args.scale, seed=args.seed
+    )
     print(report.render())
     # Diagnostics (the attribution-mismatch diff) go to stderr so a
     # pipeline consuming the report on stdout still sees a clean table
@@ -665,17 +645,12 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    from repro.errors import ConfigurationError
     from repro.profiling import profile_experiment, render_report, write_report
 
-    try:
-        report = profile_experiment(
-            args.experiment_id, scale=args.scale, seed=args.seed,
-            top=args.top, kernel=args.kernel,
-        )
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = profile_experiment(
+        args.experiment_id, scale=args.scale, seed=args.seed,
+        top=args.top, kernel=args.kernel,
+    )
     print(render_report(report, top=args.top))
     if args.output:
         written = write_report(report, args.output)
@@ -738,12 +713,8 @@ def cmd_run(args) -> int:
         if args.all or not args.experiments:
             experiment_ids = sorted(all_experiments())
         else:
-            try:
-                for experiment_id in args.experiments:
-                    get_experiment(experiment_id)
-            except ConfigurationError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
+            for experiment_id in args.experiments:
+                get_experiment(experiment_id)
             experiment_ids = args.experiments
         scale = args.scale
         seeds = tuple(args.seed) if args.seed else (None,)
@@ -751,15 +722,11 @@ def cmd_run(args) -> int:
 
     units = decompose(experiment_ids, scale=scale, seeds=seeds, kernel=kernel)
 
-    try:
-        policy = ExecutionPolicy(
-            timeout_s=args.timeout,
-            retries=args.retries,
-            max_rebuilds=args.max_rebuilds,
-        )
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    policy = ExecutionPolicy(
+        timeout_s=args.timeout,
+        retries=args.retries,
+        max_rebuilds=args.max_rebuilds,
+    )
 
     chaos = None
     if args.chaos:
@@ -979,9 +946,20 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns a process exit code."""
+    """CLI entry point; returns a process exit code.
+
+    Bad input (a :class:`~repro.errors.ConfigurationError` or
+    :class:`~repro.errors.TraceError` from any command) prints one
+    ``error:`` line to stderr and exits 2.
+    """
+    from repro.errors import ConfigurationError, TraceError
+
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except (ConfigurationError, TraceError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -17,12 +17,13 @@ it), and all statistics flow through a
 Two execution paths produce bit-identical results (pinned by
 ``tests/test_fastpath.py`` and the golden equivalence fixture):
 
-* the **batched fast path** (default) compiles the trace once into flat
-  arrays (:func:`~repro.traces.compiled.compile_trace`, cached on the
-  trace) and drives them through
-  :meth:`~repro.core.layers.LayerStack.run_batch`, which recycles one
-  pooled Request/Response pair across every operation;
-* the **per-op slow path** (``batched=False``) builds a
+* the **batched fast path** (``kernel="batched"``, the default) compiles
+  the trace once into flat arrays
+  (:func:`~repro.traces.compiled.compile_trace`, cached on the trace) and
+  drives them through :meth:`~repro.core.layers.LayerStack.run_batch`,
+  which recycles one pooled Request/Response pair across every
+  operation;
+* the **per-op slow path** (``kernel="reference"``) builds a
   :class:`~repro.traces.record.BlockOp` and a fresh Request/Response per
   operation via ``LayerStack.submit`` — the reference semantics, kept as
   the equivalence oracle.
@@ -55,23 +56,19 @@ class Simulator:
         self,
         trace: Trace,
         *,
-        batched: bool = True,
         obs=None,
         kernel: str | None = None,
     ) -> SimulationResult:
         """Simulate ``trace`` and return the measured statistics.
 
-        ``batched=False`` selects the per-operation reference path; the
-        results are bit-identical either way.
-
         ``kernel`` selects the simulation engine by name (``reference``,
-        ``batched``, or ``vector``) and overrides ``batched`` when given;
-        when omitted, the process-global selection from
-        :mod:`repro.kernel.runtime` applies, and when that is unset too
-        the ``batched`` flag decides as before.  The ``vector`` kernel
-        answers within the documented floating-point tolerance
-        (:mod:`repro.kernel.tolerance`); configurations outside its
-        envelope fall back to ``batched`` and record why in
+        ``batched``, or ``vector``); when omitted, the process-global
+        selection from :mod:`repro.kernel.runtime` applies, and when that
+        is unset too the batched path runs without recording a kernel in
+        ``result.extra``.  ``reference`` and ``batched`` are bit-identical.
+        The ``vector`` kernel answers within the documented floating-point
+        tolerance (:mod:`repro.kernel.tolerance`); configurations outside
+        its envelope fall back to ``batched`` and record why in
         ``result.extra["kernel_fallback_reason"]``.
 
         ``obs`` optionally attaches an
@@ -105,7 +102,7 @@ class Simulator:
             result = self._run_classic(trace, batched=kernel == "batched", obs=obs)
             result.extra["kernel"] = kernel
             return result
-        return self._run_classic(trace, batched=batched, obs=obs)
+        return self._run_classic(trace, batched=True, obs=obs)
 
     def _run_classic(
         self, trace: Trace, *, batched: bool, obs
@@ -304,9 +301,8 @@ def simulate(
     trace: Trace,
     config: SimulationConfig | None = None,
     *,
-    batched: bool = True,
     obs=None,
     kernel: str | None = None,
 ) -> SimulationResult:
     """Convenience wrapper: simulate ``trace`` under ``config``."""
-    return Simulator(config).run(trace, batched=batched, obs=obs, kernel=kernel)
+    return Simulator(config).run(trace, obs=obs, kernel=kernel)

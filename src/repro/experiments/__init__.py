@@ -8,7 +8,7 @@ its tables in the paper's row format.
 
 Experiments accept a ``scale`` in (0, 1]: the fraction of the full trace
 length to simulate.  ``scale=1.0`` reproduces the paper-sized runs;
-benchmarks default to smaller scales to stay fast.
+tests use smaller scales to stay fast.
 """
 
 from repro.experiments.base import Experiment, ExperimentResult, Table

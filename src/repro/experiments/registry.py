@@ -1,4 +1,4 @@
-"""Experiment registry: id -> driver, for the runner and the benchmarks."""
+"""Experiment registry: id -> driver, for the runner and the engine."""
 
 from __future__ import annotations
 

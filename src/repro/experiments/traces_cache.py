@@ -12,15 +12,14 @@ Two process-level hooks support the execution engine
   ``load(name, scale, seed)`` / ``save(trace, name, scale, seed)``) that
   is consulted before regeneration, so worker processes share each
   generated trace instead of recomputing it;
-* the module-default seed still exists for backward compatibility, but
-  mutating it via :func:`set_default_seed` is deprecated — pass
-  ``seed=`` explicitly (``trace_for(..., seed=)``,
-  ``run_experiment(..., seed=)``), which is process-safe.
+* the module-default seed (:func:`default_seed`) applies when no
+  ``seed=`` is passed; pass ``seed=`` explicitly
+  (``trace_for(..., seed=)``, ``run_experiment(..., seed=)``), which is
+  process-safe.
 """
 
 from __future__ import annotations
 
-import warnings
 from functools import lru_cache
 from typing import Protocol
 
@@ -73,26 +72,8 @@ def configure_trace_store(store: TraceStoreLike | None) -> None:
     _TRACE_STORE = store
 
 
-def set_default_seed(seed: int) -> None:
-    """Set the seed ``trace_for`` uses when none is passed explicitly.
-
-    .. deprecated:: 1.1
-        Mutating the process-global seed is unsafe under the parallel
-        execution engine; pass ``seed=`` explicitly instead
-        (``trace_for(..., seed=)`` / ``run_experiment(..., seed=)``).
-    """
-    warnings.warn(
-        "set_default_seed() mutates process-global state and is deprecated; "
-        "pass seed= explicitly (trace_for(..., seed=) or "
-        "run_experiment(..., seed=))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    _set_default_seed(seed)
-
-
 def _set_default_seed(seed: int) -> None:
-    """Non-warning setter used internally to restore a saved seed."""
+    """Set the seed ``trace_for`` uses when none is passed explicitly."""
     global _DEFAULT_SEED
     _DEFAULT_SEED = int(seed)
 
@@ -114,8 +95,7 @@ def trace_for(name: str, scale: float = 1.0, seed: int | None = None) -> Trace:
     cached results even though a long-lived process should be restarted
     to pick it up.
 
-    ``seed=None`` uses the module default (1 unless retargeted via the
-    deprecated :func:`set_default_seed`).
+    ``seed=None`` uses the module default (:func:`default_seed`).
     """
     return _generate(name, scale, _DEFAULT_SEED if seed is None else seed)
 

@@ -99,21 +99,17 @@ def add_parser(subparsers) -> None:
 
 
 def cmd_fleet(args) -> int:
-    try:
-        spec = FleetSpec(
-            devices=args.devices,
-            seed=args.seed,
-            scale=args.scale,
-            ops_per_device=args.ops,
-        )
-        policy = ExecutionPolicy(
-            timeout_s=args.timeout,
-            retries=args.retries,
-            max_rebuilds=args.max_rebuilds,
-        )
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    spec = FleetSpec(
+        devices=args.devices,
+        seed=args.seed,
+        scale=args.scale,
+        ops_per_device=args.ops,
+    )
+    policy = ExecutionPolicy(
+        timeout_s=args.timeout,
+        retries=args.retries,
+        max_rebuilds=args.max_rebuilds,
+    )
 
     chaos = None
     if args.chaos:

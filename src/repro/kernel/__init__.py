@@ -3,13 +3,12 @@
 Three kernels run the same trace/config pair:
 
 ``reference``
-    The original per-operation event path (``batched=False``): every op is
-    parsed, mapped, and submitted one record at a time.  Semantic ground
-    truth; slowest.
+    The original per-operation event path: every op is parsed, mapped,
+    and submitted one record at a time.  Semantic ground truth; slowest.
 ``batched``
-    The compiled-ops fast path (``batched=True``): ops are pre-compiled
-    once per trace and replayed through the layer stack.  Hex-exact with
-    ``reference`` and the default.
+    The compiled-ops fast path: ops are pre-compiled once per trace and
+    replayed through the layer stack.  Hex-exact with ``reference`` and
+    the default.
 ``vector``
     The NumPy array path (:mod:`repro.kernel.vector`): device timing is
     solved in closed form where the physics allow and in lean scalar loops

@@ -1,7 +1,7 @@
 """Vector-path entry point: envelope check, dispatch, result assembly.
 
 :func:`simulate_vector` is the array-native counterpart of
-``Simulator.run(trace, batched=True)``.  It compiles the trace, builds the
+``Simulator.run(trace, kernel="batched")``.  It compiles the trace, builds the
 *same* hierarchy the reference would (so device sizing, preload, and spec
 resolution stay in one place), then hands the flat op arrays to the
 device-appropriate kernel:

@@ -87,19 +87,13 @@ def _print_run_summaries(summaries: list[dict]) -> bool:
 
 def cmd_trace(args) -> int:
     """``repro trace <experiment>``: record and export an event trace."""
-    from repro.errors import ConfigurationError
-
     session = ObservabilitySession(
         trace_capacity=args.capacity,
         sample_interval_ops=args.sample_interval,
     )
-    try:
-        summaries = run_observed_probes(
-            args.experiment_id, session, scale=args.scale, seed=args.seed
-        )
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    summaries = run_observed_probes(
+        args.experiment_id, session, scale=args.scale, seed=args.seed
+    )
 
     tracer = session.tracer
     counts = tracer.counts()
@@ -123,16 +117,10 @@ def cmd_trace(args) -> int:
 
 def cmd_metrics(args) -> int:
     """``repro metrics <experiment>``: sample and export the registry."""
-    from repro.errors import ConfigurationError
-
     session = ObservabilitySession(sample_interval_ops=args.sample_interval)
-    try:
-        summaries = run_observed_probes(
-            args.experiment_id, session, scale=args.scale, seed=args.seed
-        )
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    summaries = run_observed_probes(
+        args.experiment_id, session, scale=args.scale, seed=args.seed
+    )
 
     registry = session.registry
     print(f"sampled {len(summaries)} probe run(s) every "

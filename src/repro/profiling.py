@@ -1,7 +1,7 @@
 """Profiling harness for experiment drivers.
 
-``repro profile <experiment>`` answers the question the perf guard cannot:
-*where* the time goes.  It runs one registered experiment three ways —
+``repro profile <experiment>`` shows *where* an experiment's time goes.
+It runs one registered experiment three ways —
 
 * a **cold** run (first execution: trace generation, compilation, and
   simulation all pay full price),
@@ -30,12 +30,10 @@ meaningfully in CI.
 
 from __future__ import annotations
 
-import argparse
 import cProfile
 import json
 import platform
 import pstats
-import sys
 import time
 from pathlib import Path
 from typing import Any, Callable
@@ -258,44 +256,3 @@ def write_report(report: dict[str, Any], path: str | Path) -> Path:
         path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     return path
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Standalone entry point (also backs ``repro profile``)."""
-    from repro.errors import ConfigurationError
-    from repro.experiments.runner import parse_scale
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("experiment_id")
-    parser.add_argument("--scale", type=parse_scale, default=0.1,
-                        help="trace-length scale in (0, 1] (default 0.1)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="trace-generation seed (default: module default)")
-    parser.add_argument("--top", type=int, default=15,
-                        help="rows in the per-function table (default 15)")
-    parser.add_argument("--kernel", choices=("reference", "batched", "vector"),
-                        default=None,
-                        help="simulation kernel to profile; a non-default "
-                        "choice also profiles the batched baseline and "
-                        "reports the per-subpackage speedup delta")
-    parser.add_argument("-o", "--output", default=None, metavar="PATH",
-                        help="also write the report as a JSON artifact")
-    args = parser.parse_args(argv)
-
-    try:
-        report = profile_experiment(
-            args.experiment_id, scale=args.scale, seed=args.seed,
-            top=args.top, kernel=args.kernel,
-        )
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(render_report(report, top=args.top))
-    if args.output:
-        written = write_report(report, args.output)
-        print(f"\nwrote {written}")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -69,15 +69,11 @@ def cmd_serve(args) -> int:
     from repro.serve.http import run_server
     from repro.serve.jobs import JobManager
 
-    try:
-        policy = ExecutionPolicy(
-            timeout_s=args.timeout,
-            retries=args.retries,
-            max_rebuilds=args.max_rebuilds,
-        )
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    policy = ExecutionPolicy(
+        timeout_s=args.timeout,
+        retries=args.retries,
+        max_rebuilds=args.max_rebuilds,
+    )
 
     chaos = None
     if args.chaos:
@@ -89,20 +85,16 @@ def cmd_serve(args) -> int:
 
     cache_root = args.cache_dir or default_cache_dir()
     spool_dir = args.spool_dir or f"{cache_root}/serve"
-    try:
-        manager = JobManager(
-            spool_dir=spool_dir,
-            cache=None if args.no_cache else ResultCache(cache_root),
-            trace_store=None if args.no_cache else TraceStore(cache_root),
-            jobs=args.jobs,
-            queue_limit=args.queue_limit,
-            runners=args.runners,
-            policy=policy,
-            chaos=chaos,
-        )
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    manager = JobManager(
+        spool_dir=spool_dir,
+        cache=None if args.no_cache else ResultCache(cache_root),
+        trace_store=None if args.no_cache else TraceStore(cache_root),
+        jobs=args.jobs,
+        queue_limit=args.queue_limit,
+        runners=args.runners,
+        policy=policy,
+        chaos=chaos,
+    )
 
     print(f"repro serve on http://{args.host}:{args.port} "
           f"(jobs={manager.jobs}, queue_limit={args.queue_limit}, "

@@ -129,6 +129,33 @@ def test_unknown_command_errors():
         main(["frobnicate"])
 
 
+def _assert_one_error_line(capsys, named: str) -> None:
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert named in captured.err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["simulate", "--workload", "mac", "--ops", "100", "--device", "nope"],
+     "unknown device spec 'nope'"),
+    (["experiment", "nope"], "unknown experiment 'nope'"),
+], ids=["simulate", "experiment"])
+def test_configuration_error_prints_one_line_and_exits_2(argv, named, capsys):
+    assert main(argv) == 2
+    _assert_one_error_line(capsys, named)
+
+
+def test_malformed_trace_prints_one_line_and_exits_2(tmp_path, capsys):
+    source = tmp_path / "bad.blk"
+    source.write_text("garbage line\n")
+    argv = ["import", str(source), "--format", "blktrace",
+            "-o", str(tmp_path / "out.trace")]
+    assert main(argv) == 2
+    _assert_one_error_line(capsys, "expected >= 7 fields")
+
+
 # -- the engine front end: repro run / repro cache -------------------------
 
 

@@ -340,13 +340,6 @@ class TestRunUnitInline:
 # -- seed plumbing (satellite) ---------------------------------------------
 
 class TestSeedPlumbing:
-    def test_set_default_seed_is_deprecated(self):
-        previous = traces_cache.default_seed()
-        with pytest.warns(DeprecationWarning, match="seed"):
-            traces_cache.set_default_seed(5)
-        assert traces_cache.default_seed() == 5
-        traces_cache._set_default_seed(previous)
-
     def test_run_experiment_threads_seed_without_global_mutation(self):
         before = traces_cache.default_seed()
         result = run_experiment("fig4", scale=SMALL, seed=9)

@@ -1,8 +1,8 @@
 """The zero-allocation fast path is an *optimisation*, not a behaviour.
 
-``Simulator.run`` takes ``batched=True`` by default (compiled trace,
-pooled Request/Response, compiled hooks); ``batched=False`` keeps the
-original one-BlockOp-at-a-time reference path.  Everything here pins the
+``kernel="batched"`` (the default) runs the compiled trace with pooled
+Request/Response and compiled hooks; ``kernel="reference"`` keeps the
+original one-BlockOp-at-a-time path.  Everything here pins the
 two paths bit-for-bit against each other — ``float.hex()`` comparisons,
 no tolerances — across the paper's workloads and one device per class,
 and then checks the pooling machinery cannot leak state between
@@ -36,8 +36,8 @@ def _trace(workload: str, n_ops: int, seed: int):
     return workload_by_name(workload).generate(seed=seed, n_ops=n_ops)
 
 
-def _snapshot(trace, config, *, batched: bool) -> dict:
-    result = simulate(trace, config, batched=batched)
+def _snapshot(trace, config, *, kernel: str) -> dict:
+    result = simulate(trace, config, kernel=kernel)
     return {
         "duration_s": hexify(result.duration_s),
         "energy_j": hexify(result.energy_j),
@@ -62,8 +62,8 @@ def test_batched_path_is_bit_identical(workload, device):
     """4 workloads x 3 device families: fast path == reference path."""
     trace = _trace(workload, n_ops=800, seed=7)
     config = SimulationConfig(device=device)
-    fast = _snapshot(trace, config, batched=True)
-    slow = _snapshot(trace, config, batched=False)
+    fast = _snapshot(trace, config, kernel="batched")
+    slow = _snapshot(trace, config, kernel="reference")
     for key in fast:
         assert fast[key] == slow[key], f"{workload}/{device}: {key!r} diverged"
 
@@ -85,8 +85,8 @@ def test_batched_path_is_bit_identical_property(
     config = SimulationConfig(
         device=device, sram_bytes=sram_kb * 1024, write_back=write_back
     )
-    fast = _snapshot(trace, config, batched=True)
-    slow = _snapshot(trace, config, batched=False)
+    fast = _snapshot(trace, config, kernel="batched")
+    slow = _snapshot(trace, config, kernel="reference")
     assert fast == slow
 
 
@@ -94,8 +94,8 @@ def test_repeated_batched_runs_are_identical():
     """Pool reuse across runs must not leak state into later results."""
     trace = _trace("mac", n_ops=600, seed=3)
     config = SimulationConfig(device="intel-datasheet")
-    first = _snapshot(trace, config, batched=True)
-    second = _snapshot(trace, config, batched=True)
+    first = _snapshot(trace, config, kernel="batched")
+    second = _snapshot(trace, config, kernel="batched")
     assert first == second
 
 

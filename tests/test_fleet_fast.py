@@ -1,10 +1,9 @@
 """Fleet fast path: exact parameter sampling, invariance properties,
 columnar transport, and the population-equivalence contract.
 
-The heavyweight fast-vs-reference gate at contract scale runs in the CI
-fleet-throughput job (``benchmarks/fleet_throughput.py --verify``); the
-contract test here runs a smaller-but-still-meaningful fleet so tier-1
-stays fast.
+The fast-vs-reference contract test runs the smallest fleet whose
+population statistics outrun per-seed sampling noise, so tier-1 stays
+fast.
 """
 
 from __future__ import annotations
@@ -141,9 +140,7 @@ class TestContract:
     def test_fast_agrees_with_reference(self):
         # MIN_CONTRACT_DEVICES: the smallest fleet where population
         # statistics outrun per-seed sampling noise (smaller fleets blow
-        # the energy tolerances on tail luck alone).  The full-scale
-        # gate (2048+ devices) runs in CI's fleet-throughput job via
-        # benchmarks/fleet_throughput.py --verify.
+        # the energy tolerances on tail luck alone).
         spec = FleetSpec(devices=1024, seed=11, scale=0.1, ops_per_device=400)
         fast = run_fleet(spec, jobs=2, fast=True)
         ref = run_fleet(spec, jobs=2)

@@ -71,10 +71,10 @@ def test_traced_layer_sums_equal_breakdown_bitwise(device):
     device=st.sampled_from(DEVICES),
     seed=st.integers(min_value=0, max_value=2**16),
     n_ops=st.integers(min_value=50, max_value=400),
-    batched=st.booleans(),
+    kernel=st.sampled_from(("reference", "batched")),
 )
 def test_traced_events_sum_to_breakdown_property(
-    workload, device, seed, n_ops, batched
+    workload, device, seed, n_ops, kernel
 ):
     """No corner of the space may separate trace events from the report.
 
@@ -85,7 +85,7 @@ def test_traced_events_sum_to_breakdown_property(
     trace = _trace(workload, n_ops=n_ops, seed=seed)
     session = ObservabilitySession()
     result = simulate(
-        trace, SimulationConfig(device=device), batched=batched, obs=session
+        trace, SimulationConfig(device=device), kernel=kernel, obs=session
     )
     from_events = session.tracer.layer_latency_totals(
         since_run=session.runs[-1]["run"]
