@@ -38,8 +38,9 @@ def _jobs_arg(text: str) -> int:
 
 
 def _add_kernel_arg(parser) -> None:
-    parser.add_argument("--kernel", choices=("reference", "batched", "vector"),
-                        default=None,
+    from repro.kernel import KERNELS
+
+    parser.add_argument("--kernel", choices=KERNELS, default=None,
                         help="simulation kernel (default batched; vector is "
                         "the NumPy fast path, equal within the documented "
                         "float tolerance, falling back to batched outside "
@@ -192,6 +193,7 @@ def _add_inspect(subparsers) -> None:
 
 def _add_profile(subparsers) -> None:
     from repro.experiments.runner import parse_scale
+    from repro.kernel import KERNELS
 
     parser = subparsers.add_parser(
         "profile",
@@ -208,8 +210,7 @@ def _add_profile(subparsers) -> None:
                         help="trace-generation seed (default: module default)")
     parser.add_argument("--top", type=int, default=15,
                         help="rows in the per-function table (default 15)")
-    parser.add_argument("--kernel", choices=("reference", "batched", "vector"),
-                        default=None,
+    parser.add_argument("--kernel", choices=KERNELS, default=None,
                         help="simulation kernel to profile; a non-default "
                         "choice also profiles the batched baseline and "
                         "reports the per-subpackage speedup delta")
@@ -948,16 +949,16 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code.
 
-    Bad input (a :class:`~repro.errors.ConfigurationError` or
-    :class:`~repro.errors.TraceError` from any command) prints one
-    ``error:`` line to stderr and exits 2.
+    Bad input (a :class:`~repro.errors.ConfigurationError`, a
+    :class:`~repro.errors.TraceError` or a missing input file, from any
+    command) prints one ``error:`` line to stderr and exits 2.
     """
     from repro.errors import ConfigurationError, TraceError
 
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigurationError, TraceError) as exc:
+    except (ConfigurationError, TraceError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -67,8 +67,8 @@ class Simulator:
         is unset too the batched path runs without recording a kernel in
         ``result.extra``.  ``reference`` and ``batched`` are bit-identical.
         The ``vector`` kernel answers within the documented floating-point
-        tolerance (:mod:`repro.kernel.tolerance`); configurations outside
-        its envelope fall back to ``batched`` and record why in
+        tolerance (:func:`repro.contract.compare_results`); configurations
+        outside its envelope fall back to ``batched`` and record why in
         ``result.extra["kernel_fallback_reason"]``.
 
         ``obs`` optionally attaches an

@@ -133,7 +133,7 @@ def run_unit_inline(unit: WorkUnit) -> ExperimentResult:
 
 
 def _artifact_stem(unit: WorkUnit) -> str:
-    stem = f"{unit.experiment_id}-s{unit.scale:g}"
+    stem = f"{unit.experiment_id}-s{float(unit.scale)!r}"
     if unit.seed is not None:
         stem += f"-seed{unit.seed}"
     return stem

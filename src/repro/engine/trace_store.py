@@ -31,7 +31,9 @@ class TraceStore:
         self.root = Path(root).expanduser()
 
     def path_for(self, name: str, scale: float, seed: int) -> Path:
-        return self.root / "traces" / f"{name}-s{scale:g}-r{seed}.pkl.gz"
+        # repr() spells the scale exactly: two scales that agree to six
+        # digits still generate different traces.
+        return self.root / "traces" / f"{name}-s{float(scale)!r}-r{seed}.pkl.gz"
 
     @property
     def quarantine_dir(self) -> Path:

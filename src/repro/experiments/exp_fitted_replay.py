@@ -4,7 +4,7 @@ extension to its source's Table 3 row and simulated behaviour.
 This is the conformance gate for the fitting pipeline (DESIGN.md
 section 4j): the fitted model is only trustworthy if a fresh, *longer*
 realisation still looks like the source, both statistically (every
-Table 3 field within :data:`~repro.traces.stats.FITTED_TOLERANCES`) and
+Table 3 field within :data:`~repro.contract.FITTED_TOLERANCES`) and
 to the simulator (energy per operation and mean response times on the
 same device within a small factor).
 
@@ -15,13 +15,14 @@ replay a fitted import instead.
 
 from __future__ import annotations
 
+from repro.contract import FITTED_TOLERANCES, check_conformance
 from repro.core.config import SimulationConfig
 from repro.core.results import SimulationResult
 from repro.core.simulator import simulate
 from repro.experiments.base import Experiment, ExperimentResult, Table
 from repro.experiments.traces_cache import dram_for, trace_for
 from repro.traces.fitting import FittedWorkload, fit_trace
-from repro.traces.stats import FITTED_TOLERANCES, check_conformance, compute_statistics
+from repro.traces.stats import compute_statistics
 from repro.traces.trace import Trace
 
 #: How much longer the verification extension is than the source.

@@ -24,6 +24,7 @@ from typing import Any
 from repro.experiments import traces_cache
 from repro.experiments.base import Experiment, ExperimentResult
 from repro.experiments.registry import all_experiments, get_experiment
+from repro.kernel import KERNELS, using_kernel, validate_kernel
 
 
 def parse_scale(text: str) -> float:
@@ -77,8 +78,6 @@ def run_experiment(
     behind a :class:`DeprecationWarning`.
     """
     if kernel is not None:
-        from repro.kernel import using_kernel, validate_kernel
-
         validate_kernel(kernel)
         with using_kernel(kernel):
             return run_experiment(experiment_id, scale=scale, seed=seed, **kwargs)
@@ -142,8 +141,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="trace-generation seed (default: module default)")
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes for --all (default 1: serial)")
-    parser.add_argument("--kernel", choices=("reference", "batched", "vector"),
-                        default=None,
+    parser.add_argument("--kernel", choices=KERNELS, default=None,
                         help="simulation kernel (default: batched; vector "
                         "answers within the documented float tolerance)")
     parser.add_argument("--list", action="store_true", help="list experiments")

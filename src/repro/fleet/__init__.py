@@ -18,6 +18,7 @@ CLI: ``python -m repro fleet --devices 1000 --jobs auto``; the job
 service accepts the same fleets over HTTP (``python -m repro serve``).
 """
 
+from repro.contract import compare_summaries
 from repro.fleet.aggregate import (
     aggregate_columns,
     aggregate_rows,
@@ -29,7 +30,6 @@ from repro.fleet.aggregate import (
     population_summary_from_columns,
     summary_table,
 )
-from repro.fleet.contract import compare_summaries
 from repro.fleet.population import (
     DeviceSample,
     FleetSpec,

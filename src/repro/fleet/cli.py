@@ -29,6 +29,7 @@ from repro.errors import ConfigurationError
 from repro.fleet.aggregate import canonical_json, summary_table
 from repro.fleet.population import FleetSpec
 from repro.fleet.runner import run_fleet
+from repro.kernel import KERNELS
 
 
 def add_parser(subparsers) -> None:
@@ -85,8 +86,7 @@ def add_parser(subparsers) -> None:
                         "degrading to serial (default 2)")
     parser.add_argument("--chaos", default=None, metavar="PLAN",
                         help="activate the chaos harness from a plan JSON")
-    parser.add_argument("--kernel", choices=("reference", "batched", "vector"),
-                        default=None,
+    parser.add_argument("--kernel", choices=KERNELS, default=None,
                         help="simulation kernel for every device (default "
                         "batched; vector answers within the documented "
                         "float tolerance)")
@@ -95,7 +95,7 @@ def add_parser(subparsers) -> None:
                         "parameters, synthesized traces, batched device "
                         "math, columnar shard transport; population "
                         "summaries agree with the reference path within "
-                        "the repro.fleet.contract tolerances (default off)")
+                        "the repro.contract fleet tolerances (default off)")
 
 
 def cmd_fleet(args) -> int:

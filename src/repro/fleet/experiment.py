@@ -59,7 +59,7 @@ def run(
     byte-identical device parameters, synthesized traces, vectorized
     device math — and attaches the columnar payload for array-merge
     aggregation.  Population summaries then agree with the reference
-    path within the contract declared in :mod:`repro.fleet.contract`.
+    path within the fleet gate of :mod:`repro.contract`.
     """
     from repro.fleet.aggregate import aggregate_rows, pack_columns
 
@@ -127,7 +127,8 @@ def run(
         notes.append(
             "Fast path: parameters sampled exactly, traces synthesized and "
             "devices batched per repro.fleet.synth; population summaries "
-            "agree with the reference path within repro.fleet.contract."
+            "agree with the reference path within the fleet gate of "
+            "repro.contract."
         )
     return ExperimentResult(
         experiment_id="fleet",

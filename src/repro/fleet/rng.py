@@ -1,218 +1,16 @@
-"""Vectorized random-number machinery for the fleet fast path.
+"""Counter-based random numbers for the fleet fast path's trace synthesis.
 
-Two generators live here, with very different contracts:
-
-* :class:`MT19937Vector` — a NumPy reimplementation of CPython's
-  Mersenne Twister *seeding and first draws*, exact to the bit.  The
-  fleet fast path uses it to reproduce ``random.Random(device_seed)``
-  across a whole shard of devices at once, so ``sample_device_batch``
-  returns byte-identical parameters to the reference
-  :func:`repro.fleet.population.sample_device` loop.  Only the handful
-  of draws that parameter sampling performs are supported (``random``,
-  ``uniform``, ``choice`` over short sequences); each device consumes
-  roughly a dozen 32-bit words, so a single twist block of 624 words is
-  ample.
-
-* :func:`counter_uniforms` — a SplitMix64-style counter hash producing
-  i.i.d. uniforms keyed by ``(device_seed, stream, counter)``.  Trace
-  synthesis draws from it; the contract there is distributional (see
-  ``fleet/contract.py``), not bit-exact, and a counter-based stream is
-  shard/worker/order-invariant by construction.
-
-Everything below works on ``uint64`` arrays and masks back to 32 bits
-explicitly, so no dtype-overflow behaviour is relied upon.
+:func:`counter_uniforms` is a SplitMix64-style counter hash producing
+i.i.d. uniforms keyed by ``(device_seed, stream, counter)``.  The contract
+on synthesized traces is distributional (:func:`repro.contract.
+compare_summaries`), not bit-exact, and a counter-based stream is
+shard/worker/order-invariant by construction.  The hash works on
+``uint64`` arrays, whose multiplications wrap modulo 2**64 as intended.
 """
 
 from __future__ import annotations
 
-import random
-
 import numpy as np
-
-_MASK32 = np.uint64(0xFFFFFFFF)
-_N = 624  # MT19937 state words
-
-
-def _init_genrand_scalar(seed: int) -> np.ndarray:
-    """CPython ``init_genrand`` — seed-independent here (always 19650218),
-    computed once in Python ints and broadcast to the device axis."""
-    mt = np.empty(_N, dtype=np.uint64)
-    mt[0] = seed & 0xFFFFFFFF
-    value = seed & 0xFFFFFFFF
-    for i in range(1, _N):
-        value = (1812433253 * (value ^ (value >> 30)) + i) & 0xFFFFFFFF
-        mt[i] = value
-    return mt
-
-
-_MT_BASE = _init_genrand_scalar(19650218)
-
-
-class MT19937Vector:
-    """``random.Random(seed)`` for a vector of 64-bit seeds, exactly.
-
-    Reproduces CPython's ``init_by_array`` seeding (little-endian 32-bit
-    key words of ``abs(seed)``, per-seed key length) and the first twist
-    block, then serves the same draw primitives parameter sampling uses.
-    Each instance tracks a per-device word pointer; ``choice`` performs
-    the same rejection loop as ``Random._randbelow_with_getrandbits``.
-    """
-
-    #: Words tempered up front.  Parameter sampling consumes ~11 words
-    #: per device (plus geometrically-rare ``choice`` rejections); 128
-    #: leaves orders of magnitude of headroom before `_word` raises.
-    TEMPERED = 128
-
-    def __init__(self, seeds: np.ndarray) -> None:
-        seeds = np.asarray(seeds, dtype=np.uint64)
-        self._n = len(seeds)
-        self._words = self._seed_and_generate(seeds)
-        self._ptr = np.zeros(self._n, dtype=np.int64)
-
-    # -- seeding -------------------------------------------------------
-
-    @staticmethod
-    def _seed_and_generate(seeds: np.ndarray) -> np.ndarray:
-        n = len(seeds)
-        key0 = seeds & _MASK32
-        key1 = (seeds >> np.uint64(32)) & _MASK32
-        # CPython key length: 2 words for seeds >= 2**32, else 1 (seed 0
-        # included: the key is [0]).
-        two_words = key1 != 0
-
-        mt = np.broadcast_to(_MT_BASE, (n, _N)).copy()
-
-        # init_by_array, pass 1: max(N, keylen) == N iterations.  The
-        # state index ``i`` walks 1..623 and wraps (mt[0] = mt[623]);
-        # the key index ``j`` cycles modulo the per-device key length.
-        i = 1
-        for m in range(_N):
-            addend = np.where(
-                two_words & np.bool_(m % 2 == 1),
-                key1 + np.uint64(1),
-                key0,
-            )
-            prev = mt[:, i - 1]
-            mixed = (prev ^ (prev >> np.uint64(30))) * np.uint64(1664525)
-            mt[:, i] = ((mt[:, i] ^ (mixed & _MASK32)) + addend) & _MASK32
-            i += 1
-            if i >= _N:
-                mt[:, 0] = mt[:, _N - 1]
-                i = 1
-
-        # init_by_array, pass 2: N-1 iterations, key-independent.
-        for _ in range(_N - 1):
-            prev = mt[:, i - 1]
-            mixed = (prev ^ (prev >> np.uint64(30))) * np.uint64(1566083941)
-            mt[:, i] = ((mt[:, i] ^ (mixed & _MASK32)) - np.uint64(i)) & _MASK32
-            i += 1
-            if i >= _N:
-                mt[:, 0] = mt[:, _N - 1]
-                i = 1
-
-        mt[:, 0] = np.uint64(0x80000000)
-
-        MT19937Vector._twist(mt)
-        return MT19937Vector._temper(mt[:, : MT19937Vector.TEMPERED])
-
-    @staticmethod
-    def _twist(mt: np.ndarray) -> None:
-        """One in-place MT19937 twist, chunked so every read of an
-        already-regenerated word sees the *new* value (as the scalar
-        loop does)."""
-        matrix_a = np.uint64(0x9908B0DF)
-        upper = np.uint64(0x80000000)
-        lower = np.uint64(0x7FFFFFFF)
-
-        def step(i0: int, i1: int, nxt: np.ndarray, m: np.ndarray) -> None:
-            y = (mt[:, i0:i1] & upper) | (nxt & lower)
-            mt[:, i0:i1] = m ^ (y >> np.uint64(1)) ^ (
-                (y & np.uint64(1)) * matrix_a
-            )
-
-        # i in [0, 227): mt[i+1] and mt[i+397] are both old values.
-        step(0, 227, mt[:, 1:228], mt[:, 397:624])
-        # i in [227, 454): mt[i+397-624] = mt[i-227] is new (from above).
-        step(227, 454, mt[:, 228:455], mt[:, 0:227])
-        # i in [454, 623): mt[i-227] is new (from the previous chunk).
-        step(454, 623, mt[:, 455:624], mt[:, 227:396])
-        # i = 623: mt[0] is new.
-        step(623, 624, mt[:, 0:1], mt[:, 396:397])
-
-    @staticmethod
-    def _temper(words: np.ndarray) -> np.ndarray:
-        y = words.copy()
-        y ^= y >> np.uint64(11)
-        y ^= (y << np.uint64(7)) & np.uint64(0x9D2C5680)
-        y &= _MASK32
-        y ^= (y << np.uint64(15)) & np.uint64(0xEFC60000)
-        y &= _MASK32
-        y ^= y >> np.uint64(18)
-        return y
-
-    # -- draw primitives ----------------------------------------------
-
-    def _words_at(
-        self, offset: np.ndarray, rows: np.ndarray | None = None
-    ) -> np.ndarray:
-        if int(offset.max(initial=0)) >= self._words.shape[1]:
-            raise RuntimeError(
-                "MT19937Vector exhausted its tempered words; parameter "
-                "sampling should never draw this deep"
-            )
-        if rows is None:
-            rows = np.arange(self._n)
-        return self._words[rows, offset]
-
-    def random(self) -> np.ndarray:
-        """CPython ``random_random``: two words -> a float in [0, 1)."""
-        a = self._words_at(self._ptr) >> np.uint64(5)
-        b = self._words_at(self._ptr + 1) >> np.uint64(6)
-        self._ptr += 2
-        return (
-            a.astype(np.float64) * 67108864.0 + b.astype(np.float64)
-        ) / 9007199254740992.0
-
-    def uniform(self, low: float, high: float) -> np.ndarray:
-        return low + (high - low) * self.random()
-
-    def choice(self, seq: tuple[float, ...]) -> np.ndarray:
-        """``Random.choice`` over a short sequence: ``getrandbits(k)``
-        with rejection, vectorized with per-device pointers."""
-        length = len(seq)
-        k = length.bit_length()
-        shift = np.uint64(32 - k)
-        result = np.zeros(self._n, dtype=np.int64)
-        active = np.ones(self._n, dtype=bool)
-        while active.any():
-            idx = np.flatnonzero(active)
-            r = (self._words_at(self._ptr[idx], idx) >> shift).astype(
-                np.int64
-            )
-            self._ptr[idx] += 1
-            accept = r < length
-            result[idx[accept]] = r[accept]
-            active[idx[accept]] = False
-        return np.asarray(seq, dtype=np.float64)[result]
-
-
-def assert_matches_cpython(sample_seeds: np.ndarray, draws: int = 4) -> None:
-    """Self-check helper (used by tests): the vector generator's
-    ``random()`` stream matches ``random.Random`` for every seed."""
-    vec = MT19937Vector(sample_seeds)
-    columns = [vec.random() for _ in range(draws)]
-    for row, seed in enumerate(sample_seeds.tolist()):
-        ref = random.Random(int(seed))
-        for col in range(draws):
-            expected = ref.random()
-            got = float(columns[col][row])
-            if got != expected:  # pragma: no cover - diagnostic path
-                raise AssertionError(
-                    f"seed {seed} draw {col}: {got!r} != {expected!r}"
-                )
-
-
-# -- counter-based uniforms for trace synthesis ------------------------
 
 _SM_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _SM_MIX1 = np.uint64(0xBF58476D1CE4E5B9)

@@ -168,7 +168,7 @@ def run_fleet(
     ``fast=True`` routes every shard through the vectorized synthesis
     path (:mod:`repro.fleet.synth`) and aggregates the columnar shard
     payloads by array merge; summaries then agree with the reference
-    path within :mod:`repro.fleet.contract`, and are themselves still
+    path within the fleet gate of :mod:`repro.contract`, and are still
     byte-identical across any shards/jobs/cache-replay choice.
     """
     jobs = resolve_jobs(jobs)

@@ -8,12 +8,11 @@ whole shard at once, following the trace-synthesis methodology of
 Boukhobza & Timsit and the distribution-level validation stance of
 Al-Maeeni et al. (see PAPERS.md):
 
-* **Parameter sampling is exact.**  :func:`sample_device_batch` replays
-  ``random.Random(device_seed)``'s draw sequence through the vectorized
-  Mersenne Twister in :mod:`repro.fleet.rng`, so every device's
-  workload, spec, trace length, cache sizes, spin-down timeout, and
-  utilization are byte-identical to :func:`~repro.fleet.population.
-  sample_device` — the population's *composition* never moves.
+* **Parameter sampling is exact.**  :func:`sample_device_batch` packs
+  the reference sampler's own draws (:func:`~repro.fleet.population.
+  sample_devices`) into arrays, so every device's workload, spec, trace
+  length, cache sizes, spin-down timeout, and utilization are the
+  reference path's — the population's *composition* never moves.
 
 * **Traces are synthesized distributionally.**  Per-device op streams
   are drawn from the same mixtures ``_WorkloadGenerator`` uses (gap
@@ -24,8 +23,9 @@ Al-Maeeni et al. (see PAPERS.md):
   order- and shard-invariant by construction.  The simplifications
   (canonical file table instead of a per-device one, no delete
   recycling, run-local sequential cursors, touch-distance LRU window)
-  are declared in :mod:`repro.fleet.contract`, which pins how far the
-  resulting population summaries may drift from the reference.
+  are declared with the fleet gate in :mod:`repro.contract`, which pins
+  how far the resulting population summaries may drift from the
+  reference.
 
 * **Execution is batched.**  Devices group by workload, then by device
   class: magnetic disks and coupled flash disks run through closed-form
@@ -50,16 +50,11 @@ from repro.devices.specs import device_spec, memory_spec
 from repro.flash.cleaner import cleaning_policy
 from repro.fleet.population import (
     DEVICE_MIX,
-    DRAM_CHOICES,
     FleetSpec,
-    MIN_DEVICE_OPS,
-    SPIN_DOWN_CHOICES,
-    SRAM_CHOICES,
-    UTILIZATION_CHOICES,
     WORKLOAD_MIX,
-    device_seed,
+    sample_devices,
 )
-from repro.fleet.rng import MT19937Vector, counter_uniforms
+from repro.fleet.rng import counter_uniforms
 from repro.kernel.arrays import DELETE, READ, WRITE
 from repro.kernel.flashcard_kernel import CardKernel
 from repro.traces.workloads import workload_by_name
@@ -102,55 +97,30 @@ class DeviceBatch:
     flash_utilization: np.ndarray  # float64
 
 
-def _weighted_batch(
-    u: np.ndarray, mix: tuple[tuple[str, float], ...]
-) -> np.ndarray:
-    """Vector twin of ``population._weighted``: identical subtraction
-    order, so the branch points are bit-identical."""
-    total = sum(weight for _, weight in mix)
-    point = u * total
-    out = np.full(len(u), len(mix) - 1, dtype=np.int8)
-    undecided = np.ones(len(u), dtype=bool)
-    for code, (_, weight) in enumerate(mix):
-        point = point - weight
-        hit = (point < 0) & undecided
-        out[hit] = code
-        undecided &= ~hit
-    return out
-
-
 def sample_device_batch(
     spec: FleetSpec, indices: Sequence[int]
 ) -> DeviceBatch:
-    """Exactly :func:`~repro.fleet.population.sample_device` for every
-    index at once (same seeds, same draw order, same values)."""
-    index = np.asarray(list(indices), dtype=np.int64)
-    seeds = np.array(
-        [device_seed(spec.seed, int(i)) for i in index], dtype=np.uint64
-    )
-    rng = MT19937Vector(seeds)
-    workload = _weighted_batch(rng.random(), WORKLOAD_MIX)
-    device = _weighted_batch(rng.random(), DEVICE_MIX)
-    jitter = rng.uniform(0.5, 1.5)
-    base = spec.ops_per_device * spec.scale
-    n_ops = np.maximum(
-        MIN_DEVICE_OPS, np.rint(base * jitter).astype(np.int64)
-    )
-    dram = rng.choice(DRAM_CHOICES).astype(np.int64)
-    sram = rng.choice(SRAM_CHOICES).astype(np.int64)
-    spin_down = rng.choice(SPIN_DOWN_CHOICES)
-    utilization = rng.choice(UTILIZATION_CHOICES)
-    dram[workload == WORKLOAD_NAMES.index("hp")] = 0
+    """:func:`~repro.fleet.population.sample_devices` for a shard, packed
+    into arrays (same seeds, same draws, same values)."""
+    samples = sample_devices(spec, indices)
+
+    def column(attr: str, dtype) -> np.ndarray:
+        return np.array([getattr(s, attr) for s in samples], dtype=dtype)
+
     return DeviceBatch(
-        index=index,
-        seed=seeds,
-        workload=workload,
-        device=device,
-        n_ops=n_ops,
-        dram_bytes=dram,
-        sram_bytes=sram,
-        spin_down_timeout_s=spin_down,
-        flash_utilization=utilization,
+        index=column("index", np.int64),
+        seed=column("seed", np.uint64),
+        workload=np.array(
+            [WORKLOAD_NAMES.index(s.workload) for s in samples], dtype=np.int8
+        ),
+        device=np.array(
+            [DEVICE_NAMES.index(s.device) for s in samples], dtype=np.int8
+        ),
+        n_ops=column("n_ops", np.int64),
+        dram_bytes=column("dram_bytes", np.int64),
+        sram_bytes=column("sram_bytes", np.int64),
+        spin_down_timeout_s=column("spin_down_timeout_s", np.float64),
+        flash_utilization=column("flash_utilization", np.float64),
     )
 
 

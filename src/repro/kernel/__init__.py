@@ -13,8 +13,8 @@ Three kernels run the same trace/config pair:
     The NumPy array path (:mod:`repro.kernel.vector`): device timing is
     solved in closed form where the physics allow and in lean scalar loops
     where they don't.  Equal to ``reference`` within the documented
-    floating-point tolerance (:mod:`repro.kernel.tolerance`); falls back
-    to ``batched`` outside its envelope.
+    floating-point tolerance (:func:`repro.contract.compare_results`);
+    falls back to ``batched`` outside its envelope.
 
 :mod:`repro.kernel.runtime` holds the process-wide kernel selection that
 ``repro run --kernel``/``repro fleet --kernel`` install.

@@ -17,7 +17,7 @@ run therefore collapses into array math:
   short Python loop over write/delete ops only).
 
 The *sums* (energy, busy time) still use vectorized reductions; their
-reassociation is what :mod:`repro.kernel.tolerance` licenses.
+reassociation is what the kernel gate of :mod:`repro.contract` licenses.
 """
 
 from __future__ import annotations

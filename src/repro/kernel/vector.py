@@ -15,7 +15,7 @@ The kernels return raw per-op response arrays plus device accounting; this
 module rebuilds the :class:`~repro.core.results.SimulationResult` —
 response statistics, per-component energy, per-layer breakdown — exactly
 as ``Simulator._result`` would, modulo the floating-point reassociation
-:mod:`repro.kernel.tolerance` declares.
+the kernel gate of :mod:`repro.contract` declares.
 
 Not every configuration vectorizes.  :func:`unsupported_reason` describes
 the envelope; callers fall back to the batched reference path (annotating

@@ -7,13 +7,9 @@ substitution rationale).
 from repro.traces.record import BlockOp, Operation, TraceRecord
 from repro.traces.trace import Trace
 from repro.traces.filemap import ExtentMapper, FileMapper
-from repro.traces.stats import (
-    ConformanceReport,
-    TraceStatistics,
-    check_conformance,
-    compute_statistics,
-)
+from repro.traces.stats import TraceStatistics, compute_statistics
 from repro.traces.io import load_trace, save_trace
+from repro.contract import check_conformance
 from repro.traces.fitting import FittedWorkload, fit_trace
 from repro.traces.ingest import CsvSpec, detect_format, import_trace
 from repro.traces.transform import (
@@ -34,7 +30,6 @@ from repro.traces.workloads import (
 
 __all__ = [
     "BlockOp",
-    "ConformanceReport",
     "CsvSpec",
     "DosWorkload",
     "ExtentMapper",

@@ -24,8 +24,8 @@ The result is a :class:`FittedWorkload`: a frozen model that emits
 arbitrarily long, seed-deterministic extensions through the standard
 ``WorkloadSpec.generate`` path, serialises to a ``model.json``, and
 verifies itself against its source's Table 3 row via
-:func:`~repro.traces.stats.check_conformance` with
-:data:`~repro.traces.stats.FITTED_TOLERANCES`.
+:func:`~repro.contract.check_conformance` with
+:data:`~repro.contract.FITTED_TOLERANCES`.
 
 Known limit: the generator's gap mixture cannot be *less* dispersed than
 a single exponential, so traces with inter-arrival std below their mean
@@ -44,15 +44,10 @@ from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
 from typing import Any, Mapping
 
+from repro.contract import FITTED_TOLERANCES, Report, check_conformance
 from repro.errors import TraceError
 from repro.traces.record import Operation
-from repro.traces.stats import (
-    ConformanceReport,
-    FITTED_TOLERANCES,
-    TraceStatistics,
-    check_conformance,
-    compute_statistics,
-)
+from repro.traces.stats import TraceStatistics, compute_statistics
 from repro.traces.trace import Trace
 from repro.traces.workloads import WorkloadSpec, _WorkloadGenerator
 from repro.units import KB
@@ -105,7 +100,7 @@ class FittedWorkload:
 
     def verify(
         self, *, seed: int = 0, length: float = 2.0
-    ) -> ConformanceReport:
+    ) -> Report:
         """Generate an extension ``length`` times the source's record
         count and check it against the source's Table 3 row within
         :data:`FITTED_TOLERANCES`."""

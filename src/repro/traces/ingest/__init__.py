@@ -12,7 +12,7 @@ TraceError` naming the source line):
 :func:`import_trace` is the front door: it resolves the format (explicit
 or sniffed), parses, and — when reference statistics are supplied —
 enforces the Table 3 conformance gate
-(:func:`repro.traces.stats.check_conformance`) before the trace is
+(:func:`repro.contract.check_conformance`) before the trace is
 allowed into the pipeline, mirroring how every other entry point
 (fitting, replay) is gated.
 """
@@ -102,11 +102,8 @@ def import_trace(
         ) from None
     trace, report = parser(path, **options)
     if expect is not None:
-        from repro.traces.stats import (
-            TraceStatistics,
-            check_conformance,
-            compute_statistics,
-        )
+        from repro.contract import check_conformance
+        from repro.traces.stats import TraceStatistics, compute_statistics
 
         if isinstance(expect, dict):
             expect = TraceStatistics.from_dict(expect)

@@ -1,5 +1,4 @@
-"""Trace statistics in the shape of the paper's Table 3 — and the
-conformance gate built on them.
+"""Trace statistics in the shape of the paper's Table 3.
 
 Table 3 summarises each non-synthetic trace by duration, number of distinct
 Kbytes accessed, fraction of reads, block size, mean read/write sizes in
@@ -8,20 +7,15 @@ paper notes the statistics "apply to the 90% of each trace that is actually
 simulated after the warm start"; callers can pass ``warm_fraction`` to
 reproduce that convention.
 
-:func:`check_conformance` compares a candidate trace's statistics against
-a reference's, field by field, each within a *declared* tolerance
-(mirroring the fleet fast path's population contract in
-:mod:`repro.fleet.contract`).  It is the correctness gate at every step
-of the ingestion pipeline: imports verify against snapshotted reference
-statistics, fitted generators verify their extensions against the source
-trace's Table 3 row, and the conformance test suite round-trips both.
+The conformance gate that holds imported and fitted traces to a Table 3
+row is :func:`repro.contract.check_conformance`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
 from repro.traces.record import Operation
 from repro.traces.trace import Trace
@@ -162,226 +156,3 @@ def compute_statistics(trace: Trace, warm_fraction: float = 0.0) -> TraceStatist
         n_deletes=deletes,
     )
 
-
-def _blocks_spanned(offset: int, size: int, block_size: int) -> int:
-    """Number of blocks a transfer touches at ``block_size`` granularity."""
-    if size <= 0:
-        return 0
-    first = offset // block_size
-    last = (offset + size - 1) // block_size
-    return last - first + 1
-
-
-# ---------------------------------------------------------------------------
-# Conformance: declared per-field tolerances over Table 3 statistics.
-
-
-@dataclass(frozen=True, slots=True)
-class FieldTolerance:
-    """Declared tolerance for one statistics field.
-
-    A candidate value conforms when ``|candidate - reference|`` is within
-    ``max(abs, rel * |reference|)``; ``exact`` fields must be equal.
-    """
-
-    rel: float = 0.0
-    abs: float = 0.0
-    exact: bool = False
-
-    def allowed(self, reference: float) -> float:
-        return max(self.abs, self.rel * abs(reference))
-
-    def describe(self) -> str:
-        if self.exact:
-            return "exact"
-        parts = []
-        if self.rel:
-            parts.append(f"rel {self.rel:g}")
-        if self.abs:
-            parts.append(f"abs {self.abs:g}")
-        return " or ".join(parts) or "exact"
-
-
-#: Derived comparison fields on top of the raw dataclass attributes.
-#: ``duration_per_record`` replaces raw duration so references and
-#: candidates of different lengths (a 2x fitted extension) compare the
-#: *rate*, and ``fraction_deletes`` pins the dos trace's deletions.
-_FIELD_GETTERS: dict[str, Callable[[TraceStatistics], float]] = {
-    "fraction_reads": lambda s: s.fraction_reads,
-    "fraction_deletes": lambda s: s.n_deletes / s.n_records if s.n_records else 0.0,
-    "block_size_kbytes": lambda s: s.block_size_kbytes,
-    "mean_read_blocks": lambda s: s.mean_read_blocks,
-    "mean_write_blocks": lambda s: s.mean_write_blocks,
-    "interarrival_mean_s": lambda s: s.interarrival_mean_s,
-    "interarrival_std_s": lambda s: s.interarrival_std_s,
-    "interarrival_max_s": lambda s: s.interarrival_max_s,
-    "distinct_kbytes": lambda s: s.distinct_kbytes,
-    "duration_per_record": lambda s: (
-        s.duration_s / (s.n_records - 1) if s.n_records > 1 else 0.0
-    ),
-}
-
-#: Import-gate tolerances: a re-import (or format round-trip) of the same
-#: trace must reproduce its reference snapshot almost exactly — the slack
-#: covers only text-format float rounding.
-IMPORT_TOLERANCES: dict[str, FieldTolerance] = {
-    "fraction_reads": FieldTolerance(abs=1e-9),
-    "fraction_deletes": FieldTolerance(abs=1e-9),
-    "block_size_kbytes": FieldTolerance(exact=True),
-    "mean_read_blocks": FieldTolerance(rel=1e-6),
-    "mean_write_blocks": FieldTolerance(rel=1e-6),
-    "interarrival_mean_s": FieldTolerance(rel=1e-4, abs=1e-6),
-    "interarrival_std_s": FieldTolerance(rel=1e-4, abs=1e-6),
-    "interarrival_max_s": FieldTolerance(rel=1e-4, abs=1e-6),
-    "distinct_kbytes": FieldTolerance(rel=1e-6),
-    "duration_per_record": FieldTolerance(rel=1e-4, abs=1e-6),
-}
-
-#: Fitted-generator tolerances: a synthetic extension regenerated from a
-#: fitted model must land on its source's Table 3 row, but it is a *new
-#: realisation* of fitted distributions, not a replay — first moments are
-#: tight (the generator rescales gaps to the target mean and sizes are
-#: moment-matched), spread and extrema looser (mixture-shape fitting),
-#: and distinct-data coverage loosest (Zipf coverage saturates with
-#: length; the fitter calibrates the dataset size but a 2x extension
-#: legitimately touches more of it).
-FITTED_TOLERANCES: dict[str, FieldTolerance] = {
-    "fraction_reads": FieldTolerance(abs=0.05),
-    "fraction_deletes": FieldTolerance(abs=0.02),
-    "block_size_kbytes": FieldTolerance(exact=True),
-    "mean_read_blocks": FieldTolerance(rel=0.25, abs=0.2),
-    "mean_write_blocks": FieldTolerance(rel=0.25, abs=0.2),
-    #: The realised mean of a bursty mixture is dominated by rare long
-    #: gaps, so even a faithful model fluctuates several percent per
-    #: realisation at moderate lengths.
-    "interarrival_mean_s": FieldTolerance(rel=0.15),
-    "interarrival_std_s": FieldTolerance(rel=0.60),
-    "interarrival_max_s": FieldTolerance(rel=2.0),
-    "distinct_kbytes": FieldTolerance(rel=0.50),
-    "duration_per_record": FieldTolerance(rel=0.15),
-}
-
-#: Default gate (imports and round-trips).
-DEFAULT_TOLERANCES = IMPORT_TOLERANCES
-
-
-@dataclass(frozen=True, slots=True)
-class FieldCheck:
-    """One field's conformance verdict."""
-
-    field: str
-    reference: float
-    candidate: float
-    deviation: float
-    tolerance: str
-    ok: bool
-
-    def describe(self) -> str:
-        verdict = "ok" if self.ok else "FAIL"
-        return (
-            f"{self.field}: candidate {self.candidate:.6g} vs reference "
-            f"{self.reference:.6g} (deviation {self.deviation:.3g}, "
-            f"tolerance {self.tolerance}) {verdict}"
-        )
-
-
-@dataclass(frozen=True, slots=True)
-class ConformanceReport:
-    """Field-by-field verdict of a candidate against reference statistics.
-
-    Produced by :func:`check_conformance`; serialisable with
-    :meth:`to_dict` so CI can upload it as an artifact.
-    """
-
-    reference_name: str
-    candidate_name: str
-    checks: tuple[FieldCheck, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(check.ok for check in self.checks)
-
-    def problems(self) -> list[str]:
-        """Human-readable description of every failing field."""
-        return [check.describe() for check in self.checks if not check.ok]
-
-    def check(self, field: str) -> FieldCheck:
-        for check in self.checks:
-            if check.field == field:
-                return check
-        raise KeyError(field)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "reference": self.reference_name,
-            "candidate": self.candidate_name,
-            "ok": self.ok,
-            "checks": [
-                {
-                    "field": check.field,
-                    "reference": check.reference,
-                    "candidate": check.candidate,
-                    "deviation": check.deviation,
-                    "tolerance": check.tolerance,
-                    "ok": check.ok,
-                }
-                for check in self.checks
-            ],
-        }
-
-    def render(self) -> str:
-        lines = [
-            f"conformance: {self.candidate_name} vs {self.reference_name} "
-            f"— {'OK' if self.ok else 'FAIL'}"
-        ]
-        lines.extend(f"  {check.describe()}" for check in self.checks)
-        return "\n".join(lines)
-
-
-def check_conformance(
-    reference: TraceStatistics,
-    candidate: TraceStatistics,
-    *,
-    tolerances: Mapping[str, FieldTolerance] | None = None,
-) -> ConformanceReport:
-    """Compare ``candidate`` statistics against ``reference``, field by
-    field, each within its declared tolerance.
-
-    ``tolerances`` replaces or extends :data:`DEFAULT_TOLERANCES` per
-    field; fields without a declared tolerance are not checked (declare
-    everything you rely on — silence is not a pass).
-    """
-    table = dict(DEFAULT_TOLERANCES)
-    if tolerances:
-        table.update(tolerances)
-    checks: list[FieldCheck] = []
-    for field, tolerance in table.items():
-        getter = _FIELD_GETTERS.get(field)
-        if getter is None:
-            raise KeyError(
-                f"unknown conformance field {field!r}; expected one of "
-                f"{sorted(_FIELD_GETTERS)}"
-            )
-        ref_value = float(getter(reference))
-        cand_value = float(getter(candidate))
-        deviation = abs(cand_value - ref_value)
-        if tolerance.exact:
-            ok = cand_value == ref_value
-        else:
-            ok = deviation <= tolerance.allowed(ref_value)
-        checks.append(
-            FieldCheck(
-                field=field,
-                reference=ref_value,
-                candidate=cand_value,
-                deviation=deviation,
-                tolerance=tolerance.describe(),
-                ok=ok,
-            )
-        )
-    checks.sort(key=lambda check: check.field)
-    return ConformanceReport(
-        reference_name=reference.name,
-        candidate_name=candidate.name,
-        checks=tuple(checks),
-    )

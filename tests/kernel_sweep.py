@@ -5,10 +5,10 @@ paper cell (3 traces x 7 devices), run under the reference, batched and
 vector kernels.  Per cell it checks that
 
 * the batched result is **bit-identical** to the reference:
-  :func:`repro.kernel.tolerance.compare_results` finds nothing *and* the
+  :func:`repro.contract.compare_results` finds nothing *and* the
   energies are exactly equal;
 * the vector result matches the reference within the declared
-  tolerances (:mod:`repro.kernel.tolerance`), or fell back to batched
+  tolerances (:mod:`repro.contract`), or fell back to batched
   with a named reason on a cell outside the vector envelope.
 
 A full-scale sweep takes about a minute, so pytest does not collect this
@@ -24,11 +24,11 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.contract import compare_results
 from repro.core.config import SimulationConfig
 from repro.core.simulator import simulate
 from repro.experiments.exp_table4 import DEVICE_ROWS
 from repro.experiments.traces_cache import dram_for, trace_for
-from repro.kernel.tolerance import compare_results
 
 TRACES = ("mac", "dos", "hp")
 
@@ -39,12 +39,14 @@ def check_cell(trace, config) -> tuple[list[str], str | None]:
         simulate(trace, config, kernel=kernel)
         for kernel in ("reference", "batched", "vector")
     )
-    problems = [f"[batched] {m}" for m in compare_results(reference, batched)]
+    problems = [f"[batched] {m}"
+                for m in compare_results(reference, batched).problems()]
     if batched.energy_j != reference.energy_j:
         problems.append("[batched] energy_j not bit-identical")
     fallback = vector.extra.get("kernel_fallback_reason")
     if fallback is None:
-        problems += [f"[vector] {m}" for m in compare_results(reference, vector)]
+        problems += [f"[vector] {m}"
+                     for m in compare_results(reference, vector).problems()]
     return problems, fallback
 
 

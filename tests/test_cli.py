@@ -156,6 +156,19 @@ def test_malformed_trace_prints_one_line_and_exits_2(tmp_path, capsys):
     _assert_one_error_line(capsys, "expected >= 7 fields")
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "{missing}"],
+    ["simulate", "--workload", "{missing}"],
+    ["import", "{missing}", "--format", "blktrace", "-o", "{out}"],
+], ids=["analyze", "simulate", "import"])
+def test_missing_input_file_prints_one_line_and_exits_2(argv, tmp_path, capsys):
+    missing = str(tmp_path / "missing.trace")
+    argv = [arg.format(missing=missing, out=tmp_path / "out.trace")
+            for arg in argv]
+    assert main(argv) == 2
+    _assert_one_error_line(capsys, missing)
+
+
 # -- the engine front end: repro run / repro cache -------------------------
 
 

@@ -184,6 +184,22 @@ class TestTraceStore:
             traces_cache.configure_trace_store(None)
             traces_cache._generate.cache_clear()
 
+    def test_scales_equal_to_six_digits_do_not_collide(self, tmp_path):
+        # 0.1242236 and 0.1242244 print alike under :g but ask for 19999
+        # and 20000 mac ops; the second must not load the first's trace.
+        store = TraceStore(tmp_path)
+        traces_cache.configure_trace_store(store)
+        try:
+            lengths = []
+            for scale in (0.1242236, 0.1242244):
+                traces_cache._generate.cache_clear()
+                lengths.append(len(traces_cache.trace_for("mac", scale, seed=1)))
+        finally:
+            traces_cache.configure_trace_store(None)
+            traces_cache._generate.cache_clear()
+        assert lengths == [19999, 20000]
+        assert len(list(store.root.glob("traces/mac-*"))) == 2
+
 
 # -- manifest --------------------------------------------------------------
 

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.contract import FLEET_TOLERANCES as TOLERANCES
 from repro.engine import ResultCache, RunManifest
 from repro.errors import ConfigurationError
 from repro.fleet import (
@@ -31,7 +32,6 @@ from repro.fleet import (
     sample_device_batch,
     simulate_shard_fast,
 )
-from repro.fleet.contract import TOLERANCES
 from repro.fleet.population import METRIC_FIELDS
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.jobs import parse_request
@@ -145,7 +145,7 @@ class TestContract:
         fast = run_fleet(spec, jobs=2, fast=True)
         ref = run_fleet(spec, jobs=2)
         assert fast.ok and ref.ok
-        problems = compare_summaries(ref.summary, fast.summary)
+        problems = compare_summaries(ref.summary, fast.summary).problems()
         assert not problems, "\n".join(problems)
 
     def test_exact_fields_flagged(self):
@@ -153,7 +153,7 @@ class TestContract:
         run = run_fleet(spec, jobs=1, fast=True)
         tampered = json.loads(canonical_json(run.summary))
         tampered["population"]["total_ops"] += 1
-        problems = compare_summaries(run.summary, tampered)
+        problems = compare_summaries(run.summary, tampered).problems()
         assert any("total_ops" in p for p in problems)
 
     def test_tolerances_cover_all_metrics(self):

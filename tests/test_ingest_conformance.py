@@ -28,6 +28,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.contract import IMPORT_TOLERANCES, check_conformance
 from repro.errors import TraceError
 from repro.traces.ingest import (
     CsvSpec,
@@ -39,12 +40,7 @@ from repro.traces.ingest import blktrace as blktrace_mod
 from repro.traces.ingest import csvmap as csvmap_mod
 from repro.traces.ingest import snia as snia_mod
 from repro.traces.io import load_trace, save_trace
-from repro.traces.stats import (
-    IMPORT_TOLERANCES,
-    TraceStatistics,
-    check_conformance,
-    compute_statistics,
-)
+from repro.traces.stats import TraceStatistics, compute_statistics
 
 GOLDEN_DIR = Path(__file__).parent / "golden" / "traces"
 

@@ -3,10 +3,10 @@
 Three contracts pinned here:
 
 1. **Vector vs reference, within declared tolerance** — across the
-   paper's workloads, one device per class, and a Hypothesis sweep of
-   seeds/lengths inside the vector envelope,
-   :func:`repro.kernel.tolerance.compare_results` must report zero
-   mismatches.  The test also asserts the vector path actually ran
+   paper's workloads, one device per class, a Hypothesis sweep of
+   seeds/lengths, and a Hypothesis sweep of configurations inside the
+   vector envelope, :func:`repro.contract.compare_results` must report
+   zero mismatches.  The tests also assert the vector path actually ran
    (``extra["kernel"] == "vector"``, no silent fallback) — a sweep that
    quietly compared batched against batched would prove nothing.
 2. **Reference path vs golden, bit-for-bit** — ``kernel="reference"``
@@ -27,12 +27,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.contract import compare_results
 from repro.core.config import SimulationConfig
 from repro.core.simulator import simulate
 from repro.engine import ResultCache, WorkUnit, cache_key, execute
-from repro.kernel.tolerance import compare_results
+from repro.kernel.vector import unsupported_reason
 from repro.traces.synthetic import SyntheticWorkload
 from repro.traces.workloads import workload_by_name
+from repro.units import KB, MB
 from tests.golden.generate_equivalence_golden import (
     DEVICES,
     WORKLOADS,
@@ -76,7 +78,7 @@ def test_vector_matches_reference(workload, device):
     """4 workloads x 3 device families: zero tolerance violations."""
     trace = _trace(workload, n_ops=800, seed=7)
     reference, vector = _pair(trace, _envelope_config(device))
-    assert compare_results(reference, vector) == []
+    assert compare_results(reference, vector).problems() == []
 
 
 @settings(max_examples=12, deadline=None)
@@ -90,7 +92,44 @@ def test_vector_matches_reference_property(workload, device, seed, n_ops):
     """No seed or trace length inside the envelope may separate them."""
     trace = _trace(workload, n_ops=n_ops, seed=seed)
     reference, vector = _pair(trace, _envelope_config(device))
-    assert compare_results(reference, vector) == []
+    assert compare_results(reference, vector).problems() == []
+
+
+#: Configurations inside ``unsupported_reason``'s envelope: both disks
+#: with any SRAM and spin-down, coupled flash disks, greedy flash cards.
+_envelope_configs = st.builds(
+    SimulationConfig,
+    device=st.sampled_from((
+        "cu140-datasheet", "kh-datasheet",
+        "sdp5-datasheet", "sdp10-datasheet", "intel-datasheet",
+    )),
+    dram_bytes=st.sampled_from((0, 64 * KB, 2 * MB)),
+    sram_bytes=st.sampled_from((0, 32 * KB, 1 * MB)),
+    spin_down_timeout_s=st.sampled_from((None, 0.0, 0.5, 5.0, 30.0)),
+    flash_utilization=st.floats(min_value=0.3, max_value=0.95),
+    warm_fraction=st.floats(min_value=0.0, max_value=0.99),
+    segment_bytes=st.sampled_from((None, 64 * KB, 128 * KB)),
+    background_cleaning=st.booleans(),
+    async_erase=st.just(False),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    config=_envelope_configs,
+    workload=st.sampled_from(WORKLOADS),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_vector_matches_batched_across_configs(config, workload, seed):
+    """No configuration inside the envelope may separate them."""
+    assert unsupported_reason(config) is None
+    trace = _trace(workload, n_ops=200, seed=seed)
+    batched = simulate(trace, config, kernel="batched")
+    vector = simulate(trace, config, kernel="vector")
+    assert vector.extra.get("kernel") == "vector", (
+        f"vector fell back: {vector.extra.get('kernel_fallback_reason')}"
+    )
+    assert compare_results(batched, vector).problems() == []
 
 
 def test_vector_falls_back_outside_envelope():
