@@ -29,21 +29,27 @@ def auto_jobs() -> int:
 
 
 def resolve_jobs(value: int | str | None) -> int:
-    """Normalise a jobs request (``None``/``"auto"``/int) to a count."""
+    """Normalise a jobs request (``None``/``"auto"``/int) to a count.
+
+    Anything else — a bool, a float such as ``2.5`` from a JSON body —
+    is a :class:`ConfigurationError`, never a count."""
     if value is None:
         return auto_jobs()
+    count: object = value
     if isinstance(value, str):
         if value.strip().lower() == AUTO:
             return auto_jobs()
         try:
-            value = int(value)
+            count = int(value)
         except ValueError:
-            raise ConfigurationError(
-                f"jobs must be a positive integer or 'auto', got {value!r}"
-            ) from None
-    if value < 1:
-        raise ConfigurationError(f"jobs must be >= 1, got {value}")
-    return value
+            pass
+    if isinstance(count, bool) or not isinstance(count, int):
+        raise ConfigurationError(
+            f"jobs must be a positive integer or 'auto', got {value!r}"
+        )
+    if count < 1:
+        raise ConfigurationError(f"jobs must be >= 1, got {count}")
+    return count
 
 
 def jobs_arg(text: str) -> int:

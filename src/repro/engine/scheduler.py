@@ -13,6 +13,12 @@ Design:
   :func:`~repro.experiments.runner.run_experiment`; nothing mutates the
   process-global default seed, so results are independent of scheduling
   order and process boundaries.
+* **Prewarm what is read.**  Before running anything, the parent
+  generates into the :class:`~repro.engine.trace_store.TraceStore` the
+  traces each pending unit's experiment declares
+  (:attr:`~repro.experiments.base.Experiment.traces`), once per distinct
+  (scale, seed).  Fleet shards declare none — they synthesise their own
+  per-device traces — so a fleet run writes nothing to the store.
 * **jobs=1 runs in-process** — no pool, no pickling — and therefore
   produces reports byte-identical to the historical serial runner.
 * **Failures are contained, and mostly survived.**  A transient unit
@@ -52,10 +58,6 @@ from repro.engine.trace_store import TraceStore
 from repro.engine.unit import WorkUnit
 from repro.errors import ConfigurationError, ReproError
 from repro.experiments.base import ExperimentResult
-
-#: The four workloads every driver draws from; prewarmed into the trace
-#: store so workers load rather than regenerate.
-STANDARD_TRACES = ("mac", "dos", "hp", "synth")
 
 ProgressCallback = Callable[[int, int, "UnitOutcome"], None]
 
@@ -233,14 +235,25 @@ def _worker_run(
                 traceback.format_exc(), None)
 
 
-def _distinct_trace_requests(units: Sequence[WorkUnit]) -> set[tuple[float, int]]:
+def _trace_requests(
+    units: Sequence[WorkUnit],
+) -> dict[tuple[float, int], tuple[str, ...]]:
+    """(scale, effective seed) -> the ordered union of the traces the
+    units' experiments declare (:attr:`Experiment.traces`), sorted by
+    key.  Every key appears, even with no traces; an unknown experiment
+    declares none, and its unit then fails in the worker's driver lookup."""
     from repro.experiments import traces_cache
+    from repro.experiments.registry import all_experiments
 
+    experiments = all_experiments()
     default = traces_cache.default_seed()
-    return {
-        (unit.scale, default if unit.seed is None else unit.seed)
-        for unit in units
-    }
+    requests: dict[tuple[float, int], dict[str, None]] = {}
+    for unit in units:
+        experiment = experiments.get(unit.experiment_id)
+        names = experiment.traces if experiment is not None else ()
+        seed = default if unit.seed is None else unit.seed
+        requests.setdefault((unit.scale, seed), {}).update(dict.fromkeys(names))
+    return {key: tuple(names) for key, names in sorted(requests.items())}
 
 
 def execute(
@@ -391,10 +404,9 @@ def execute(
                 pending.append(_Task(index=index, unit=unit, key=key))
 
         if pending and trace_store is not None:
-            for scale, seed in sorted(
-                _distinct_trace_requests([task.unit for task in pending])
-            ):
-                trace_store.prewarm(STANDARD_TRACES, scale, seed)
+            requests = _trace_requests([task.unit for task in pending])
+            for (scale, seed), names in requests.items():
+                trace_store.prewarm(names, scale, seed)
 
         cache_state = "miss" if cache is not None else "off"
 

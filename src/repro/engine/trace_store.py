@@ -82,8 +82,11 @@ class TraceStore:
 
     def prewarm(self, names: tuple[str, ...], scale: float, seed: int) -> int:
         """Generate-and-store each named workload once (in this process)
-        so workers start with a fully populated store.  Returns how many
-        traces were newly generated."""
+        so workers load rather than regenerate it.  The engine passes the
+        traces its pending units' experiments declare
+        (:attr:`~repro.experiments.base.Experiment.traces`); fleets
+        declare none, so ``names`` may be empty.  Returns how many traces
+        were newly generated."""
         from repro.experiments import traces_cache
 
         generated = 0

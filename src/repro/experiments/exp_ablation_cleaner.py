@@ -70,4 +70,5 @@ EXPERIMENT = Experiment(
     title="Cleaning-policy ablation",
     paper_ref="DESIGN.md A1 (paper section 2)",
     run=run,
+    traces=("mac", "hp"),
 )

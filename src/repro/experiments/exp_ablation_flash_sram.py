@@ -79,4 +79,5 @@ EXPERIMENT = Experiment(
     title="SRAM-on-flash ablation",
     paper_ref="DESIGN.md A6 (paper sections 5.1, 7)",
     run=run,
+    traces=("mac", "dos"),
 )

@@ -74,4 +74,5 @@ EXPERIMENT = Experiment(
     title="Wear-leveling ablation",
     paper_ref="DESIGN.md A7 (paper section 2)",
     run=run,
+    traces=("mac",),
 )

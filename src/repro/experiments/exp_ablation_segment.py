@@ -71,4 +71,5 @@ EXPERIMENT = Experiment(
     title="Erasure-unit size ablation",
     paper_ref="DESIGN.md A2 (paper section 7)",
     run=run,
+    traces=("mac",),
 )

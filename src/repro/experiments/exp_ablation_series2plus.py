@@ -73,4 +73,5 @@ EXPERIMENT = Experiment(
     title="Intel Series 2+ ablation",
     paper_ref="DESIGN.md A5 (paper sections 2, 7)",
     run=run,
+    traces=("hp", "mac"),
 )

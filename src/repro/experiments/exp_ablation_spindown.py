@@ -66,4 +66,5 @@ EXPERIMENT = Experiment(
     title="Spin-down threshold ablation",
     paper_ref="DESIGN.md A3 (paper section 4.2)",
     run=run,
+    traces=("mac",),
 )

@@ -81,4 +81,5 @@ EXPERIMENT = Experiment(
     title="Write-back cache ablation",
     paper_ref="DESIGN.md A4 (paper section 4.2)",
     run=run,
+    traces=("mac", "dos"),
 )

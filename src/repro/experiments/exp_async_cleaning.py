@@ -77,4 +77,5 @@ EXPERIMENT = Experiment(
     title="Asynchronous erasure on the flash disk",
     paper_ref="Section 5.3",
     run=run,
+    traces=("mac", "dos", "hp"),
 )

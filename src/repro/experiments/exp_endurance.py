@@ -83,4 +83,5 @@ EXPERIMENT = Experiment(
     title="Flash endurance vs utilization",
     paper_ref="Section 5.2",
     run=run,
+    traces=("mac", "hp"),
 )

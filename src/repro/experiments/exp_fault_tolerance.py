@@ -181,4 +181,5 @@ EXPERIMENT = Experiment(
     title="Fault injection and crash recovery",
     paper_ref="Sections 4.2, 5.2, 5.5",
     run=run,
+    traces=("synth",),
 )

@@ -122,4 +122,5 @@ EXPERIMENT = Experiment(
     title="Flash storage utilization sweep",
     paper_ref="Figure 2",
     run=run,
+    traces=("mac", "dos", "hp"),
 )

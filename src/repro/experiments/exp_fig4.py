@@ -104,4 +104,5 @@ EXPERIMENT = Experiment(
     title="DRAM vs flash capacity trade-off",
     paper_ref="Figure 4",
     run=run,
+    traces=("dos",),
 )

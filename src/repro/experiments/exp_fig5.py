@@ -87,4 +87,5 @@ EXPERIMENT = Experiment(
     title="SRAM write-buffer sweep",
     paper_ref="Figure 5",
     run=run,
+    traces=("mac", "dos", "hp"),
 )

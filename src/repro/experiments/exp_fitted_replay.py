@@ -145,4 +145,5 @@ EXPERIMENT = Experiment(
     title="Fitted-workload replay conformance",
     paper_ref="Table 3 (methodology: section 4.1)",
     run=run,
+    traces=("synth",),
 )

@@ -90,4 +90,5 @@ EXPERIMENT = Experiment(
     title="FlashCache extension (Marsh et al. [15])",
     paper_ref="DESIGN.md X1 (paper section 6, citation [15])",
     run=run,
+    traces=("synth", "mac"),
 )

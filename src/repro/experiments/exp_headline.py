@@ -96,4 +96,5 @@ EXPERIMENT = Experiment(
     title="Section 7 headline claims",
     paper_ref="Section 7 / Abstract",
     run=run,
+    traces=("mac", "dos", "hp"),
 )

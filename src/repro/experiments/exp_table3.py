@@ -110,4 +110,5 @@ EXPERIMENT = Experiment(
     title="Trace characteristics",
     paper_ref="Table 3",
     run=run,
+    traces=("mac", "dos", "hp"),
 )

@@ -126,4 +126,5 @@ EXPERIMENT = Experiment(
     title="Device comparison across traces",
     paper_ref="Tables 4(a)-(c)",
     run=run,
+    traces=("mac", "dos", "hp"),
 )

@@ -84,4 +84,5 @@ EXPERIMENT = Experiment(
     title="Simulator validation on the synth trace",
     paper_ref="Section 5.1",
     run=run,
+    traces=("synth",),
 )

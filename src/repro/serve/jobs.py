@@ -188,7 +188,8 @@ def parse_request(payload: Any) -> dict[str, Any]:
         return value
 
     scale = payload.get("scale", 0.2)
-    if not isinstance(scale, (int, float)) or not 0.0 < scale <= 1.0:
+    if (not isinstance(scale, (int, float)) or isinstance(scale, bool)
+            or not 0.0 < scale <= 1.0):
         raise ConfigurationError(f"scale must be in (0, 1], got {scale!r}")
     request: dict[str, Any] = {"kind": kind, "scale": float(scale)}
     if payload.get("jobs") is not None:

@@ -28,6 +28,7 @@ from repro.experiments import traces_cache
 from repro.experiments.base import Experiment, ExperimentResult, Table
 from repro.experiments.registry import _EXPERIMENTS
 from repro.experiments.runner import run_experiment
+from repro.fleet import FleetSpec, run_fleet
 
 #: cheap drivers for end-to-end scheduling tests (table2 is static,
 #: fig4 simulates the short dos trace)
@@ -199,6 +200,25 @@ class TestTraceStore:
             traces_cache._generate.cache_clear()
         assert lengths == [19999, 20000]
         assert len(list(store.root.glob("traces/mac-*"))) == 2
+
+
+class TestDeclaredPrewarm:
+    """execute() prewarms only the traces the pending units declare."""
+
+    def test_fleet_writes_nothing_to_the_store(self, tmp_path):
+        store = TraceStore(tmp_path)
+        spec = FleetSpec(devices=4, seed=1, scale=0.05, ops_per_device=100)
+        run = run_fleet(spec, jobs=1, trace_store=store)
+        assert run.summary is not None
+        assert not (store.root / "traces").exists()
+
+    def test_stores_only_the_declared_trace(self, tmp_path):
+        store = TraceStore(tmp_path)
+        outcomes = execute(decompose(["fig4"], scale=SMALL, seeds=(5,)),
+                           jobs=1, trace_store=store)
+        raise_on_errors(outcomes)
+        stored = [path.name for path in (store.root / "traces").iterdir()]
+        assert stored == [store.path_for("dos", SMALL, 5).name]
 
 
 # -- manifest --------------------------------------------------------------

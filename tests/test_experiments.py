@@ -3,7 +3,12 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments import all_experiments, get_experiment, run_experiment
+from repro.experiments import (
+    all_experiments,
+    get_experiment,
+    run_experiment,
+    traces_cache,
+)
 from repro.experiments.base import ExperimentResult, Table
 
 SMALL = 0.05
@@ -245,8 +250,20 @@ PAPER_SHAPES = {
 
 
 @pytest.mark.parametrize("experiment_id", sorted(all_experiments()))
-def test_every_experiment_runs_and_produces_tables(experiment_id):
+def test_every_experiment_runs_and_produces_tables(experiment_id, monkeypatch):
+    # trace_for looks _generate up as a module global, so this wrapper
+    # sees every read, cached or not.
+    read = set()
+    generate = traces_cache._generate
+
+    def recording(name, scale, seed):
+        read.add(name)
+        return generate(name, scale, seed)
+
+    monkeypatch.setattr(traces_cache, "_generate", recording)
     result = run_experiment(experiment_id, scale=SMALL)
+    # The engine prewarms exactly the declared traces.
+    assert read == set(get_experiment(experiment_id).traces)
     assert isinstance(result, ExperimentResult)
     assert result.experiment_id == experiment_id
     assert result.tables, "experiment produced no tables"

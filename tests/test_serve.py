@@ -64,6 +64,12 @@ class TestParseRequest:
             parse_request({"kind": "fleet", "devices": 0})
         with pytest.raises(ConfigurationError):
             parse_request({"kind": "fleet", "devices": True})
+        with pytest.raises(ConfigurationError):
+            parse_request({"kind": "fleet", "jobs": 2.5})
+        with pytest.raises(ConfigurationError):
+            parse_request({"kind": "fleet", "jobs": True})
+        with pytest.raises(ConfigurationError):
+            parse_request({"kind": "fleet", "scale": True})
 
     def test_run_requires_known_experiments(self):
         request = parse_request({"kind": "run", "experiments": ["table2"],
