@@ -7,7 +7,7 @@ Commands:
 * ``analyze``   — characterise a trace file (Table 3 stats + locality toolkit)
 * ``import``    — normalise a foreign trace (csv / blktrace / snia, .gz ok)
 * ``fit``       — learn a workload model from a trace; emit model.json
-* ``experiment``— run a registered experiment driver (same as the runner)
+* ``experiment``— run one registered experiment driver and print its report
 * ``inspect``   — per-layer latency/energy attribution for an experiment
 * ``profile``   — time an experiment under cProfile and report where it goes
 * ``trace``     — record an event trace of an experiment's probes
@@ -27,24 +27,8 @@ import argparse
 import os
 import sys
 
+from repro.engine.jobs import add_engine_args, add_kernel_arg
 from repro.units import KB, MB
-
-
-def _jobs_arg(text: str) -> int:
-    """Argparse type for ``--jobs`` (a positive integer or ``auto``)."""
-    from repro.engine.jobs import jobs_arg
-
-    return jobs_arg(text)
-
-
-def _add_kernel_arg(parser) -> None:
-    from repro.kernel import KERNELS
-
-    parser.add_argument("--kernel", choices=KERNELS, default=None,
-                        help="simulation kernel (default batched; vector is "
-                        "the NumPy fast path, equal within the documented "
-                        "float tolerance, falling back to batched outside "
-                        "its envelope)")
 
 
 def _add_simulate(subparsers) -> None:
@@ -63,7 +47,7 @@ def _add_simulate(subparsers) -> None:
     parser.add_argument("--no-spin-down", action="store_true")
     parser.add_argument("--cleaning-policy", default="greedy")
     parser.add_argument("--write-back", action="store_true")
-    _add_kernel_arg(parser)
+    add_kernel_arg(parser)
 
 
 def _add_generate(subparsers) -> None:
@@ -157,25 +141,29 @@ def _add_fit(subparsers) -> None:
                         help="write the conformance report as JSON")
 
 
-def _add_experiment(subparsers) -> None:
+def _add_experiment_args(parser, scale: float) -> None:
+    """The experiment id plus ``--scale``/``--seed``, as every
+    single-experiment command takes them."""
     from repro.experiments.runner import parse_scale
 
-    parser = subparsers.add_parser("experiment", help="run an experiment driver")
     parser.add_argument("experiment_id")
-    parser.add_argument("--scale", type=parse_scale, default=0.2,
-                        help="trace-length scale in (0, 1]")
+    parser.add_argument("--scale", type=parse_scale, default=scale,
+                        help=f"trace-length scale in (0, 1] (default {scale:g})")
     parser.add_argument("--seed", type=int, default=None,
                         help="trace-generation seed (default: module default)")
+
+
+def _add_experiment(subparsers) -> None:
+    parser = subparsers.add_parser("experiment", help="run an experiment driver")
+    _add_experiment_args(parser, 0.2)
     parser.add_argument("--workload", default=None,
                         help="override the driver's trace set: a bundled "
                         "workload name (mac | dos | hp | synth) or "
                         "fitted:<model.json>")
-    _add_kernel_arg(parser)
+    add_kernel_arg(parser)
 
 
 def _add_inspect(subparsers) -> None:
-    from repro.experiments.runner import parse_scale
-
     parser = subparsers.add_parser(
         "inspect",
         help="per-layer latency/energy attribution for an experiment",
@@ -184,17 +172,10 @@ def _add_inspect(subparsers) -> None:
         "and energy charged to dram / sram / device / cleaning, summing "
         "to the run totals.",
     )
-    parser.add_argument("experiment_id")
-    parser.add_argument("--scale", type=parse_scale, default=0.1,
-                        help="trace-length scale in (0, 1] (default 0.1)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="trace-generation seed (default: module default)")
+    _add_experiment_args(parser, 0.1)
 
 
 def _add_profile(subparsers) -> None:
-    from repro.experiments.runner import parse_scale
-    from repro.kernel import KERNELS
-
     parser = subparsers.add_parser(
         "profile",
         help="profile an experiment and report per-layer time shares",
@@ -203,23 +184,17 @@ def _add_profile(subparsers) -> None:
         "and module, and the hottest functions.  With --output the report "
         "is also written as a JSON artifact comparable across commits.",
     )
-    parser.add_argument("experiment_id")
-    parser.add_argument("--scale", type=parse_scale, default=0.1,
-                        help="trace-length scale in (0, 1] (default 0.1)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="trace-generation seed (default: module default)")
+    _add_experiment_args(parser, 0.1)
     parser.add_argument("--top", type=int, default=15,
                         help="rows in the per-function table (default 15)")
-    parser.add_argument("--kernel", choices=KERNELS, default=None,
-                        help="simulation kernel to profile; a non-default "
-                        "choice also profiles the batched baseline and "
-                        "reports the per-subpackage speedup delta")
+    add_kernel_arg(parser, help="simulation kernel to profile; a "
+                   "non-default choice also profiles the batched baseline "
+                   "and reports the per-subpackage speedup delta")
     parser.add_argument("-o", "--output", default=None, metavar="PATH",
                         help="also write the report as a JSON artifact")
 
 
 def _add_trace(subparsers) -> None:
-    from repro.experiments.runner import parse_scale
     from repro.obs.events import DEFAULT_CAPACITY
 
     parser = subparsers.add_parser(
@@ -232,11 +207,7 @@ def _add_trace(subparsers) -> None:
         "run's SimulationResult.layer_breakdown bit for bit; a mismatch "
         "makes the command exit non-zero.",
     )
-    parser.add_argument("experiment_id")
-    parser.add_argument("--scale", type=parse_scale, default=0.1,
-                        help="trace-length scale in (0, 1] (default 0.1)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="trace-generation seed (default: module default)")
+    _add_experiment_args(parser, 0.1)
     parser.add_argument("--trace-out", default="trace.json", metavar="PATH",
                         help="Chrome trace_event JSON output "
                         "(default trace.json)")
@@ -250,8 +221,6 @@ def _add_trace(subparsers) -> None:
 
 
 def _add_metrics(subparsers) -> None:
-    from repro.experiments.runner import parse_scale
-
     parser = subparsers.add_parser(
         "metrics",
         help="sample a metrics time-series over an experiment's probes",
@@ -260,11 +229,7 @@ def _add_metrics(subparsers) -> None:
         "--sample-interval operations, and export the per-run series as "
         "JSON (optionally the final run as Prometheus text).",
     )
-    parser.add_argument("experiment_id")
-    parser.add_argument("--scale", type=parse_scale, default=0.1,
-                        help="trace-length scale in (0, 1] (default 0.1)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="trace-generation seed (default: module default)")
+    _add_experiment_args(parser, 0.1)
     parser.add_argument("--metrics-out", default="metrics.json",
                         metavar="PATH",
                         help="metrics JSON output (default metrics.json)")
@@ -295,23 +260,8 @@ def _add_run(subparsers) -> None:
                         metavar="SEED",
                         help="trace-generation seed; repeat for a seed sweep "
                         "(default: module default)")
-    parser.add_argument("--jobs", type=_jobs_arg, default=None, metavar="N",
-                        help="worker processes: a count or 'auto' = CPUs-1 "
-                        "(default auto; 1 = in-process, byte-identical to "
-                        "the serial runner)")
-    parser.add_argument("--cache-dir", default=None,
-                        help="result-cache root (default: $REPRO_CACHE_DIR "
-                        "or ~/.cache/repro)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="recompute everything; skip the result cache "
-                        "and trace store")
-    parser.add_argument("--manifest", default=None,
-                        help="run-manifest JSONL path (default: "
-                        "<cache-dir>/manifests/run-<timestamp>.jsonl)")
     parser.add_argument("--output", help="append each finished report to "
                         "this file (deterministic registry order)")
-    parser.add_argument("--quiet", action="store_true",
-                        help="suppress per-unit progress lines")
     parser.add_argument("--trace-out", default=None, metavar="DIR",
                         help="record each unit under the event tracer and "
                         "write per-unit Chrome traces into this directory "
@@ -323,25 +273,9 @@ def _add_run(subparsers) -> None:
     parser.add_argument("--resume", default=None, metavar="MANIFEST",
                         help="continue an interrupted run: replay the "
                         "manifest's completed units from the result cache "
-                        "and re-execute only the remainder (the original "
-                        "run request is reconstructed from the manifest)")
-    parser.add_argument("--timeout", type=float, default=None, metavar="S",
-                        help="per-unit wall-clock timeout; an overdue "
-                        "worker is killed and the unit retried "
-                        "(default: none)")
-    parser.add_argument("--retries", type=int, default=1, metavar="N",
-                        help="transient failures (errors, timeouts) "
-                        "tolerated per unit before the failure is terminal "
-                        "(default 1; 0 restores fail-on-first)")
-    parser.add_argument("--max-rebuilds", type=int, default=2, metavar="K",
-                        help="consecutive worker-pool breakages tolerated "
-                        "before degrading to in-process serial execution "
-                        "(default 2)")
-    parser.add_argument("--chaos", default=None, metavar="PLAN",
-                        help="activate the chaos harness from a plan JSON "
-                        "(testing: kills/hangs/crashes workers and corrupts "
-                        "cache entries per the plan)")
-    _add_kernel_arg(parser)
+                        "and re-execute only the remainder (the work units "
+                        "are read back from the manifest)")
+    add_engine_args(parser)
 
 
 def _add_fleet(subparsers) -> None:
@@ -675,41 +609,27 @@ def cmd_run(args) -> int:
     import time
 
     from repro.engine import (
-        ChaosPlan,
-        ExecutionPolicy,
         INTERRUPT_EXIT_CODE,
-        ResultCache,
         RunManifest,
-        TraceStore,
         cancel_on_signals,
         decompose,
-        default_cache_dir,
         execute,
+        resolve_engine_args,
         resume_spec,
         summarize,
     )
     from repro.errors import ConfigurationError
     from repro.experiments.registry import all_experiments, get_experiment
 
-    resumed_from = None
-    spec_cache_dir = None
+    cache_dir = None
     if args.resume:
-        try:
-            spec = resume_spec(args.resume)
-        except (OSError, ConfigurationError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
         if args.no_cache:
-            print("error: --resume replays completed units from the result "
-                  "cache; it cannot be combined with --no-cache",
-                  file=sys.stderr)
-            return 2
-        resumed_from = str(args.resume)
-        experiment_ids = spec["experiment_ids"]
-        scale = spec["scale"]
-        seeds = tuple(spec["seeds"])
-        kernel = spec.get("kernel")
-        spec_cache_dir = spec["cache_dir"]
+            raise ConfigurationError(
+                "--resume replays completed units from the result cache; "
+                "it cannot be combined with --no-cache"
+            )
+        spec = resume_spec(args.resume)
+        units, cache_dir = spec["units"], spec["cache_dir"]
     else:
         if args.all or not args.experiments:
             experiment_ids = sorted(all_experiments())
@@ -717,36 +637,12 @@ def cmd_run(args) -> int:
             for experiment_id in args.experiments:
                 get_experiment(experiment_id)
             experiment_ids = args.experiments
-        scale = args.scale
-        seeds = tuple(args.seed) if args.seed else (None,)
-        kernel = args.kernel
-
-    units = decompose(experiment_ids, scale=scale, seeds=seeds, kernel=kernel)
-
-    policy = ExecutionPolicy(
-        timeout_s=args.timeout,
-        retries=args.retries,
-        max_rebuilds=args.max_rebuilds,
-    )
-
-    chaos = None
-    if args.chaos:
-        try:
-            chaos = ChaosPlan.load(args.chaos)
-        except (OSError, ValueError, KeyError, ConfigurationError) as exc:
-            print(f"error: bad chaos plan {args.chaos}: {exc}",
-                  file=sys.stderr)
-            return 2
-
-    cache_root = args.cache_dir or spec_cache_dir or default_cache_dir()
-    cache = None if args.no_cache else ResultCache(cache_root)
-    trace_store = None if args.no_cache else TraceStore(cache_root)
-    manifest_path = args.manifest
-    if manifest_path is None:
-        stamp = time.strftime("%Y%m%d-%H%M%S")
-        manifest_path = (
-            f"{cache_root}/manifests/run-{stamp}-{os.getpid()}.jsonl"
+        units = decompose(
+            experiment_ids, scale=args.scale,
+            seeds=tuple(args.seed) if args.seed else (None,),
+            kernel=args.kernel,
         )
+    engine = resolve_engine_args(args, "run", cache_dir=cache_dir)
 
     output = None
     if args.output:
@@ -777,19 +673,19 @@ def cmd_run(args) -> int:
     started = time.perf_counter()
     try:
         with cancel_on_signals() as cancel:
-            with RunManifest(manifest_path) as manifest:
+            with RunManifest(engine.manifest_path) as manifest:
                 outcomes = execute(
                     units,
                     jobs=args.jobs,
-                    cache=cache,
-                    trace_store=trace_store,
+                    cache=engine.cache,
+                    trace_store=engine.trace_store,
                     manifest=manifest,
                     progress=on_progress,
                     trace_dir=args.trace_out,
                     metrics_dir=args.metrics_out,
-                    policy=policy,
-                    chaos=chaos,
-                    resumed_from=resumed_from,
+                    policy=engine.policy,
+                    chaos=engine.chaos,
+                    resumed_from=args.resume,
                     cancel=cancel,
                 )
     finally:
@@ -805,12 +701,12 @@ def cmd_run(args) -> int:
     print(f"{counts['units']} unit(s): {counts['ok']} ok, "
           f"{counts['errors']} failed ({counts['hits']} cache hit(s), "
           f"{counts['misses']} miss(es){recovery}) in {wall:.2f}s")
-    if resumed_from:
-        print(f"resumed from: {resumed_from}")
-    print(f"manifest: {manifest_path}")
+    if args.resume:
+        print(f"resumed from: {args.resume}")
+    print(f"manifest: {engine.manifest_path}")
     if counts["cancelled"]:
         print(f"interrupted: {counts['cancelled']} unit(s) not run; "
-              f"resume with: repro run --resume {manifest_path}",
+              f"resume with: repro run --resume {engine.manifest_path}",
               file=sys.stderr)
         return INTERRUPT_EXIT_CODE
     for outcome in outcomes:

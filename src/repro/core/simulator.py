@@ -7,14 +7,15 @@ preprocessed into disk-level operations, the first 10% of the trace warms
 the caches (its statistics and energy are discarded), and the remainder is
 measured.
 
-The engine itself is a thin loop: every cross-cutting concern rides the
-hierarchy's hook bus.  Scheduled power losses fire from an ``on_submit``
-subscriber (each loss strictly precedes the request that would overtake
-it), and all statistics flow through a
+The engine itself is one thin loop (``Simulator._execute``): every
+cross-cutting concern rides the hierarchy's hook bus.  Scheduled power
+losses fire from an ``on_submit`` subscriber (each loss strictly precedes
+the request that would overtake it), and all statistics flow through a
 :class:`~repro.core.metrics.MetricsCollector` subscribed to
 ``on_complete``.
 
-Two execution paths produce bit-identical results (pinned by
+Two execution paths share that loop, differ only in how a range of
+operations is driven, and produce bit-identical results (pinned by
 ``tests/test_fastpath.py`` and the golden equivalence fixture):
 
 * the **batched fast path** (``kernel="batched"``, the default) compiles
@@ -41,7 +42,7 @@ from repro.errors import TraceError
 from repro.faults.injector import FaultInjector
 from repro.kernel import runtime as kernel_runtime
 from repro.obs import runtime as obs_runtime
-from repro.traces.compiled import compile_trace
+from repro.traces.compiled import CompiledOps, compile_trace
 from repro.traces.filemap import FileMapper
 from repro.traces.trace import Trace
 
@@ -114,37 +115,52 @@ class Simulator:
         # bit-identical results (the documented strict no-op guarantee).
         injector = FaultInjector(plan) if plan is not None and plan.enabled else None
         if batched:
-            compiled = compile_trace(trace)
-            if compiled.n_ops == 0:
-                raise TraceError(_EMPTY_TRACE_MESSAGE.format(name=trace.name))
-            hierarchy = build_hierarchy(
-                config, trace.block_size, max(1, compiled.dataset_blocks),
-                injector=injector,
-            )
-            return self._execute_batch(trace, compiled, hierarchy, injector, obs)
-        mapper = FileMapper(trace.block_size)
-        ops = mapper.translate_all(trace)
+            ops = compile_trace(trace)
+            blocks = ops.dataset_blocks
+        else:
+            mapper = FileMapper(trace.block_size)
+            ops = mapper.translate_all(trace)
+            blocks = mapper.high_water_blocks
         hierarchy = build_hierarchy(
-            config, trace.block_size, max(1, mapper.high_water_blocks),
-            injector=injector,
+            config, trace.block_size, max(1, blocks), injector=injector,
         )
         return self._execute(trace, ops, hierarchy, injector, obs)
 
-    def _execute_batch(
+    def _execute(
         self,
         trace: Trace,
-        compiled,
+        ops,
         hierarchy: StorageHierarchy,
         injector: FaultInjector | None = None,
         obs=None,
     ) -> SimulationResult:
-        config = self.config
-        n_ops = compiled.n_ops
-        warm_count = int(n_ops * config.warm_fraction)
+        """Drive ``ops`` through ``hierarchy`` and measure the run.
+
+        ``ops`` is either the compiled trace, driven range by range
+        through :meth:`~repro.core.layers.LayerStack.run_batch`, or the
+        file mapper's ``BlockOp`` list, submitted one by one.  Warm-up,
+        power losses, observability and the measurement window are the
+        same for both.
+        """
+        stack = hierarchy.stack
+        if isinstance(ops, CompiledOps):
+            n_ops, times = ops.n_ops, ops.times
+
+            def drive(lo: int, hi: int) -> None:
+                stack.run_batch(ops, lo, hi)
+        else:
+            n_ops, times = len(ops), [op.time for op in ops]
+
+            def drive(lo: int, hi: int) -> None:
+                submit = stack.submit
+                for op in ops[lo:hi]:
+                    submit(op)
+        if n_ops == 0:
+            raise TraceError(_EMPTY_TRACE_MESSAGE.format(name=trace.name))
+        warm_count = int(n_ops * self.config.warm_fraction)
 
         collector = MetricsCollector(measuring=warm_count == 0)
         hierarchy.hooks.on_complete(collector.observe)
-        stack = hierarchy.stack
         if injector is not None:
             # Fire every scheduled power loss that precedes a request.  The
             # subscription lives here, not in the hierarchy, so that direct
@@ -159,14 +175,14 @@ class Simulator:
             obs.begin_run(hierarchy, trace.name)
 
         if warm_count > 0:
-            stack.run_batch(compiled, 0, min(warm_count, n_ops))
+            drive(0, min(warm_count, n_ops))
             if warm_count < n_ops:
                 hierarchy.reset_accounting()
                 collector.reset()
             if obs is not None:
                 obs.warm_boundary()
         if warm_count < n_ops:
-            stack.run_batch(compiled, warm_count, n_ops)
+            drive(warm_count, n_ops)
 
         if injector is not None:
             # Power losses scheduled after the last request still happen.
@@ -175,61 +191,10 @@ class Simulator:
         end_time = max(trace.duration, hierarchy.latest_time())
         hierarchy.finalize(end_time)
         if warm_count < n_ops:
-            measured_start = compiled.times[warm_count]
+            measured_start = times[warm_count]
         else:
             # The whole trace was warm-up: the measurement window is empty,
             # so its duration must be zero (not end-to-end wall time).
-            measured_start = end_time
-        duration = max(0.0, end_time - measured_start)
-        result = self._result(trace, hierarchy, collector, duration)
-        if obs is not None:
-            obs.end_run(result)
-        return result
-
-    def _execute(
-        self,
-        trace: Trace,
-        ops,
-        hierarchy: StorageHierarchy,
-        injector: FaultInjector | None = None,
-        obs=None,
-    ) -> SimulationResult:
-        config = self.config
-        if not ops:
-            raise TraceError(_EMPTY_TRACE_MESSAGE.format(name=trace.name))
-        warm_count = int(len(ops) * config.warm_fraction)
-
-        collector = MetricsCollector(measuring=warm_count == 0)
-        hierarchy.hooks.on_complete(collector.observe)
-        if injector is not None:
-            stack = hierarchy.stack
-            hierarchy.hooks.on_submit(
-                lambda request: stack.fire_pending_power_losses(request.time)
-            )
-        if obs is not None:
-            obs.begin_run(hierarchy, trace.name)
-
-        submit = hierarchy.stack.submit
-        for index, op in enumerate(ops):
-            if index == warm_count and warm_count > 0:
-                hierarchy.reset_accounting()
-                collector.reset()
-                if obs is not None:
-                    obs.warm_boundary()
-            submit(op)
-        if obs is not None and warm_count >= len(ops) and warm_count > 0:
-            # The whole trace was warm-up: the measurement window is empty,
-            # and the session must report it that way too.
-            obs.warm_boundary()
-
-        if injector is not None:
-            hierarchy.stack.fire_pending_power_losses(float("inf"))
-
-        end_time = max(trace.duration, hierarchy.latest_time())
-        hierarchy.finalize(end_time)
-        if warm_count < len(ops):
-            measured_start = ops[warm_count].time
-        else:
             measured_start = end_time
         duration = max(0.0, end_time - measured_start)
         result = self._result(trace, hierarchy, collector, duration)

@@ -23,7 +23,15 @@ with cache management under ``python -m repro cache {stats,clear}``.
 from repro.engine.chaos import ChaosAction, ChaosError, ChaosPlan
 from repro.engine.fingerprint import cache_key, device_fingerprint, package_version
 from repro.engine.interrupt import INTERRUPT_EXIT_CODE, cancel_on_signals
-from repro.engine.jobs import auto_jobs, jobs_arg, resolve_jobs
+from repro.engine.jobs import (
+    EngineOptions,
+    add_engine_args,
+    add_kernel_arg,
+    auto_jobs,
+    jobs_arg,
+    resolve_engine_args,
+    resolve_jobs,
+)
 from repro.engine.manifest import RunManifest, read_manifest, resume_spec
 from repro.engine.resilience import ExecutionPolicy
 from repro.engine.result_cache import CacheStats, ResultCache, default_cache_dir
@@ -46,6 +54,7 @@ __all__ = [
     "ChaosError",
     "ChaosPlan",
     "EngineError",
+    "EngineOptions",
     "ExecutionPolicy",
     "INTERRUPT_EXIT_CODE",
     "ResultCache",
@@ -53,6 +62,8 @@ __all__ = [
     "TraceStore",
     "UnitOutcome",
     "WorkUnit",
+    "add_engine_args",
+    "add_kernel_arg",
     "auto_jobs",
     "cache_key",
     "cancel_on_signals",
@@ -65,6 +76,7 @@ __all__ = [
     "package_version",
     "raise_on_errors",
     "read_manifest",
+    "resolve_engine_args",
     "resolve_jobs",
     "resume_spec",
     "run_unit_inline",

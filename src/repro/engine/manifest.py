@@ -14,8 +14,11 @@ finished is durably recorded, and ``repro run --resume <manifest>``
 cache and re-executes only the remainder.
 
 Schema v2 adds ``experiment_ids``/``policy``/``resumed_from``/``schema``
-to the run record and ``retries``/``requeued`` to unit records; v1
-manifests still parse but cannot drive a resume.
+to the run record and ``retries``/``requeued`` to unit records.  Schema
+v3 lists the run's ``work_units`` (experiment id, scale, seed, kernel,
+JSON kwargs), so a resume re-creates exactly the recorded units — a
+fleet's shards included.  Older manifests still parse but cannot drive
+a resume.
 """
 
 from __future__ import annotations
@@ -26,11 +29,11 @@ import time
 from pathlib import Path
 from typing import Any, IO, Sequence
 
-from repro.engine.unit import WorkUnit
+from repro.engine.unit import WorkUnit, freeze_kwargs
 from repro.errors import ConfigurationError
 
 #: Manifest schema generation (bumped when records gain load-bearing fields).
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 #: Fields every unit record carries (tested as the manifest schema).
 UNIT_FIELDS = (
@@ -75,6 +78,7 @@ class RunManifest:
         policy: dict[str, Any] | None = None,
         resumed_from: str | None = None,
         kernel: str | None = None,
+        work_units: Sequence[WorkUnit] = (),
     ) -> None:
         self._write(
             {
@@ -91,6 +95,12 @@ class RunManifest:
                 ),
                 "policy": policy,
                 "resumed_from": resumed_from,
+                "work_units": [
+                    {"experiment_id": unit.experiment_id, "scale": unit.scale,
+                     "seed": unit.seed, "kernel": unit.kernel,
+                     "kwargs": dict(unit.kwargs)}
+                    for unit in work_units
+                ],
                 "fingerprint": fingerprint,
                 "version": version,
                 "cache_dir": cache_dir,
@@ -170,27 +180,43 @@ def read_manifest(path: str | Path) -> list[dict[str, Any]]:
 def resume_spec(path: str | Path) -> dict[str, Any]:
     """What a ``repro run --resume <manifest>`` needs to continue a run.
 
-    Returns the original run request (experiment ids, scale, seeds,
-    cache dir, jobs) plus the set of unit keys that already completed
+    Returns the original run's work ``units`` (exactly as recorded,
+    unit kwargs included), its request (experiment ids, scale, seeds,
+    cache dir, jobs), and the set of unit keys that already completed
     ``ok`` — those replay from the result cache; everything else is
-    re-executed.  Raises :class:`ConfigurationError` for manifests that
-    predate schema v2 (no recorded request to reconstruct).
+    re-executed.  Raises :class:`ConfigurationError` for an unreadable
+    file and for manifests that predate schema v3 (no recorded units to
+    re-create).
     """
-    records = read_manifest(path)
+    try:
+        records = read_manifest(path)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read manifest {path}: {exc}") from None
     runs = [r for r in records if r.get("record") == "run"]
     if not runs:
         raise ConfigurationError(f"{path}: no run record; not a manifest?")
     run = runs[0]
-    if not run.get("experiment_ids"):
+    if not run.get("work_units"):
         raise ConfigurationError(
-            f"{path}: manifest predates schema v2 (no experiment_ids); "
+            f"{path}: manifest predates schema v3 (no work_units); "
             f"re-run without --resume"
         )
+    units = [
+        WorkUnit(
+            experiment_id=unit["experiment_id"],
+            scale=unit["scale"],
+            seed=unit["seed"],
+            kernel=unit["kernel"],
+            kwargs=freeze_kwargs(unit["kwargs"]),
+        )
+        for unit in run["work_units"]
+    ]
     completed = {
         r["key"] for r in records
         if r.get("record") == "unit" and r.get("outcome") == "ok"
     }
     return {
+        "units": units,
         "experiment_ids": list(run["experiment_ids"]),
         "scale": run["scale"],
         "seeds": tuple(run["seeds"]),

@@ -349,6 +349,7 @@ def execute(
             policy=policy.to_json_dict(),
             resumed_from=resumed_from,
             kernel=units[0].kernel if units else None,
+            work_units=units,
         )
 
     def finish(index: int, outcome: UnitOutcome) -> None:

@@ -13,7 +13,7 @@ tests use smaller scales to stay fast.
 
 from repro.experiments.base import Experiment, ExperimentResult, Table
 from repro.experiments.registry import all_experiments, get_experiment
-from repro.experiments.runner import run_all, run_experiment
+from repro.experiments.runner import run_experiment
 
 __all__ = [
     "Experiment",
@@ -21,6 +21,5 @@ __all__ = [
     "Table",
     "all_experiments",
     "get_experiment",
-    "run_all",
     "run_experiment",
 ]

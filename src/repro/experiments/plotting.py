@@ -2,7 +2,7 @@
 
 The paper's figures are line charts; the drivers regenerate the underlying
 series as tables, and this module renders them as ASCII charts so a
-terminal run of ``python -m repro.experiments.runner fig2`` shows the
+terminal run of ``python -m repro experiment fig2`` shows the
 *shape* at a glance, with no plotting dependencies.
 """
 

@@ -5,17 +5,12 @@ Full-scale operation counts reproduce the paper's Table 3 arithmetic
 runs proportionally.  Traces are cached per (name, scale, seed) so a suite
 of experiments over the same workloads generates each trace once.
 
-Two process-level hooks support the execution engine
-(:mod:`repro.engine`):
-
-* :func:`configure_trace_store` plugs in an on-disk store (anything with
-  ``load(name, scale, seed)`` / ``save(trace, name, scale, seed)``) that
-  is consulted before regeneration, so worker processes share each
-  generated trace instead of recomputing it;
-* the module-default seed (:func:`default_seed`) applies when no
-  ``seed=`` is passed; pass ``seed=`` explicitly
-  (``trace_for(..., seed=)``, ``run_experiment(..., seed=)``), which is
-  process-safe.
+:func:`configure_trace_store` plugs in an on-disk store (anything with
+``load(name, scale, seed)`` / ``save(trace, name, scale, seed)``) that is
+consulted before regeneration, so the execution engine's worker
+processes (:mod:`repro.engine`) share each generated trace instead of
+recomputing it.  The fixed module-default seed (:func:`default_seed`)
+applies when no ``seed=`` is passed.
 """
 
 from __future__ import annotations
@@ -72,14 +67,8 @@ def configure_trace_store(store: TraceStoreLike | None) -> None:
     _TRACE_STORE = store
 
 
-def _set_default_seed(seed: int) -> None:
-    """Set the seed ``trace_for`` uses when none is passed explicitly."""
-    global _DEFAULT_SEED
-    _DEFAULT_SEED = int(seed)
-
-
 def default_seed() -> int:
-    """The current module-wide default trace seed."""
+    """The module-wide default trace seed."""
     return _DEFAULT_SEED
 
 

@@ -2,9 +2,12 @@
 
 Prints the population distribution table (or, with ``--json``, the
 canonical summary JSON — the byte-identity surface the service-vs-CLI
-equivalence check compares) and honours the full engine surface: result
-cache, manifests, resilience policy, chaos plans, and Ctrl-C cooperative
-cancellation with a ``--resume``-style hint.
+equivalence check compares) and honours the full engine surface (the
+option group of :mod:`repro.engine.jobs`): result cache, manifests,
+resilience policy, chaos plans, and Ctrl-C cooperative cancellation.
+An interrupted fleet prints a ``repro run --resume <manifest>`` hint;
+the manifest lists the fleet's shard units, so the resume re-creates
+exactly those shards.
 """
 
 from __future__ import annotations
@@ -14,22 +17,16 @@ import sys
 import time
 
 from repro.engine import (
-    ChaosPlan,
-    ExecutionPolicy,
     INTERRUPT_EXIT_CODE,
-    ResultCache,
     RunManifest,
-    TraceStore,
+    add_engine_args,
     cancel_on_signals,
-    default_cache_dir,
-    jobs_arg,
+    resolve_engine_args,
     summarize,
 )
-from repro.errors import ConfigurationError
 from repro.fleet.aggregate import canonical_json, summary_table
 from repro.fleet.population import FleetSpec
 from repro.fleet.runner import run_fleet
-from repro.kernel import KERNELS
 
 
 def add_parser(subparsers) -> None:
@@ -55,47 +52,22 @@ def add_parser(subparsers) -> None:
     parser.add_argument("--ops", type=int, default=400, metavar="N",
                         help="nominal full-scale ops per device, jittered "
                         "±50%% per device (default 400)")
-    parser.add_argument("--jobs", type=jobs_arg, default=None, metavar="N",
-                        help="worker processes: a count or 'auto' = CPUs-1 "
-                        "(default auto; 1 = in-process serial)")
     parser.add_argument("--shards", type=int, default=None, metavar="K",
                         help="work units to cut the fleet into "
                         "(default: 2 per worker; 1 when --jobs 1)")
-    parser.add_argument("--cache-dir", default=None,
-                        help="result-cache root (default: $REPRO_CACHE_DIR "
-                        "or ~/.cache/repro)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="recompute every shard; skip the result cache")
-    parser.add_argument("--manifest", default=None,
-                        help="run-manifest JSONL path (default: "
-                        "<cache-dir>/manifests/fleet-<timestamp>.jsonl)")
     parser.add_argument("--json", action="store_true",
                         help="print the canonical population summary JSON "
                         "instead of the table")
     parser.add_argument("-o", "--out", default=None, metavar="PATH",
                         help="also write the canonical summary JSON here")
-    parser.add_argument("--quiet", action="store_true",
-                        help="suppress per-shard progress lines")
-    parser.add_argument("--timeout", type=float, default=None, metavar="S",
-                        help="per-shard wall-clock timeout (default: none)")
-    parser.add_argument("--retries", type=int, default=1, metavar="N",
-                        help="transient failures tolerated per shard "
-                        "(default 1)")
-    parser.add_argument("--max-rebuilds", type=int, default=2, metavar="K",
-                        help="consecutive pool breakages tolerated before "
-                        "degrading to serial (default 2)")
-    parser.add_argument("--chaos", default=None, metavar="PLAN",
-                        help="activate the chaos harness from a plan JSON")
-    parser.add_argument("--kernel", choices=KERNELS, default=None,
-                        help="simulation kernel for every device (default "
-                        "batched; vector answers within the documented "
-                        "float tolerance)")
     parser.add_argument("--fast", action="store_true",
                         help="vectorized fleet fast path: exact device "
                         "parameters, synthesized traces, batched device "
                         "math, columnar shard transport; population "
                         "summaries agree with the reference path within "
-                        "the repro.contract fleet tolerances (default off)")
+                        "the repro.contract fleet tolerances (default off; "
+                        "not combinable with --kernel)")
+    add_engine_args(parser)
 
 
 def cmd_fleet(args) -> int:
@@ -105,29 +77,7 @@ def cmd_fleet(args) -> int:
         scale=args.scale,
         ops_per_device=args.ops,
     )
-    policy = ExecutionPolicy(
-        timeout_s=args.timeout,
-        retries=args.retries,
-        max_rebuilds=args.max_rebuilds,
-    )
-
-    chaos = None
-    if args.chaos:
-        try:
-            chaos = ChaosPlan.load(args.chaos)
-        except (OSError, ValueError, KeyError, ConfigurationError) as exc:
-            print(f"error: bad chaos plan {args.chaos}: {exc}", file=sys.stderr)
-            return 2
-
-    cache_root = args.cache_dir or default_cache_dir()
-    cache = None if args.no_cache else ResultCache(cache_root)
-    trace_store = None if args.no_cache else TraceStore(cache_root)
-    manifest_path = args.manifest
-    if manifest_path is None:
-        stamp = time.strftime("%Y%m%d-%H%M%S")
-        manifest_path = (
-            f"{cache_root}/manifests/fleet-{stamp}-{os.getpid()}.jsonl"
-        )
+    engine = resolve_engine_args(args, "fleet")
 
     progress_started = time.perf_counter()
     progress_devices = 0
@@ -153,16 +103,16 @@ def cmd_fleet(args) -> int:
 
     started = time.perf_counter()
     with cancel_on_signals() as cancel:
-        with RunManifest(manifest_path) as manifest:
+        with RunManifest(engine.manifest_path) as manifest:
             run = run_fleet(
                 spec,
                 jobs=args.jobs,
                 shards=args.shards,
-                cache=cache,
-                trace_store=trace_store,
+                cache=engine.cache,
+                trace_store=engine.trace_store,
                 manifest=manifest,
-                policy=policy,
-                chaos=chaos,
+                policy=engine.policy,
+                chaos=engine.chaos,
                 cancel=cancel,
                 progress=on_progress,
                 kernel=args.kernel,
@@ -177,11 +127,11 @@ def cmd_fleet(args) -> int:
               f"{counts['errors']} failed ({counts['hits']} cache hit(s)) "
               f"in {wall:.2f}s ({spec.devices / wall:.0f} devices/sec)",
               file=sys.stderr)
-        print(f"manifest: {manifest_path}", file=sys.stderr)
+        print(f"manifest: {engine.manifest_path}", file=sys.stderr)
 
     if run.cancelled:
         print(f"interrupted: {counts['cancelled']} shard(s) not run; "
-              f"resume with: repro run --resume {manifest_path}",
+              f"resume with: repro run --resume {engine.manifest_path}",
               file=sys.stderr)
         return INTERRUPT_EXIT_CODE
     if not run.ok:

@@ -76,10 +76,17 @@ def decompose_fleet(
     ``kernel`` and ``fast`` ride each unit, so every shard simulates its
     devices under the same engine regardless of which worker runs it.
     ``fast`` enters the kwargs only when set — reference-path cache keys
-    are unchanged, and fast/reference results never collide.
+    are unchanged, and fast/reference results never collide.  The two
+    are exclusive: the fast path runs no simulation kernel, so a kernel
+    would change nothing but the cache key.
     """
     if shards < 1:
         raise ConfigurationError(f"shards must be >= 1, got {shards}")
+    if fast and kernel is not None:
+        raise ConfigurationError(
+            f"the fleet fast path runs no simulation kernel; kernel "
+            f"{kernel!r} cannot be combined with fast"
+        )
     if shards > spec.devices:
         shards = spec.devices
     kwargs: dict[str, Any] = {

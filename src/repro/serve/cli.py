@@ -12,15 +12,7 @@ from __future__ import annotations
 import asyncio
 import sys
 
-from repro.engine import (
-    ChaosPlan,
-    ExecutionPolicy,
-    ResultCache,
-    TraceStore,
-    default_cache_dir,
-    jobs_arg,
-)
-from repro.errors import ConfigurationError
+from repro.engine import add_engine_args, resolve_engine_args
 
 
 def add_parser(subparsers) -> None:
@@ -35,9 +27,6 @@ def add_parser(subparsers) -> None:
     )
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8577)
-    parser.add_argument("--jobs", type=jobs_arg, default=None, metavar="N",
-                        help="worker processes per job: a count or 'auto' "
-                        "= CPUs-1 (default auto)")
     parser.add_argument("--queue-limit", type=int, default=8, metavar="N",
                         help="jobs that may wait in the queue before "
                         "submissions get 429 (default 8)")
@@ -47,53 +36,24 @@ def add_parser(subparsers) -> None:
     parser.add_argument("--spool-dir", default=None, metavar="DIR",
                         help="job manifests root (default: "
                         "<cache-dir>/serve)")
-    parser.add_argument("--cache-dir", default=None,
-                        help="result-cache root (default: $REPRO_CACHE_DIR "
-                        "or ~/.cache/repro)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="recompute every unit; skip the result cache")
-    parser.add_argument("--timeout", type=float, default=None, metavar="S",
-                        help="per-unit wall-clock timeout (default: none)")
-    parser.add_argument("--retries", type=int, default=1, metavar="N",
-                        help="transient failures tolerated per unit "
-                        "(default 1)")
-    parser.add_argument("--max-rebuilds", type=int, default=2, metavar="K",
-                        help="consecutive pool breakages tolerated before "
-                        "degrading to serial (default 2)")
-    parser.add_argument("--chaos", default=None, metavar="PLAN",
-                        help="activate the chaos harness from a plan JSON "
-                        "for every job (testing)")
+    add_engine_args(parser, runs=False)
 
 
 def cmd_serve(args) -> int:
     from repro.serve.http import run_server
     from repro.serve.jobs import JobManager
 
-    policy = ExecutionPolicy(
-        timeout_s=args.timeout,
-        retries=args.retries,
-        max_rebuilds=args.max_rebuilds,
-    )
-
-    chaos = None
-    if args.chaos:
-        try:
-            chaos = ChaosPlan.load(args.chaos)
-        except (OSError, ValueError, KeyError, ConfigurationError) as exc:
-            print(f"error: bad chaos plan {args.chaos}: {exc}", file=sys.stderr)
-            return 2
-
-    cache_root = args.cache_dir or default_cache_dir()
-    spool_dir = args.spool_dir or f"{cache_root}/serve"
+    engine = resolve_engine_args(args, "serve")
+    spool_dir = args.spool_dir or f"{engine.cache_root}/serve"
     manager = JobManager(
         spool_dir=spool_dir,
-        cache=None if args.no_cache else ResultCache(cache_root),
-        trace_store=None if args.no_cache else TraceStore(cache_root),
+        cache=engine.cache,
+        trace_store=engine.trace_store,
         jobs=args.jobs,
         queue_limit=args.queue_limit,
         runners=args.runners,
-        policy=policy,
-        chaos=chaos,
+        policy=engine.policy,
+        chaos=engine.chaos,
     )
 
     print(f"repro serve on http://{args.host}:{args.port} "

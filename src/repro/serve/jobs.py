@@ -5,8 +5,10 @@ of runner threads.  Each accepted job wraps one engine execution — a
 ``fleet`` population or a ``run`` over registered experiments — with the
 full machinery the CLI fronts get: result cache, resilience policy,
 chaos harness, cooperative cancellation, and a per-job JSONL manifest on
-disk (so a crashed or cancelled job is resumable with
-``repro run --resume <spool>/jobs/<id>/manifest.jsonl``).
+disk.  The manifest lists the job's work units — a fleet's shards or a
+run's experiment x seed units — so a crashed or cancelled job resumes
+to exactly those units with
+``repro run --resume <spool>/jobs/<id>/manifest.jsonl``.
 
 Every manifest record is *teed* into the job's in-memory event list the
 moment it is fsynced, which is what ``GET /jobs/<id>/events`` streams:

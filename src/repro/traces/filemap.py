@@ -123,6 +123,13 @@ class FileMapper:
         return [self.translate(record) for record in records]
 
 
+#: Largest single transfer :meth:`ExtentMapper.assign` accepts.  Block
+#: ownership is tracked per block, so an absurd size (a corrupt field)
+#: would otherwise exhaust memory; real block traces move at most a few
+#: MiB per request.
+MAX_TRANSFER_BYTES = 64 * 1024 * 1024
+
+
 class ExtentMapper:
     """Synthesises file identity for disk-level trace records.
 
@@ -170,8 +177,11 @@ class ExtentMapper:
         """
         if disk_offset < 0:
             raise TraceError(f"disk offset must be >= 0, got {disk_offset}")
-        if size <= 0:
-            raise TraceError(f"transfer size must be > 0, got {size}")
+        if not 0 < size <= MAX_TRANSFER_BYTES:
+            raise TraceError(
+                f"transfer size must be in (0, {MAX_TRANSFER_BYTES}] bytes, "
+                f"got {size}"
+            )
         block_size = self.block_size
         first = disk_offset // block_size
         last = (disk_offset + size - 1) // block_size

@@ -182,17 +182,10 @@ class RecordBuilder:
                     self.source, line_number,
                     "disk-level record in a file-level import",
                 )
-            if disk_offset < 0:
-                raise parse_error(
-                    self.source, line_number,
-                    f"disk offset must be >= 0, got {disk_offset}",
-                )
-            if size <= 0:
-                raise parse_error(
-                    self.source, line_number,
-                    f"transfer size must be > 0, got {size}",
-                )
-            file_id, offset = self._mapper.assign(disk_offset, size)
+            try:
+                file_id, offset = self._mapper.assign(disk_offset, size)
+            except TraceError as exc:
+                raise parse_error(self.source, line_number, str(exc)) from exc
         elif file_id is None:
             raise parse_error(self.source, line_number, "record names no file")
         try:

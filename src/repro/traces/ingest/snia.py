@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from repro.errors import TraceError
 from repro.traces.filemap import ExtentMapper
 from repro.traces.ingest.base import (
     ImportReport,
@@ -102,7 +103,10 @@ def parse(
             mapper = mappers.get((host, disk))
             if mapper is None:
                 mapper = mappers[(host, disk)] = ExtentMapper(block_size)
-            local_file, file_offset = mapper.assign(offset, size)
+            try:
+                local_file, file_offset = mapper.assign(offset, size)
+            except TraceError as exc:
+                raise parse_error(source, line_number, str(exc)) from exc
             key = (host, disk, local_file)
             file_id = interned.get(key)
             if file_id is None:

@@ -371,11 +371,45 @@ class TestCliResume:
         assert main(["run", "--resume", str(path)]) == 2
         assert "schema" in capsys.readouterr().err
 
-    def test_bad_chaos_plan_rejected(self, tmp_path, capsys):
+    def test_fleet_manifest_resumes_its_shards(self, tmp_path, capsys):
+        """A fleet manifest records its shard units; ``--resume`` replays
+        exactly those (not the registry-default 12-device fleet)."""
+        cache_dir = str(tmp_path / "cache")
+        m1 = str(tmp_path / "fleet.jsonl")
+        m2 = str(tmp_path / "resume.jsonl")
+        assert main(["fleet", "--devices", "40", "--shards", "4",
+                     "--scale", str(SMALL), "--ops", "200", "--jobs", "1",
+                     "--quiet", "--cache-dir", cache_dir,
+                     "--manifest", m1]) == 0
+        assert main(["run", "--resume", m1, "--jobs", "1", "--quiet",
+                     "--manifest", m2]) == 0
+        capsys.readouterr()
+        units = [r for r in read_manifest(m2) if r["record"] == "unit"]
+        assert [r["experiment_id"] for r in units] == ["fleet"] * 4
+        assert [r["cache"] for r in units] == ["hit"] * 4
+        assert sorted(r["kwargs"]["shard"] for r in units) == \
+            ["0", "1", "2", "3"]
+        assert {r["kwargs"]["devices"] for r in units} == {"40"}
+
+    def test_bad_chaos_plan_rejected(self, tmp_path, capsys, monkeypatch):
+        """Every engine front reports an unloadable plan as one ``error:``
+        line, exit 2 — ``serve`` before it binds a port."""
+        def no_server(*args, **kwargs):
+            raise AssertionError("serve started despite a bad chaos plan")
+
+        monkeypatch.setattr("repro.serve.http.run_server", no_server)
         path = tmp_path / "plan.json"
         path.write_text("{not json")
-        assert main(["run", "table2", "--chaos", str(path)]) == 2
-        assert "chaos" in capsys.readouterr().err
+        missing = tmp_path / "missing.json"
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        for argv in (["run", "table2"], ["fleet", "--devices", "4"],
+                     ["serve", "--port", "0"]):
+            for plan in (path, missing):
+                assert main(argv + cache + ["--chaos", str(plan)]) == 2, argv
+                captured = capsys.readouterr()
+                assert captured.err.startswith(
+                    f"error: bad chaos plan {plan}: "), argv
+                assert captured.err.count("\n") == 1, captured.err
 
 
 def test_env_activation(tmp_path, monkeypatch):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.__main__ import main
+from repro.__main__ import build_parser, main
 
 
 def test_devices_lists_registry(capsys):
@@ -172,6 +172,43 @@ def test_missing_input_file_prints_one_line_and_exits_2(argv, tmp_path, capsys):
 # -- the engine front end: repro run / repro cache -------------------------
 
 
+ENGINE_OPTIONS = ("jobs", "cache_dir", "no_cache", "timeout", "retries",
+                  "max_rebuilds", "chaos")
+RUN_OPTIONS = ("manifest", "quiet", "kernel")
+
+
+def _typed(args, names):
+    return {name: (type(getattr(args, name)).__name__, getattr(args, name))
+            for name in names}
+
+
+@pytest.mark.parametrize("command", ["run", "fleet", "serve"])
+def test_engine_options_parse_alike_on_every_front(command):
+    parser = build_parser()
+    given = parser.parse_args([
+        command, "--jobs", "3", "--timeout", "5", "--retries", "0",
+        "--max-rebuilds", "1", "--no-cache", "--cache-dir", "D",
+    ])
+    assert _typed(given, ENGINE_OPTIONS) == {
+        "jobs": ("int", 3), "cache_dir": ("str", "D"),
+        "no_cache": ("bool", True), "timeout": ("float", 5.0),
+        "retries": ("int", 0), "max_rebuilds": ("int", 1),
+        "chaos": ("NoneType", None),
+    }
+    defaults = parser.parse_args([command])
+    assert _typed(defaults, ENGINE_OPTIONS) == {
+        "jobs": ("NoneType", None), "cache_dir": ("NoneType", None),
+        "no_cache": ("bool", False), "timeout": ("NoneType", None),
+        "retries": ("int", 1), "max_rebuilds": ("int", 2),
+        "chaos": ("NoneType", None),
+    }
+    if command != "serve":
+        assert _typed(defaults, RUN_OPTIONS) == {
+            "manifest": ("NoneType", None), "quiet": ("bool", False),
+            "kernel": ("NoneType", None),
+        }
+
+
 def test_run_single_experiment(tmp_path, capsys):
     code = main(["run", "table2", "--scale", "1.0", "--jobs", "1",
                  "--cache-dir", str(tmp_path)])
@@ -255,21 +292,20 @@ def test_experiment_rejects_bad_scale():
         main(["experiment", "table2", "--scale", "0"])
 
 
-def test_runner_main_rejects_bad_scale():
-    from repro.experiments.runner import main as runner_main
-
+def test_run_all_rejects_bad_scale(tmp_path):
     with pytest.raises(SystemExit):
-        runner_main(["table2", "--scale", "2"])
+        main(["run", "--all", "--scale", "2", "--cache-dir", str(tmp_path)])
 
 
-def test_runner_main_streams_output(tmp_path, capsys):
-    from repro.experiments.runner import main as runner_main
-
+def test_run_output_streams_reports(tmp_path, capsys):
     report = tmp_path / "report.txt"
-    assert runner_main(["table2", "--scale", "1.0",
-                        "--output", str(report)]) == 0
-    assert "manufacturer specifications" in report.read_text()
-    assert "manufacturer specifications" in capsys.readouterr().out
+    assert main(["run", "table2", "table1", "--scale", "1.0", "--jobs", "1",
+                 "--no-cache", "--manifest", str(tmp_path / "m.jsonl"),
+                 "--output", str(report)]) == 0
+    text = report.read_text()
+    # reports land in request order; stdout carries progress, not reports
+    assert text.index("== table2:") < text.index("== table1:")
+    assert "manufacturer specifications" not in capsys.readouterr().out
 
 
 def test_cache_stats_and_clear(tmp_path, capsys):

@@ -387,24 +387,6 @@ class TestSeedPlumbing:
         second = run_experiment("fig4", scale=SMALL, seed=9).render()
         assert first == second
 
-    def test_legacy_driver_without_seed_param_warns(self, monkeypatch):
-        seen = []
-
-        def legacy(scale=1.0):
-            seen.append(traces_cache.default_seed())
-            return ExperimentResult("legacy", "Legacy", tables=(
-                Table("t", ("a",), ((1,),)),
-            ))
-
-        monkeypatch.setitem(_EXPERIMENTS, "legacy", Experiment(
-            experiment_id="legacy", title="Legacy", paper_ref="-", run=legacy,
-        ))
-        before = traces_cache.default_seed()
-        with pytest.warns(DeprecationWarning, match="does not accept seed"):
-            run_experiment("legacy", scale=SMALL, seed=123)
-        assert seen == [123]  # the fallback retargeted the global...
-        assert traces_cache.default_seed() == before  # ...and restored it
-
 
 # -- parallel end-to-end sanity via JSON (catches pickling regressions) ----
 

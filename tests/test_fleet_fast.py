@@ -24,6 +24,7 @@ from repro.fleet import (
     aggregate_rows,
     canonical_json,
     compare_summaries,
+    decompose_fleet,
     default_shards,
     merge_columns,
     pack_columns,
@@ -214,6 +215,24 @@ class TestOps:
         assert progress[-1]["devices_done"] == SPEC.devices
         assert progress[-1]["devices_total"] == SPEC.devices
         assert progress[-1]["devices_per_s"] > 0
+
+    def test_kernel_rejected_with_fast(self, tmp_path, capsys):
+        # The fast path never calls Simulator: a kernel would only fork
+        # the cache key of identical device rows.
+        for kernel in ("vector", "batched"):
+            with pytest.raises(ConfigurationError, match="fast"):
+                decompose_fleet(SPEC, 1, kernel, fast=True)
+        assert len(decompose_fleet(SPEC, 2, None, fast=True)) == 2
+        assert len(decompose_fleet(SPEC, 2, "vector")) == 2
+        from repro.__main__ import main
+
+        assert main(["fleet", "--devices", "4", "--fast", "--kernel",
+                     "vector", "--jobs", "1", "--no-cache",
+                     "--manifest", str(tmp_path / "m.jsonl")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
 
     def test_parse_request_accepts_fast(self):
         request = parse_request({"kind": "fleet", "devices": 10, "fast": True})

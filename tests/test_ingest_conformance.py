@@ -305,6 +305,19 @@ def test_snia_zero_size_names_line(tmp_path):
         snia_mod.parse(path)
 
 
+@pytest.mark.parametrize("name, line", [
+    ("t.blk", "8,0 1 1 0.0 99 Q W 0 + 1000000000000000000 [x]"),
+    ("t.msr", "10,usr,0,Write,0,1000000000000000000,1"),
+], ids=["blktrace", "snia"])
+def test_absurd_transfer_size_names_line(tmp_path, name, line):
+    """Disk-level imports track block ownership per block: a corrupt
+    size field is a parse error, not an unbounded allocation."""
+    path = _write(tmp_path, line + "\n", name=name)
+    parse = blktrace_mod.parse if name == "t.blk" else snia_mod.parse
+    with pytest.raises(TraceError, match=rf"{name}:1: transfer size"):
+        parse(path)
+
+
 def test_snia_filetime_precision_survives():
     """Tick deltas far below float64 resolution at the FILETIME epoch
     still come out exact, because rebasing happens before scaling."""

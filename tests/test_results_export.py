@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.config import SimulationConfig
 from repro.core.simulator import simulate
-from repro.experiments.runner import main as runner_main
+from repro.__main__ import main
 
 
 @pytest.fixture(scope="module")
@@ -51,15 +51,15 @@ class TestToDict:
 class TestRunnerOutput:
     def test_output_file_written(self, tmp_path, capsys):
         path = tmp_path / "report.txt"
-        code = runner_main(["table2", "--scale", "1.0", "--output", str(path)])
+        code = main(["run", "table2", "--scale", "1.0", "--jobs", "1",
+                     "--no-cache", "--manifest", str(tmp_path / "m.jsonl"),
+                     "--output", str(path)])
         assert code == 0
-        text = path.read_text()
-        assert "manufacturer specifications" in text
-        # Also printed to stdout.
-        assert "manufacturer specifications" in capsys.readouterr().out
+        assert "manufacturer specifications" in path.read_text()
+        assert "1 unit(s): 1 ok" in capsys.readouterr().out
 
     def test_list_flag(self, capsys):
-        assert runner_main(["--list"]) == 0
+        assert main(["experiments"]) == 0
         out = capsys.readouterr().out
         assert "flashcache" in out
         assert "ablation-leveling" in out
