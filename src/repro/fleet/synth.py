@@ -57,7 +57,7 @@ from repro.fleet.population import (
 from repro.fleet.rng import counter_uniforms
 from repro.kernel.arrays import DELETE, READ, WRITE
 from repro.kernel.flashcard_kernel import CardKernel
-from repro.traces.workloads import workload_by_name
+from repro.traces.workloads import GAP_CHUNK, workload_by_name
 from repro.units import KB
 
 WORKLOAD_NAMES = tuple(name for name, _ in WORKLOAD_MIX)
@@ -70,9 +70,6 @@ _S_FILE_HOT, _S_FILE_PICK = 5, 6
 _S_SIZE_PART, _S_SIZE_VAL = 7, 8
 _S_SEQ, _S_OFFSET = 9, 10
 _S_CHUNK_K, _S_CHUNK_S = 11, 12
-
-#: Reference ``_interarrival`` chunk size (gaps are rescaled per chunk).
-_GAP_CHUNK = 4096
 
 _NEG = -1.0e30
 
@@ -254,11 +251,11 @@ def synthesize_traces(
         return counter_uniforms(dev, stream, ctr)
 
     # -- inter-arrival gaps: the reference mixture, scaled per device by
-    # a synthesized 4096-draw chunk mean, then capped.  The reference
-    # ``_interarrival`` rescales each chunk of raw gaps by
+    # a synthesized GAP_CHUNK-draw chunk mean, then capped.  The reference
+    # ``_gap_chunk`` rescales each chunk of raw gaps by
     # ``target / realized``; per device, nearly all the variance of
     # ``realized`` comes from how many rare heavy session gaps landed in
-    # the chunk (Binomial(4096, session_fraction)) and how large they
+    # the chunk (Binomial(GAP_CHUNK, session_fraction)) and how large they
     # were — the burst/mid bulk concentrates to its mean by CLT.  That
     # per-device scale spread is what puts some devices' mid-pause tail
     # above the spin-down threshold, so it must be reproduced, not
@@ -276,7 +273,7 @@ def synthesize_traces(
             ws.burst_weight * burst_mean + mid_weight * mid_mean
         ) / (1.0 - ws.session_fraction)
     if ws.session_fraction > 0.0:
-        pmf, k_max = _binomial_pmf(_GAP_CHUNK, ws.session_fraction)
+        pmf, k_max = _binomial_pmf(GAP_CHUNK, ws.session_fraction)
         cdf = np.cumsum(pmf)
         u_chunk = counter_uniforms(
             seeds, _S_CHUNK_K, np.zeros(1, dtype=np.uint64)
@@ -295,8 +292,8 @@ def synthesize_traces(
             prefix, k.reshape(-1, 1), axis=1
         ).ravel()
         realized = (
-            (_GAP_CHUNK - k) * nonsession_mean + session_sum
-        ) / _GAP_CHUNK
+            (GAP_CHUNK - k) * nonsession_mean + session_sum
+        ) / GAP_CHUNK
     else:
         realized = np.full(g, nonsession_mean)
     rescale = np.where(

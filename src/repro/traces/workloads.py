@@ -35,10 +35,15 @@ import math
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import TraceError
 from repro.traces.record import Operation, TraceRecord
 from repro.traces.trace import Trace
 from repro.units import KB
+
+#: Inter-arrival gaps drawn, and rescaled to the target mean, at a time.
+GAP_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -119,6 +124,37 @@ class WorkloadSpec:
             raise TraceError("block_size must be positive")
         if self.min_file_blocks > self.max_file_blocks:
             raise TraceError("min_file_blocks must be <= max_file_blocks")
+        # The gap mixture (_gap_chunk) reads these; a bad value would
+        # otherwise surface as a ZeroDivisionError or as NaN timestamps.
+        for name in ("duration_s", "interarrival_mean_s", "interarrival_max_s",
+                     "burst_mean_scale"):
+            _require_positive(name, getattr(self, name))
+        if self.mid_mean_s is not None:
+            _require_positive("mid_mean_s", self.mid_mean_s)
+        if not 0.0 <= self.burst_weight <= 1.0:
+            raise TraceError(
+                f"burst_weight must be in [0, 1], got {self.burst_weight!r}"
+            )
+        if not (
+            self.session_fraction >= 0.0
+            and self.burst_weight + self.session_fraction <= 1.0
+        ):
+            raise TraceError(
+                f"session_fraction must be in [0, 1 - burst_weight], "
+                f"got {self.session_fraction!r}"
+            )
+        if not 0.0 <= self.session_min_s <= self.session_max_s < math.inf:
+            raise TraceError(
+                f"session_min_s must be in [0, session_max_s], got "
+                f"{self.session_min_s!r} and {self.session_max_s!r}"
+            )
+        if self.mid_mean_s is None and self.burst_weight + self.session_fraction < 1.0:
+            mid_mean = _mid_mean(self)
+            if not mid_mean > 0:
+                raise TraceError(
+                    f"mid_mean_s solved from the target mean is {mid_mean!r}; "
+                    f"set mid_mean_s, or keep burst_weight * burst_mean_scale below 1"
+                )
 
     @property
     def n_operations(self) -> int:
@@ -132,6 +168,73 @@ class WorkloadSpec:
         return generator.run(n_ops if n_ops is not None else self.n_operations, seed)
 
 
+def _require_positive(name: str, value: float) -> None:
+    if not (value > 0 and math.isfinite(value)):
+        raise TraceError(f"{name} must be finite and positive, got {value!r}")
+
+
+def _mid_mean(spec: WorkloadSpec) -> float:
+    """Mean of the mid-length pause component: ``mid_mean_s``, or (legacy
+    two-component behaviour) solved so the mixture hits the target mean."""
+    if spec.mid_mean_s is not None:
+        return spec.mid_mean_s
+    burst_mean = spec.interarrival_mean_s * spec.burst_mean_scale
+    return (
+        spec.interarrival_mean_s - spec.burst_weight * burst_mean
+    ) / (1.0 - spec.burst_weight)
+
+
+def _gap_chunk(spec: WorkloadSpec, rng: random.Random) -> list[float]:
+    """The next ``GAP_CHUNK`` inter-arrival gaps.
+
+    Each raw gap takes two ``rng.random()`` draws: one picks the burst,
+    session or mid-pause component, the other is its ``expovariate`` or
+    ``uniform``.  Raw gaps are capped at the maximum, then the chunk is
+    rescaled to hit the target mean exactly (the raw mixture is right
+    only in expectation, and capping shaves its mean) and capped again.
+
+    One NumPy pass does this over the same Mersenne Twister words with
+    the same float operations, so the gaps, and ``rng``'s state after,
+    are exactly those of drawing one call at a time.
+    """
+    # Four words per gap in draw order: getrandbits fills from the least
+    # significant word up.
+    words = np.frombuffer(
+        rng.getrandbits(128 * GAP_CHUNK).to_bytes(16 * GAP_CHUNK, "little"), "<u4"
+    ).reshape(GAP_CHUNK, 4)
+    # random() is two words as a 53-bit fraction (a >> 5, b >> 6):
+    # column 0 picks the component, column 1 draws its value.
+    uniforms = (
+        (words[:, 0::2] >> 5) * 67108864.0 + (words[:, 1::2] >> 6)
+    ) * (1.0 / 9007199254740992.0)
+    pick, value = uniforms[:, 0], uniforms[:, 1]
+    burst = pick < spec.burst_weight
+    session = ~burst & (pick < spec.burst_weight + spec.session_fraction)
+    mid = ~(burst | session)
+    gaps = np.empty(GAP_CHUNK)
+    burst_mean = spec.interarrival_mean_s * spec.burst_mean_scale
+    gaps[burst] = _expovariate(value[burst], burst_mean)
+    low, high = spec.session_min_s, spec.session_max_s
+    gaps[session] = low + (high - low) * value[session]
+    # Solved only where drawn: with burst_weight 1.0 it divides by zero.
+    if mid.any():
+        gaps[mid] = _expovariate(value[mid], _mid_mean(spec))
+    cap = spec.interarrival_max_s
+    gaps = np.minimum(gaps, cap)
+    # A sequential fold, as sum() is through Python 3.11; 3.12's sum()
+    # compensates, which gave the same seed a different trace.
+    realized = np.cumsum(gaps)[-1] / GAP_CHUNK
+    scale = spec.interarrival_mean_s / realized if realized > 0 else 1.0
+    return np.minimum(gaps * scale, cap).tolist()
+
+
+def _expovariate(uniforms: np.ndarray, mean: float) -> np.ndarray:
+    """``random.expovariate(1.0 / mean)`` on each uniform, with libm's log
+    through ``math.log``: NumPy's vector log can differ in the last bit."""
+    logs = map(math.log, (1.0 - uniforms).tolist())
+    return -np.fromiter(logs, float, len(uniforms)) / (1.0 / mean)
+
+
 class _WorkloadGenerator:
     """One-shot generation state for a :class:`WorkloadSpec`."""
 
@@ -142,7 +245,7 @@ class _WorkloadGenerator:
         self._build_popularity()
         self._cursor: dict[int, int] = {}  # file -> next sequential block
         self.deleted: set[int] = set()
-        self._gap_chunk: list[float] = []
+        self._gaps: list[float] = []
         self._gap_index = 0
 
     def _build_files(self) -> None:
@@ -190,39 +293,12 @@ class _WorkloadGenerator:
 
     # -- draws ----------------------------------------------------------------
 
-    def _raw_interarrival(self) -> float:
-        """Draw from the burst / mid-pause / session mixture (unscaled)."""
-        spec = self.spec
-        burst_mean = spec.interarrival_mean_s * spec.burst_mean_scale
-        draw = self.rng.random()
-        if draw < spec.burst_weight:
-            gap = self.rng.expovariate(1.0 / burst_mean)
-        elif draw < spec.burst_weight + spec.session_fraction:
-            gap = self.rng.uniform(spec.session_min_s, spec.session_max_s)
-        else:
-            if spec.mid_mean_s is not None:
-                mid_mean = spec.mid_mean_s
-            else:
-                # Legacy two-component behaviour: solve the mid mean so the
-                # mixture hits the target overall mean.
-                mid_mean = (
-                    spec.interarrival_mean_s - spec.burst_weight * burst_mean
-                ) / (1.0 - spec.burst_weight)
-            gap = self.rng.expovariate(1.0 / mid_mean)
-        return min(gap, spec.interarrival_max_s)
-
     def _interarrival(self) -> float:
-        """Next inter-arrival gap, rescaled in chunks to hit the target
-        mean exactly (the raw mixture is right only in expectation, and
-        capping at the maximum shaves its mean)."""
-        if self._gap_index >= len(self._gap_chunk):
-            chunk = [self._raw_interarrival() for _ in range(4096)]
-            realized = sum(chunk) / len(chunk)
-            scale = self.spec.interarrival_mean_s / realized if realized > 0 else 1.0
-            cap = self.spec.interarrival_max_s
-            self._gap_chunk = [min(gap * scale, cap) for gap in chunk]
+        """Next inter-arrival gap, drawn ``GAP_CHUNK`` at a time."""
+        if self._gap_index >= len(self._gaps):
+            self._gaps = _gap_chunk(self.spec, self.rng)
             self._gap_index = 0
-        gap = self._gap_chunk[self._gap_index]
+        gap = self._gaps[self._gap_index]
         self._gap_index += 1
         return gap
 

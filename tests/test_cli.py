@@ -1,5 +1,7 @@
 """The ``python -m repro`` command-line interface."""
 
+import json
+
 import pytest
 
 from repro.__main__ import build_parser, main
@@ -154,6 +156,26 @@ def test_malformed_trace_prints_one_line_and_exits_2(tmp_path, capsys):
             "-o", str(tmp_path / "out.trace")]
     assert main(argv) == 2
     _assert_one_error_line(capsys, "expected >= 7 fields")
+
+
+def test_bad_fitted_model_prints_one_line_and_exits_2(tmp_path, capsys):
+    from repro.traces.fitting import FittedWorkload
+    from repro.traces.stats import compute_statistics
+    from repro.traces.workloads import MacWorkload
+
+    spec = MacWorkload()
+    model = FittedWorkload(
+        spec=spec,
+        reference=compute_statistics(spec.generate(seed=5, n_ops=200)),
+        source="mac",
+    ).to_dict()
+    model["spec"]["interarrival_mean_s"] = 0
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(model))
+    argv = ["simulate", "--workload", f"fitted:{path}", "--ops", "200",
+            "--device", "intel-datasheet"]
+    assert main(argv) == 2
+    _assert_one_error_line(capsys, "interarrival_mean_s")
 
 
 @pytest.mark.parametrize("argv", [
