@@ -180,7 +180,8 @@ def run_unit_observed(
     if metrics_dir is not None:
         path = Path(metrics_dir) / f"{stem}.metrics.json"
         with open(path, "w") as stream:
-            json.dump(session.to_json_dict(), stream)
+            # json.dumps takes the C encoder; json.dump the pure-Python one.
+            stream.write(json.dumps(session.to_json_dict()))
         artifacts["metrics"] = str(path)
     return result, artifacts
 

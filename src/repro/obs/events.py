@@ -38,7 +38,8 @@ kind         name                   a, b
 
 Exports: :meth:`EventTracer.write_jsonl` (one JSON object per line, field
 names per kind) and :meth:`EventTracer.write_chrome` (Chrome
-``trace_event`` JSON, loadable in Perfetto / ``chrome://tracing``).
+``trace_event`` JSON, loadable in Perfetto / ``chrome://tracing``,
+streamed from the ring in chunks).
 """
 
 from __future__ import annotations
@@ -58,6 +59,34 @@ Event = tuple  # (kind, t0_s, dur_s, name, a, b)
 
 #: Default ring capacity: roomy enough that a CLI-scale run never drops.
 DEFAULT_CAPACITY = 1_048_576
+
+#: The Chrome writer's float memo (value -> JSON text) is cleared when it
+#: holds this many entries, so export memory stays bounded.
+FLOAT_MEMO_LIMIT = 65_536
+
+#: Rendered Chrome records buffered between writes.
+CHROME_CHUNK = 4096
+
+_INF = float("inf")
+
+# Chrome records, one template per kind, with the key order and the
+# separators json.dumps gives the equivalent dicts.
+_PROCESS = ('{"name": "process_name", "ph": "M", "pid": %d, "tid": 0, '
+            '"args": {"name": %s}}')
+_THREAD = ('{"name": "thread_name", "ph": "M", "pid": %d, "tid": %d, '
+           '"args": {"name": %s}}')
+_COUNTER = ('{"name": "dram-cache", "ph": "C", "ts": %s, "pid": %d, '
+            '"tid": %d, "args": {"hits": %d, "misses": %d}}')
+_REQUEST = ('{"name": %s, "cat": "request", "ph": "X", "ts": %s, "dur": %s, '
+            '"pid": %d, "tid": %d, "args": {"response_s": %s}}')
+_LAYER = ('{"name": %s, "cat": "layer", "ph": "X", "ts": %s, "dur": %s, '
+          '"pid": %d, "tid": %d, "args": {"latency_s": %s, "energy_j": %s}}')
+_CRASH = ('{"name": %s, "cat": "crash", "ph": "X", "ts": %s, "dur": %s, '
+          '"pid": %d, "tid": %d, "args": {"recovery_s": %s}}')
+_DEVICE = ('{"name": %s, "cat": %s, "ph": "X", "ts": %s, "dur": %s, '
+           '"pid": %d, "tid": %d, "args": {"dur_s": %s, "device": %s}}')
+_TRAILER = ('], "displayTimeUnit": "ms", "otherData": '
+            '{"generator": "repro.obs", "emitted": %d, "dropped": %d}}')
 
 
 class EventTracer:
@@ -176,81 +205,105 @@ class EventTracer:
                 stream.write(json.dumps(record) + "\n")
         return path
 
-    def to_chrome(self) -> dict[str, Any]:
-        """The buffered events in Chrome ``trace_event`` JSON form.
+    def write_chrome(self, path: str | Path) -> Path:
+        """Write the buffered events as Chrome ``trace_event`` JSON.
 
         Each ``run`` marker opens a new pid (one process track per
-        simulation); layers get stable tids with ``thread_name`` metadata;
-        cache totals become a counter track.  ``ts``/``dur`` are
-        microseconds as the format requires, while ``args`` carries the
-        exact second-denominated floats so downstream checks can compare
-        against ``SimulationResult.layer_breakdown`` without rounding.
+        simulation; events before the first marker sit on pid 0).  Tracks
+        get tids numbered from 0 within each pid, announced by
+        ``thread_name`` metadata on first use; cache totals become a
+        counter track.  ``ts``/``dur`` are microseconds as the format
+        requires, while ``args`` carries the exact second-denominated
+        floats so downstream checks can compare against
+        ``SimulationResult.layer_breakdown`` without rounding.
+
+        The file is streamed in one pass over the ring: each record is
+        rendered from its kind's template and written every
+        :data:`CHROME_CHUNK` records, and float text comes from a memo
+        built for this export (a sweep replays a few traces, so most
+        numbers repeat).  The bytes are those ``json.dumps`` gives the
+        same document, while memory stays bounded by the ring rather than
+        the file.  Returns the path.
         """
-        trace_events: list[dict[str, Any]] = []
-        pid = 0
-        tids: dict[str, int] = {}
-
-        def tid_for(label: str) -> int:
-            tid = tids.get(label)
-            if tid is None:
-                tid = len(tids)
-                tids[label] = tid
-                trace_events.append({
-                    "name": "thread_name", "ph": "M", "pid": pid, "tid": tid,
-                    "args": {"name": label},
-                })
-            return tid
-
-        for kind, t0, dur, name, a, b in self._events:
-            if kind == "run":
-                pid = int(a) + 1
-                tids = {}
-                trace_events.append({
-                    "name": "process_name", "ph": "M", "pid": pid, "tid": 0,
-                    "args": {"name": name},
-                })
-                continue
-            ts = t0 * 1e6
-            if kind == "cache":
-                trace_events.append({
-                    "name": "dram-cache", "ph": "C", "ts": ts, "pid": pid,
-                    "tid": tid_for("cache"),
-                    "args": {"hits": int(a), "misses": int(b)},
-                })
-                continue
-            if kind == "request":
-                track, args, label = "requests", {"response_s": dur}, name
-            elif kind == "layer":
-                track = f"layer:{name}"
-                args = {"latency_s": dur, "energy_j": b}
-                label = name
-            elif kind == "crash":
-                track, args, label = "crash", {"recovery_s": dur}, name
-            else:  # spin_up / spin_down / cleaning / erase
-                track = "device-events"
-                args = {"dur_s": dur, "device": name}
-                label = kind
-            trace_events.append({
-                "name": label,
-                "cat": kind, "ph": "X", "ts": ts, "dur": dur * 1e6,
-                "pid": pid, "tid": tid_for(track), "args": args,
-            })
-        return {
-            "traceEvents": trace_events,
-            "displayTimeUnit": "ms",
-            "otherData": {
-                "generator": "repro.obs",
-                "emitted": self.emitted,
-                "dropped": self.dropped,
-            },
-        }
-
-    def write_chrome(self, path: str | Path) -> Path:
-        """Write the Chrome trace JSON; returns the path."""
         path = Path(path)
         if path.parent != Path(""):
             path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.to_chrome()))
+        memo: dict[float, str] = {}
+        strings: dict[str, str] = {}
+        out: list[str] = []
+        pid = 0
+        tids: dict[str, int] = {}
+
+        def num(x: Any) -> str:
+            # Only finite nonzero floats are memoised: 0.0 == -0.0 and
+            # 1 == 1.0 == True hash alike but render differently.
+            if type(x) is not float:
+                return json.dumps(x)
+            text = memo.get(x)
+            if text is None:
+                if x != x:
+                    return "NaN"
+                if x == _INF:
+                    return "Infinity"
+                if x == -_INF:
+                    return "-Infinity"
+                text = float.__repr__(x)
+                if x:
+                    if len(memo) >= FLOAT_MEMO_LIMIT:
+                        memo.clear()
+                    memo[x] = text
+            return text
+
+        def string(text: str) -> str:
+            encoded = strings.get(text)
+            if encoded is None:
+                encoded = strings[text] = json.dumps(text)
+            return encoded
+
+        def tid_for(track: str) -> int:
+            tid = tids.get(track)
+            if tid is None:
+                tid = tids[track] = len(tids)
+                out.append(_THREAD % (pid, tid, string(track)))
+            return tid
+
+        with open(path, "w") as stream:
+            stream.write('{"traceEvents": [')
+            sep = ""
+            for kind, t0, dur, name, a, b in self._events:
+                if len(out) >= CHROME_CHUNK:
+                    stream.write(sep + ", ".join(out))
+                    sep = ", "
+                    out.clear()
+                if kind == "run":
+                    pid = int(a) + 1
+                    tids = {}
+                    out.append(_PROCESS % (pid, string(name)))
+                    continue
+                ts = num(t0 * 1e6)
+                if kind == "layer":
+                    tid = tid_for("layer:" + name)
+                    out.append(_LAYER % (string(name), ts, num(dur * 1e6),
+                                         pid, tid, num(dur), num(b)))
+                elif kind == "request":
+                    tid = tid_for("requests")
+                    out.append(_REQUEST % (string(name), ts, num(dur * 1e6),
+                                           pid, tid, num(dur)))
+                elif kind == "cache":
+                    tid = tid_for("cache")
+                    out.append(_COUNTER % (ts, pid, tid, int(a), int(b)))
+                elif kind == "crash":
+                    tid = tid_for("crash")
+                    out.append(_CRASH % (string(name), ts, num(dur * 1e6),
+                                         pid, tid, num(dur)))
+                else:  # spin_up / spin_down / cleaning / erase
+                    tid = tid_for("device-events")
+                    label = string(kind)
+                    out.append(_DEVICE % (label, label, ts, num(dur * 1e6),
+                                          pid, tid, num(dur), string(name)))
+            if out:
+                stream.write(sep + ", ".join(out))
+            stream.write(_TRAILER % (self.emitted, self.dropped))
         return path
 
 
@@ -258,18 +311,22 @@ def read_chrome_layer_totals(path: str | Path) -> list[dict[str, float]]:
     """Per-run per-layer latency sums read back from a Chrome trace file.
 
     Returns one ``{layer: latency_s}`` dict per process track (i.e. per
-    simulation run), summing the exact ``args.latency_s`` floats in file
-    order — the acceptance check that the exported artifact agrees with
+    simulation run), in pid order, summing the exact ``args.latency_s``
+    floats in file order.  A track with no layer slices gives ``{}``, so
+    the list pairs by position with the session's runs; slices from
+    before the first ``run`` marker (pid 0) form a track of their own.
+    This is the acceptance check that the exported artifact agrees with
     ``SimulationResult.layer_breakdown``.
     """
     data = json.loads(Path(path).read_text())
     runs: dict[int, dict[str, float]] = {}
     for event in data["traceEvents"]:
-        if event.get("cat") != "layer":
-            continue
-        totals = runs.setdefault(event["pid"], {})
-        name = event["name"]
-        totals[name] = totals.get(name, 0.0) + event["args"]["latency_s"]
+        if event.get("name") == "process_name" and event.get("ph") == "M":
+            runs.setdefault(event["pid"], {})
+        elif event.get("cat") == "layer":
+            totals = runs.setdefault(event["pid"], {})
+            name = event["name"]
+            totals[name] = totals.get(name, 0.0) + event["args"]["latency_s"]
     return [runs[pid] for pid in sorted(runs)]
 
 

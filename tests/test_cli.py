@@ -451,7 +451,17 @@ def test_run_with_observability_artifacts(tmp_path, capsys):
     assert len(trace_files) == 1
     assert len(metric_files) == 1
     json.loads(trace_files[0].read_text())
-    json.loads(metric_files[0].read_text())
+    runs = json.loads(metric_files[0].read_text())["runs"]
+    # One process track per run, whose layer slices sum to that run's
+    # layer_breakdown bit for bit.
+    from repro.obs.events import read_chrome_layer_totals
+
+    per_track = read_chrome_layer_totals(trace_files[0])
+    assert runs and len(per_track) == len(runs)
+    for totals, run in zip(per_track, runs):
+        reported = run["layer_breakdown_latency_s"]
+        for name in set(totals) | set(reported):
+            assert totals.get(name, 0.0) == reported.get(name, 0.0), name
     # The manifest references both artifacts on the unit record.
     from repro.engine import read_manifest
 

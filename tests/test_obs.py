@@ -3,12 +3,21 @@
 from __future__ import annotations
 
 import json
+import tempfile
+import tracemalloc
+from pathlib import Path
+from typing import Any
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro.obs.events import EventTracer, iter_jsonl, read_chrome_layer_totals
+from repro.obs.events import (
+    EVENT_KINDS,
+    EventTracer,
+    iter_jsonl,
+    read_chrome_layer_totals,
+)
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -120,6 +129,192 @@ def test_chrome_export_round_trips_json(tmp_path):
     device = next(e for e in spans if e["cat"] == "cleaning")
     assert device["args"]["device"] == "flash"
     assert read_chrome_layer_totals(path) == [{"device": 1.0}]
+
+
+def test_chrome_layer_totals_keep_tracks_without_slices(tmp_path):
+    """One dict per process track, so the list pairs with the runs."""
+    tracer = EventTracer()
+    tracer.emit("run", 0.0, 0.0, "mac|disk", 0.0)
+    tracer.emit("request", 0.0, 0.0, "delete")
+    tracer.emit("run", 0.0, 0.0, "mac|flash", 1.0)
+    tracer.emit("layer", 0.0, 1.0, "device", 0.0, 2.0)
+    path = tracer.write_chrome(tmp_path / "trace.json")
+    assert read_chrome_layer_totals(path) == [{}, {"device": 1.0}]
+
+
+# -- Chrome export: the streamed writer against the document oracle ------------
+
+
+def _chrome_oracle(tracer: EventTracer) -> dict[str, Any]:
+    """The Chrome document as nested dicts, the form ``json.dumps`` takes.
+
+    ``EventTracer.write_chrome`` must write exactly
+    ``json.dumps(_chrome_oracle(tracer))``.
+    """
+    trace_events: list[dict[str, Any]] = []
+    pid = 0
+    tids: dict[str, int] = {}
+
+    def tid_for(label: str) -> int:
+        tid = tids.get(label)
+        if tid is None:
+            tid = len(tids)
+            tids[label] = tid
+            trace_events.append({
+                "name": "thread_name", "ph": "M", "pid": pid, "tid": tid,
+                "args": {"name": label},
+            })
+        return tid
+
+    for kind, t0, dur, name, a, b in tracer.events():
+        if kind == "run":
+            pid = int(a) + 1
+            tids = {}
+            trace_events.append({
+                "name": "process_name", "ph": "M", "pid": pid, "tid": 0,
+                "args": {"name": name},
+            })
+            continue
+        ts = t0 * 1e6
+        if kind == "cache":
+            trace_events.append({
+                "name": "dram-cache", "ph": "C", "ts": ts, "pid": pid,
+                "tid": tid_for("cache"),
+                "args": {"hits": int(a), "misses": int(b)},
+            })
+            continue
+        if kind == "request":
+            track, args, label = "requests", {"response_s": dur}, name
+        elif kind == "layer":
+            track = f"layer:{name}"
+            args = {"latency_s": dur, "energy_j": b}
+            label = name
+        elif kind == "crash":
+            track, args, label = "crash", {"recovery_s": dur}, name
+        else:  # spin_up / spin_down / cleaning / erase
+            track = "device-events"
+            args = {"dur_s": dur, "device": name}
+            label = kind
+        trace_events.append({
+            "name": label,
+            "cat": kind, "ph": "X", "ts": ts, "dur": dur * 1e6,
+            "pid": pid, "tid": tid_for(track), "args": args,
+        })
+    return {
+        "traceEvents": trace_events,
+        "displayTimeUnit": "ms",
+        "otherData": {
+            "generator": "repro.obs",
+            "emitted": tracer.emitted,
+            "dropped": tracer.dropped,
+        },
+    }
+
+
+# Numbers that hash alike but render differently (0.0 / -0.0, 1 / 1.0),
+# plus everything st.floats() draws: NaN, infinities, subnormals.
+_NUMBERS = st.one_of(
+    st.floats(),
+    st.integers(min_value=-(2 ** 53), max_value=2 ** 53),
+    st.sampled_from([0.0, -0.0, 1.0, 1, 0.5, 5e-324]),
+)
+# ``run`` and ``cache`` payloads pass through int(), so they are finite.
+_WHOLE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(min_value=-(2 ** 31), max_value=2 ** 31),
+)
+_NAMES = st.text(
+    st.sampled_from('ab:"\\\x00\x1f\x7f\n\u00e9\u20ac\U0001f600')
+    | st.characters(),
+    max_size=6,
+)
+
+
+@st.composite
+def _event(draw):
+    kind = draw(st.sampled_from(EVENT_KINDS))
+    payload = _WHOLE if kind in ("run", "cache") else _NUMBERS
+    return (kind, draw(_NUMBERS), draw(_NUMBERS), draw(_NAMES),
+            draw(payload), draw(payload))
+
+
+def _written(tracer: EventTracer) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        return tracer.write_chrome(Path(tmp) / "trace.json").read_bytes()
+
+
+@given(capacity=st.integers(min_value=1, max_value=300),
+       events=st.lists(_event(), max_size=300))
+@example(capacity=16, events=[
+    ("layer", 0.5, 0.0, "device", 0.0, 1.0),  # before the first run marker
+    ("run", 0.0, 0.0, 'a"b\\c|d\u00e9', 0.0, 0.0),
+    ("request", 0.0, 1.0, "read", 0.0, 0.0),
+    ("request", -0.0, 1, "write", 0.0, 0.0),
+    ("layer", 1.0, -0.0, "dram", 0.0, 1),
+    ("layer", 2.0, 0.0, "dram", 0.0, 1.0),
+    ("crash", float("nan"), float("inf"), "power-loss", 0.0, 0.0),
+    ("cleaning", 3.0, -float("inf"), "flash", 0.0, 0.0),
+    ("cache", 4.0, 0.0, "dram", 3, 1.0),
+])
+def test_streamed_chrome_equals_the_oracle(capacity, events):
+    tracer = EventTracer(capacity=capacity)
+    for event in events:
+        tracer.emit(*event)
+    written = _written(tracer)
+    assert written == json.dumps(_chrome_oracle(tracer)).encode("ascii")
+    # The float memo is built per export, so a second export is the same.
+    assert _written(tracer) == written
+
+
+def test_observed_unit_artifacts_equal_the_oracle(tmp_path, monkeypatch):
+    """A real ``repro run --trace-out --metrics-out`` unit, byte for byte."""
+    import repro.obs
+    from repro.engine import WorkUnit
+    from repro.engine.scheduler import run_unit_observed
+
+    sessions = []
+
+    class RecordingSession(repro.obs.ObservabilitySession):
+        def __init__(self) -> None:
+            super().__init__()
+            sessions.append(self)
+
+    monkeypatch.setattr(repro.obs, "ObservabilitySession", RecordingSession)
+    unit = WorkUnit("table4", scale=0.01, seed=1, kernel="vector")
+    _result, artifacts = run_unit_observed(unit, str(tmp_path / "trace"),
+                                           str(tmp_path / "metrics"))
+    (session,) = sessions
+    assert session.tracer.dropped == 0 and len(session.runs) == 21
+    trace = Path(artifacts["trace"]).read_text()
+    assert trace == json.dumps(_chrome_oracle(session.tracer))
+    metrics = Path(artifacts["metrics"]).read_text()
+    assert metrics == json.dumps(session.to_json_dict())
+
+
+def test_chrome_export_memory_is_bounded_by_the_ring(tmp_path):
+    """Peak export memory stays well under the size of the file written.
+
+    A sweep replays a few traces, so the ring repeats its numbers; the
+    writer streams records in chunks instead of building the document.
+    """
+    tracer = EventTracer()
+    for run in range(20):
+        tracer.emit("run", 0.0, 0.0, f"mac|dev{run % 3}", float(run))
+        for op in range(3_400):
+            t0 = (op % 1_700) * 0.0137
+            latency = (op % 211) * 1.3e-4
+            tracer.emit("request", t0, latency + 2.5e-5, "read")
+            tracer.emit("layer", t0, 2.5e-5, "dram", 0.0, (op % 53) * 1e-6)
+            tracer.emit("layer", t0, latency, "device", 0.0, latency * 1.7)
+    assert len(tracer) >= 200_000
+    path = tmp_path / "trace.json"
+    tracemalloc.start()
+    try:
+        tracer.write_chrome(path)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 2
 
 
 # -- metrics instruments -------------------------------------------------------
