@@ -8,11 +8,8 @@ Commands:
 * ``import``    — normalise a foreign trace (csv / blktrace / snia, .gz ok)
 * ``fit``       — learn a workload model from a trace; emit model.json
 * ``experiment``— run one registered experiment driver and print its report
-* ``inspect``   — per-layer latency/energy attribution for an experiment
-* ``profile``   — time an experiment under cProfile and report where it goes
-* ``trace``     — record an event trace of an experiment's probes
-* ``metrics``   — sample a metrics time-series over an experiment's probes
-* ``run``       — parallel, cache-aware experiment runs via the engine
+* ``run``       — parallel, cache-aware experiment runs via the engine;
+  ``--observe DIR`` traces and checks every simulation they run
 * ``fleet``     — simulate a fleet-scale population of heterogeneous devices
 * ``serve``     — async HTTP job service (submit runs/fleets, stream events)
 * ``cache``     — manage the on-disk result cache (stats, clear)
@@ -141,103 +138,20 @@ def _add_fit(subparsers) -> None:
                         help="write the conformance report as JSON")
 
 
-def _add_experiment_args(parser, scale: float) -> None:
-    """The experiment id plus ``--scale``/``--seed``, as every
-    single-experiment command takes them."""
+def _add_experiment(subparsers) -> None:
     from repro.experiments.runner import parse_scale
 
+    parser = subparsers.add_parser("experiment", help="run an experiment driver")
     parser.add_argument("experiment_id")
-    parser.add_argument("--scale", type=parse_scale, default=scale,
-                        help=f"trace-length scale in (0, 1] (default {scale:g})")
+    parser.add_argument("--scale", type=parse_scale, default=0.2,
+                        help="trace-length scale in (0, 1] (default 0.2)")
     parser.add_argument("--seed", type=int, default=None,
                         help="trace-generation seed (default: module default)")
-
-
-def _add_experiment(subparsers) -> None:
-    parser = subparsers.add_parser("experiment", help="run an experiment driver")
-    _add_experiment_args(parser, 0.2)
     parser.add_argument("--workload", default=None,
                         help="override the driver's trace set: a bundled "
                         "workload name (mac | dos | hp | synth) or "
                         "fitted:<model.json>")
     add_kernel_arg(parser)
-
-
-def _add_inspect(subparsers) -> None:
-    parser = subparsers.add_parser(
-        "inspect",
-        help="per-layer latency/energy attribution for an experiment",
-        description="Run representative simulation cells of a registered "
-        "experiment and print each one's per-layer breakdown: the latency "
-        "and energy charged to dram / sram / device / cleaning, summing "
-        "to the run totals.",
-    )
-    _add_experiment_args(parser, 0.1)
-
-
-def _add_profile(subparsers) -> None:
-    parser = subparsers.add_parser(
-        "profile",
-        help="profile an experiment and report per-layer time shares",
-        description="Run a registered experiment cold, warm, and under "
-        "cProfile; report phase timings, time shares per repro subpackage "
-        "and module, and the hottest functions.  With --output the report "
-        "is also written as a JSON artifact comparable across commits.",
-    )
-    _add_experiment_args(parser, 0.1)
-    parser.add_argument("--top", type=int, default=15,
-                        help="rows in the per-function table (default 15)")
-    add_kernel_arg(parser, help="simulation kernel to profile; a "
-                   "non-default choice also profiles the batched baseline "
-                   "and reports the per-subpackage speedup delta")
-    parser.add_argument("-o", "--output", default=None, metavar="PATH",
-                        help="also write the report as a JSON artifact")
-
-
-def _add_trace(subparsers) -> None:
-    from repro.obs.events import DEFAULT_CAPACITY
-
-    parser = subparsers.add_parser(
-        "trace",
-        help="record an event trace of an experiment's probes",
-        description="Run the experiment's inspection probes under the "
-        "event tracer and export a Chrome trace_event JSON (loadable in "
-        "Perfetto / chrome://tracing) with one process track per probe "
-        "simulation.  The per-layer slices in the trace sum to the "
-        "run's SimulationResult.layer_breakdown bit for bit; a mismatch "
-        "makes the command exit non-zero.",
-    )
-    _add_experiment_args(parser, 0.1)
-    parser.add_argument("--trace-out", default="trace.json", metavar="PATH",
-                        help="Chrome trace_event JSON output "
-                        "(default trace.json)")
-    parser.add_argument("--jsonl-out", default=None, metavar="PATH",
-                        help="also write the raw events as JSON Lines")
-    parser.add_argument("--capacity", type=int, default=DEFAULT_CAPACITY,
-                        help="event ring-buffer bound (oldest dropped beyond)")
-    parser.add_argument("--sample-interval", type=int, default=64,
-                        metavar="OPS", help="ops between metric samples "
-                        "(default 64)")
-
-
-def _add_metrics(subparsers) -> None:
-    parser = subparsers.add_parser(
-        "metrics",
-        help="sample a metrics time-series over an experiment's probes",
-        description="Run the experiment's inspection probes under the "
-        "metrics registry, sampling counters/gauges/histograms every "
-        "--sample-interval operations, and export the per-run series as "
-        "JSON (optionally the final run as Prometheus text).",
-    )
-    _add_experiment_args(parser, 0.1)
-    parser.add_argument("--metrics-out", default="metrics.json",
-                        metavar="PATH",
-                        help="metrics JSON output (default metrics.json)")
-    parser.add_argument("--prom-out", default=None, metavar="PATH",
-                        help="also write the final run as Prometheus text")
-    parser.add_argument("--sample-interval", type=int, default=64,
-                        metavar="OPS", help="ops between metric samples "
-                        "(default 64)")
 
 
 def _add_run(subparsers) -> None:
@@ -262,14 +176,12 @@ def _add_run(subparsers) -> None:
                         "(default: module default)")
     parser.add_argument("--output", help="append each finished report to "
                         "this file (deterministic registry order)")
-    parser.add_argument("--trace-out", default=None, metavar="DIR",
-                        help="record each unit under the event tracer and "
-                        "write per-unit Chrome traces into this directory "
-                        "(forces recompute: cache replay has nothing to "
-                        "record)")
-    parser.add_argument("--metrics-out", default=None, metavar="DIR",
-                        help="sample each unit's metrics and write per-unit "
-                        "JSON series into this directory")
+    parser.add_argument("--observe", default=None, metavar="DIR",
+                        help="run each unit under the event tracer and write "
+                        "its Chrome trace, metrics JSON and per-layer "
+                        "attribution tables into DIR; a unit fails if any "
+                        "simulation's layers disagree with its report "
+                        "(bypasses the result cache)")
     parser.add_argument("--resume", default=None, metavar="MANIFEST",
                         help="continue an interrupted run: replay the "
                         "manifest's completed units from the result cache "
@@ -338,10 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_import(subparsers)
     _add_fit(subparsers)
     _add_experiment(subparsers)
-    _add_inspect(subparsers)
-    _add_profile(subparsers)
-    _add_trace(subparsers)
-    _add_metrics(subparsers)
     _add_run(subparsers)
     _add_fleet(subparsers)
     _add_serve(subparsers)
@@ -564,47 +472,6 @@ def cmd_experiment(args) -> int:
     return 0
 
 
-def cmd_inspect(args) -> int:
-    from repro.experiments.inspection import inspect_experiment
-
-    report, ok = inspect_experiment(
-        args.experiment_id, scale=args.scale, seed=args.seed
-    )
-    print(report.render())
-    # Diagnostics (the attribution-mismatch diff) go to stderr so a
-    # pipeline consuming the report on stdout still sees a clean table
-    # stream and the failure is visible where errors belong.
-    for line in report.diagnostics:
-        print(line, file=sys.stderr)
-    return 0 if ok else 1
-
-
-def cmd_profile(args) -> int:
-    from repro.profiling import profile_experiment, render_report, write_report
-
-    report = profile_experiment(
-        args.experiment_id, scale=args.scale, seed=args.seed,
-        top=args.top, kernel=args.kernel,
-    )
-    print(render_report(report, top=args.top))
-    if args.output:
-        written = write_report(report, args.output)
-        print(f"\nwrote {written}")
-    return 0
-
-
-def cmd_trace(args) -> int:
-    from repro.obs.cli import cmd_trace as run_trace
-
-    return run_trace(args)
-
-
-def cmd_metrics(args) -> int:
-    from repro.obs.cli import cmd_metrics as run_metrics
-
-    return run_metrics(args)
-
-
 def cmd_run(args) -> int:
     import time
 
@@ -681,8 +548,7 @@ def cmd_run(args) -> int:
                     trace_store=engine.trace_store,
                     manifest=manifest,
                     progress=on_progress,
-                    trace_dir=args.trace_out,
-                    metrics_dir=args.metrics_out,
+                    observe_dir=args.observe,
                     policy=engine.policy,
                     chaos=engine.chaos,
                     resumed_from=args.resume,
@@ -828,10 +694,6 @@ _COMMANDS = {
     "import": cmd_import,
     "fit": cmd_fit,
     "experiment": cmd_experiment,
-    "inspect": cmd_inspect,
-    "profile": cmd_profile,
-    "trace": cmd_trace,
-    "metrics": cmd_metrics,
     "run": cmd_run,
     "fleet": cmd_fleet,
     "serve": cmd_serve,

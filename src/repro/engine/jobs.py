@@ -70,13 +70,13 @@ def jobs_arg(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def add_kernel_arg(parser: argparse.ArgumentParser, help: str | None = None) -> None:
+def add_kernel_arg(parser: argparse.ArgumentParser) -> None:
     """Declare ``--kernel`` (choices from :data:`repro.kernel.KERNELS`)."""
     from repro.kernel import KERNELS
 
     parser.add_argument(
         "--kernel", choices=KERNELS, default=None,
-        help=help or "simulation kernel (default batched; vector is the "
+        help="simulation kernel (default batched; vector is the "
         "NumPy fast path, equal within the documented float tolerance, "
         "falling back to batched outside its envelope)",
     )

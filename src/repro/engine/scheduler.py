@@ -30,6 +30,11 @@ Design:
   are recorded in the manifest and reported in the unit's outcome;
   completed units still land in the cache, so the next invocation (or
   ``repro run --resume``) resumes instead of starting over.
+* **Observed units are checked, not cached.**  With ``observe_dir`` every
+  unit runs under an observability session, writes its artifacts, and
+  fails if any simulation's layer attribution disagrees with its report
+  (:func:`run_unit_observed`).  Such units neither read nor write the
+  result cache.
 
 Units are submitted in a window of at most ``jobs`` at a time, so a
 submitted future is a *running* future: per-unit deadlines are
@@ -49,7 +54,12 @@ from typing import Any, Callable, Sequence
 
 from repro.engine import chaos as chaos_mod
 from repro.engine.chaos import ChaosPlan
-from repro.engine.fingerprint import cache_key, device_fingerprint, package_version
+from repro.engine.fingerprint import (
+    _digest,
+    cache_key,
+    device_fingerprint,
+    package_version,
+)
 from repro.engine.jobs import resolve_jobs
 from repro.engine.manifest import RunManifest
 from repro.engine.resilience import ExecutionPolicy
@@ -76,6 +86,19 @@ class EngineError(ReproError):
     """A work unit failed inside the execution engine."""
 
 
+class ObservationError(EngineError):
+    """An observed unit's layer attribution failed its checks.
+
+    Raised after the unit's artifacts are written; ``artifacts`` maps
+    kind -> path, so the failed unit's manifest record still points at
+    them.
+    """
+
+    def __init__(self, message: str, artifacts: dict[str, str]) -> None:
+        super().__init__(message)
+        self.artifacts = artifacts
+
+
 @dataclass(frozen=True)
 class UnitOutcome:
     """What happened to one work unit."""
@@ -87,8 +110,8 @@ class UnitOutcome:
     worker: int
     wall_s: float
     error: str | None = None
-    #: observability artifact paths ({"trace": ..., "metrics": ...}) when
-    #: the run was recorded; None otherwise
+    #: observability artifact paths ({"trace": ..., "metrics": ...,
+    #: "layers": ...}) when the run was observed; None otherwise
     artifacts: dict[str, str] | None = None
     #: transient failures retried before this outcome (0 = first try)
     retries: int = 0
@@ -135,9 +158,14 @@ def run_unit_inline(unit: WorkUnit) -> ExperimentResult:
 
 
 def _artifact_stem(unit: WorkUnit) -> str:
+    """``<experiment>-s<scale>[-seed<seed>][-<digest>]``: units that also
+    set a kernel or driver kwargs (fleet shards) get a digest of both, so
+    no two distinct units share an artifact path."""
     stem = f"{unit.experiment_id}-s{float(unit.scale)!r}"
     if unit.seed is not None:
         stem += f"-seed{unit.seed}"
+    if unit.kernel is not None or unit.kwargs:
+        stem += "-" + _digest([unit.kernel, unit.kwargs])[:10]
     return stem
 
 
@@ -146,14 +174,24 @@ def run_unit_observed(
     trace_dir: str | None = None,
     metrics_dir: str | None = None,
 ) -> tuple[ExperimentResult, dict[str, str]]:
-    """Execute one unit under an :class:`~repro.obs.session.ObservabilitySession`.
+    """Execute one unit under an :class:`~repro.obs.session.ObservabilitySession`
+    and check every simulation it ran.
 
     The session is installed process-globally for the duration, so every
     simulation the driver runs is traced (observation does not change
-    results — the session only reads the collector's floats).  Returns
-    ``(result, artifacts)`` where artifacts maps kind -> written path.
+    results — the session only reads the collector's floats).  The
+    Chrome trace goes into ``trace_dir``; the metrics JSON and the
+    per-run layer attribution tables (``<stem>.layers.txt``) go into
+    ``metrics_dir``.  Returns ``(result, artifacts)`` where artifacts
+    maps kind -> written path.
+
+    Once the artifacts are written, raises :class:`ObservationError` if
+    any simulation fails :meth:`ObservabilitySession.attribution_problems`.
+    A ring that dropped events gets a ``warning:`` line on stderr: the
+    trace then keeps only the newest events.
     """
     import json
+    import sys
     from pathlib import Path
 
     from repro.obs import ObservabilitySession
@@ -183,6 +221,21 @@ def run_unit_observed(
             # json.dumps takes the C encoder; json.dump the pure-Python one.
             stream.write(json.dumps(session.to_json_dict()))
         artifacts["metrics"] = str(path)
+        path = Path(metrics_dir) / f"{stem}.layers.txt"
+        path.write_text(session.layer_tables())
+        artifacts["layers"] = str(path)
+    tracer = session.tracer
+    if tracer.dropped:
+        # Printed here, not by the parent: a pool worker shares its stderr.
+        print(f"warning: {unit.label}: the event ring dropped "
+              f"{tracer.dropped} of {tracer.emitted} events; the trace "
+              f"keeps only the newest {tracer.capacity}",
+              file=sys.stderr, flush=True)
+    problems = session.attribution_problems()
+    if problems:
+        raise ObservationError(
+            f"{unit.label}: " + "; ".join(problems), artifacts
+        )
     return result, artifacts
 
 
@@ -217,23 +270,39 @@ def _worker_init(store_root: str | None,
         )
 
 
+def _run_unit(
+    unit: WorkUnit, observe_dir: str | None
+) -> tuple[ExperimentResult | None, str | None, dict[str, str] | None]:
+    """``(result, error, artifacts)`` for one attempt at ``unit``; an
+    observed unit that failed its checks keeps its artifacts."""
+    try:
+        if observe_dir is None:
+            return run_unit_inline(unit), None, None
+        result, artifacts = run_unit_observed(unit, observe_dir, observe_dir)
+        return result, None, artifacts
+    except ObservationError as exc:
+        return None, traceback.format_exc(), exc.artifacts
+    except Exception:
+        return None, traceback.format_exc(), None
+
+
 def _worker_run(
-    unit: WorkUnit,
-    trace_dir: str | None = None,
-    metrics_dir: str | None = None,
+    unit: WorkUnit, observe_dir: str | None = None
 ) -> tuple[int, float, ExperimentResult | None, str | None, dict[str, str] | None]:
     start = time.perf_counter()
     try:
         chaos_mod.maybe_inject(unit)  # may exit/hang/raise when active
-        if trace_dir is not None or metrics_dir is not None:
-            result, artifacts = run_unit_observed(unit, trace_dir, metrics_dir)
-        else:
-            result = run_unit_inline(unit)
-            artifacts = None
-        return os.getpid(), time.perf_counter() - start, result, None, artifacts
     except Exception:
-        return (os.getpid(), time.perf_counter() - start, None,
-                traceback.format_exc(), None)
+        result, error, artifacts = None, traceback.format_exc(), None
+    else:
+        result, error, artifacts = _run_unit(unit, observe_dir)
+    return os.getpid(), time.perf_counter() - start, result, error, artifacts
+
+
+def _retryable(error: str | None, artifacts: dict[str, str] | None) -> bool:
+    """A failed attempt is worth retrying unless it is an observed unit
+    that failed its checks (it has artifacts): those are deterministic."""
+    return error is not None and artifacts is None
 
 
 def _trace_requests(
@@ -265,8 +334,7 @@ def execute(
     trace_store: TraceStore | None = None,
     manifest: RunManifest | None = None,
     progress: ProgressCallback | None = None,
-    trace_dir: str | None = None,
-    metrics_dir: str | None = None,
+    observe_dir: str | None = None,
     policy: ExecutionPolicy | None = None,
     metrics: Any | None = None,
     chaos: ChaosPlan | None = None,
@@ -287,12 +355,14 @@ def execute(
     land in the manifest as ``event`` records.  ``chaos`` activates the
     fault-injection harness of :mod:`repro.engine.chaos` in the workers.
 
-    ``trace_dir``/``metrics_dir`` turn on per-unit observability: every
-    unit recomputes under an ObservabilitySession (cache reads are
-    skipped — a cache hit would have nothing to record — but finished
-    results still land in the cache) and writes its artifacts into the
-    given directories, with the paths carried on
-    :attr:`UnitOutcome.artifacts` and in the run manifest.
+    ``observe_dir`` turns on per-unit observability: every unit runs
+    through :func:`run_unit_observed`, writing its Chrome trace, metrics
+    JSON and layer tables into that directory, with the paths carried on
+    :attr:`UnitOutcome.artifacts` and in the run manifest; a unit whose
+    layer attribution fails its checks fails (its artifacts still
+    written).  Observed units neither read nor write the result cache:
+    a replay has nothing to record, and observation forces the batched
+    path, so its result must not answer for a vector unit's key.
 
     ``cancel`` is a cooperative stop request (a ``threading.Event``
     another thread or a signal handler may set): in-flight futures are
@@ -308,12 +378,11 @@ def execute(
     policy = policy if policy is not None else ExecutionPolicy()
     if chaos is not None:
         chaos = chaos.bound_to_parent()
-    # Artifact directories are created once, in the parent, before any
-    # worker can race to create them.
-    if trace_dir is not None:
-        os.makedirs(trace_dir, exist_ok=True)
-    if metrics_dir is not None:
-        os.makedirs(metrics_dir, exist_ok=True)
+    # The artifact directory is created once, in the parent, before any
+    # worker can race to create it.
+    if observe_dir is not None:
+        os.makedirs(observe_dir, exist_ok=True)
+    observing = observe_dir is not None
     if metrics is None:
         from repro.obs import runtime as obs_runtime
 
@@ -373,8 +442,6 @@ def execute(
         if progress is not None:
             progress(done, total, outcome)
 
-    observing = trace_dir is not None or metrics_dir is not None
-
     # Corrupt-entry quarantines surface through the manifest/metrics
     # unless the caller already listens for them.
     restore_quarantine_hook = False
@@ -388,9 +455,7 @@ def execute(
 
     try:
         # Resolve cache hits in the parent before spawning anything.  An
-        # observed run recomputes everything: a replayed result has no
-        # events to record, and observation is bit-neutral so the
-        # recompute is safe.
+        # observed run recomputes everything.
         pending: list[_Task] = []
         for index, unit in enumerate(units):
             key = cache_key(unit, fingerprint=fingerprint, version=version)
@@ -410,12 +475,12 @@ def execute(
             for (scale, seed), names in requests.items():
                 trace_store.prewarm(names, scale, seed)
 
-        cache_state = "miss" if cache is not None else "off"
+        cache_state = "miss" if cache is not None and not observing else "off"
 
         def record_miss(task: _Task, worker: int, wall_s: float,
                         result: ExperimentResult | None, error: str | None,
                         artifacts: dict[str, str] | None = None) -> None:
-            if result is not None and cache is not None:
+            if result is not None and cache is not None and not observing:
                 path = cache.put(task.key, result, meta={
                     "experiment_id": task.unit.experiment_id,
                     "scale": task.unit.scale,
@@ -443,20 +508,9 @@ def execute(
             timeouts need process isolation and do not apply here."""
             while True:
                 start = time.perf_counter()
-                artifacts = None
-                try:
-                    if observing:
-                        result, artifacts = run_unit_observed(
-                            task.unit, trace_dir, metrics_dir
-                        )
-                    else:
-                        result = run_unit_inline(task.unit)
-                    error = None
-                except Exception:
-                    result = None
-                    error = traceback.format_exc()
+                result, error, artifacts = _run_unit(task.unit, observe_dir)
                 wall_s = time.perf_counter() - start
-                if error is not None and task.retries < policy.retries:
+                if _retryable(error, artifacts) and task.retries < policy.retries:
                     delay = policy.delay_s(task.key, task.retries)
                     task.retries += 1
                     event("retry", unit=task.unit.label, reason="error",
@@ -490,8 +544,8 @@ def execute(
         else:
             _execute_pool(
                 pending, jobs=jobs, policy=policy, chaos=chaos,
-                trace_store=trace_store, trace_dir=trace_dir,
-                metrics_dir=metrics_dir, record_miss=record_miss,
+                trace_store=trace_store, observe_dir=observe_dir,
+                record_miss=record_miss,
                 run_serially=run_serially, event=event, count=count,
                 cancel=cancel, cancel_remaining=cancel_remaining,
             )
@@ -509,8 +563,7 @@ def _execute_pool(
     policy: ExecutionPolicy,
     chaos: ChaosPlan | None,
     trace_store: TraceStore | None,
-    trace_dir: str | None,
-    metrics_dir: str | None,
+    observe_dir: str | None,
     record_miss: Callable[..., None],
     run_serially: Callable[[_Task], None],
     event: Callable[..., None],
@@ -583,8 +636,7 @@ def _execute_pool(
                 return True
             task = queue.pop(eligible)
             try:
-                future = pool.submit(_worker_run, task.unit,
-                                     trace_dir, metrics_dir)
+                future = pool.submit(_worker_run, task.unit, observe_dir)
             except Exception:  # BrokenExecutor: pool died between windows
                 queue.append(task)
                 queue.sort(key=lambda t: t.index)
@@ -672,7 +724,7 @@ def _execute_pool(
             del in_flight[future]
             deadlines.pop(future, None)
             breakages = 0
-            if error is not None and task.retries < policy.retries:
+            if _retryable(error, artifacts) and task.retries < policy.retries:
                 delay = policy.delay_s(task.key, task.retries)
                 task.retries += 1
                 task.not_before = time.monotonic() + delay

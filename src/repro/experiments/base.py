@@ -82,9 +82,6 @@ class ExperimentResult:
     scale: float = 1.0
     #: optional pre-rendered ASCII charts (see repro.experiments.plotting)
     charts: tuple[str, ...] = ()
-    #: machine-facing failure detail (e.g. inspect's attribution-mismatch
-    #: diff) — excluded from render(); the CLI routes these to stderr
-    diagnostics: tuple[str, ...] = ()
     #: optional packed columnar payload (``{"schema": int, name: column}``,
     #: numeric columns as NumPy arrays or lists) carried *alongside* the
     #: human tables — fleet shards use it so the parent can aggregate by

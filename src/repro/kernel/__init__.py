@@ -27,9 +27,6 @@ from repro.kernel.runtime import active, install, uninstall, using_kernel
 #: Registered kernel names, in increasing order of specialisation.
 KERNELS = ("reference", "batched", "vector")
 
-#: The kernel used when nothing is selected.
-DEFAULT_KERNEL = "batched"
-
 
 def validate_kernel(name: str) -> str:
     """Return ``name`` if it names a kernel, else raise ``ValueError``."""
@@ -41,7 +38,6 @@ def validate_kernel(name: str) -> str:
 
 __all__ = [
     "KERNELS",
-    "DEFAULT_KERNEL",
     "validate_kernel",
     "active",
     "install",

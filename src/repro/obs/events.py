@@ -36,10 +36,9 @@ kind         name                   a, b
 ``crash``    "power-loss"           0, 0          (dur_s is the recovery)
 ===========  =====================  ==========================================
 
-Exports: :meth:`EventTracer.write_jsonl` (one JSON object per line, field
-names per kind) and :meth:`EventTracer.write_chrome` (Chrome
-``trace_event`` JSON, loadable in Perfetto / ``chrome://tracing``,
-streamed from the ring in chunks).
+Export: :meth:`EventTracer.write_chrome` (Chrome ``trace_event`` JSON,
+loadable in Perfetto / ``chrome://tracing``, streamed from the ring in
+chunks); ``repro run --observe`` writes one per work unit.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterator
 
 #: Event kinds a tracer records (the ``kind`` slot of every tuple).
 EVENT_KINDS = (
@@ -179,32 +178,6 @@ class EventTracer:
 
     # -- export ------------------------------------------------------------------
 
-    def as_dicts(self) -> Iterator[dict[str, Any]]:
-        """Events as JSON-ready dicts with per-kind field names."""
-        for kind, t0, dur, name, a, b in self._events:
-            record: dict[str, Any] = {"kind": kind, "t0_s": t0, "name": name}
-            if kind == "run":
-                record["run"] = int(a)
-            elif kind == "layer":
-                record["latency_s"] = dur
-                record["energy_j"] = b
-            elif kind == "cache":
-                record["hits"] = int(a)
-                record["misses"] = int(b)
-            else:
-                record["dur_s"] = dur
-            yield record
-
-    def write_jsonl(self, path: str | Path) -> Path:
-        """Write the buffered events as JSON Lines; returns the path."""
-        path = Path(path)
-        if path.parent != Path(""):
-            path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w") as stream:
-            for record in self.as_dicts():
-                stream.write(json.dumps(record) + "\n")
-        return path
-
     def write_chrome(self, path: str | Path) -> Path:
         """Write the buffered events as Chrome ``trace_event`` JSON.
 
@@ -328,12 +301,3 @@ def read_chrome_layer_totals(path: str | Path) -> list[dict[str, float]]:
             name = event["name"]
             totals[name] = totals.get(name, 0.0) + event["args"]["latency_s"]
     return [runs[pid] for pid in sorted(runs)]
-
-
-def iter_jsonl(path: str | Path) -> Iterable[dict[str, Any]]:
-    """Parse a JSONL event file back into dicts."""
-    with open(Path(path)) as stream:
-        for line in stream:
-            line = line.strip()
-            if line:
-                yield json.loads(line)

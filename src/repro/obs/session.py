@@ -24,6 +24,10 @@ exactly the floats the :class:`~repro.core.metrics.MetricsCollector`
 folds, accumulated in the same order — so ``layer_latency_s`` in a run
 summary equals the latency column of ``SimulationResult.layer_breakdown``
 bit for bit (layers the collector never saw report 0.0 on both sides).
+:meth:`ObservabilitySession.attribution_problems` checks that for every
+finished run, and that each run's layer components sum to its totals;
+:meth:`ObservabilitySession.layer_tables` renders the per-layer
+attribution.  ``repro run --observe`` runs both on every work unit.
 """
 
 from __future__ import annotations
@@ -51,6 +55,13 @@ RESPONSE_BOUNDS = exponential_bounds(1e-5, 2.0, 20)
 #: Wear buckets: segment erase counts 1 .. 2048.
 WEAR_BOUNDS = exponential_bounds(1.0, 2.0, 12)
 
+#: How far a run's layer components may miss its totals.  Attribution
+#: accumulates per request in a different order than the run totals, so
+#: bit equality is not expected (float addition is not associative), but
+#: anything beyond these would mean lost or double-counted work.
+LATENCY_REL_TOL = 1e-6
+ENERGY_REL_TOL = 1e-9
+
 #: Device-sink event kind -> session counter name.
 _DEVICE_COUNTERS = {
     "spin_up": "spin_ups_total",
@@ -63,9 +74,10 @@ _DEVICE_COUNTERS = {
 class ObservabilitySession:
     """One tracer + one registry, attachable to successive simulations.
 
-    A session outlives individual runs: ``repro trace`` drives several
-    probe simulations through one session and exports a single artifact
-    with one run marker (and one Chrome process track) per simulation.
+    A session outlives individual runs: ``repro run --observe`` drives
+    every simulation of a work unit through one session and exports a
+    single artifact with one run marker (and one Chrome process track)
+    per simulation.
     """
 
     def __init__(
@@ -80,6 +92,7 @@ class ObservabilitySession:
         self._run_index = -1
         self._hierarchy: StorageHierarchy | None = None
         self._mark = 0
+        self._label = ""
         self._layer_sums: dict[str, float] = {}
         self._last_hits = -1
         self._last_misses = -1
@@ -110,6 +123,7 @@ class ObservabilitySession:
             raise RuntimeError("a run is already active on this session")
         self._run_index += 1
         self._hierarchy = hierarchy
+        self._label = label
         self._layer_sums = {}
         self._last_hits = -1
         self._last_misses = -1
@@ -157,17 +171,30 @@ class ObservabilitySession:
 
         summary: dict[str, Any] = {
             "run": self._run_index,
+            "trace": self._label,
             "device": device.name,
             "layer_latency_s": dict(self._layer_sums),
             "device_stats": device.stats(),
             "metrics": self.registry.to_json_dict(),
         }
         if result is not None:
+            breakdown = result.layer_breakdown
             reported = {
-                name: parts["latency_s"]
-                for name, parts in result.layer_breakdown.items()
+                name: parts["latency_s"] for name, parts in breakdown.items()
             }
+            overall = result.overall_response
             summary["layer_breakdown_latency_s"] = reported
+            summary["layer_breakdown_energy_j"] = {
+                name: parts["energy_j"] for name, parts in breakdown.items()
+            }
+            # The run totals the layer components must reproduce: summed
+            # foreground response time over the measurement window, and
+            # total energy.
+            summary["totals"] = {
+                "ops": overall.count,
+                "latency_s": overall.mean_s * overall.count,
+                "energy_j": result.energy_j,
+            }
             summary["agreement_max_abs_diff"] = max(
                 (
                     abs(reported.get(name, 0.0) - self._layer_sums.get(name, 0.0))
@@ -303,7 +330,70 @@ class ObservabilitySession:
         for segment in segments:
             observe(segment.erase_count)
 
-    # -- export ------------------------------------------------------------------
+    # -- checks and export --------------------------------------------------------
+
+    def attribution_problems(self) -> list[str]:
+        """One line per failed check over the finished runs; [] when all pass.
+
+        A run fails when its layer slices differ from its
+        ``layer_breakdown`` latencies at all (the agreement contract is
+        exact), or when its layer components miss the run totals by more
+        than :data:`LATENCY_REL_TOL` / :data:`ENERGY_REL_TOL`.
+        """
+        import math
+
+        problems = []
+        for run in self.runs:
+            where = f"run {run['run']} ({run['trace']} on {run['device']})"
+            diff = run["agreement_max_abs_diff"]
+            if diff != 0.0:
+                problems.append(f"{where}: layer slices differ from "
+                                f"layer_breakdown (max |diff| {diff!r})")
+            totals = run["totals"]
+            latency = sum(run["layer_breakdown_latency_s"].values())
+            energy = sum(run["layer_breakdown_energy_j"].values())
+            if not (
+                math.isclose(latency, totals["latency_s"],
+                             rel_tol=LATENCY_REL_TOL, abs_tol=1e-9)
+                and math.isclose(energy, totals["energy_j"],
+                                 rel_tol=ENERGY_REL_TOL, abs_tol=1e-9)
+            ):
+                problems.append(
+                    f"{where}: layer components do not sum to the run "
+                    f"totals: latency {latency!r} vs {totals['latency_s']!r}, "
+                    f"energy {energy!r} vs {totals['energy_j']!r}"
+                )
+        return problems
+
+    def layer_tables(self) -> str:
+        """Each finished run's latency and energy per layer, as text.
+
+        One table per run (DRAM, SRAM, device, cleaning), with each
+        layer's share of the run totals and a total row.
+        """
+        from repro.experiments.base import Table
+
+        tables = []
+        for run in self.runs:
+            totals = run["totals"]
+            energies = run["layer_breakdown_energy_j"]
+            rows: list[tuple[Any, ...]] = [
+                (name, round(latency, 6), _share(latency, totals["latency_s"]),
+                 round(energies[name], 3),
+                 _share(energies[name], totals["energy_j"]))
+                for name, latency in run["layer_breakdown_latency_s"].items()
+            ]
+            rows.append(("total", round(totals["latency_s"], 6), "100%",
+                         round(totals["energy_j"], 3), "100%"))
+            tables.append(Table(
+                title=(f"run {run['run']}: {run['trace']} on "
+                       f"{run['device']}, {totals['ops']} measured ops"),
+                headers=("layer", "latency s", "lat %", "energy J", "en %"),
+                rows=tuple(rows),
+            ).render())
+        if not tables:
+            return "no simulation ran\n"
+        return "\n\n".join(tables) + "\n"
 
     def layer_latency_s(self) -> dict[str, float]:
         """The active (or most recent) run's per-layer latency sums."""
@@ -316,3 +406,9 @@ class ObservabilitySession:
             "trace_events_emitted": self.tracer.emitted,
             "trace_events_dropped": self.tracer.dropped,
         }
+
+
+def _share(value: float, total: float) -> str:
+    if total <= 0:
+        return "-"
+    return f"{100.0 * value / total:.1f}%"

@@ -1,6 +1,7 @@
 """The ``python -m repro`` command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -351,124 +352,48 @@ def test_cache_stats_on_never_created_dir(tmp_path, capsys):
     assert not missing.exists()  # stats must not create the cache either
 
 
-def test_profile_command_writes_artifact(tmp_path, capsys):
-    import json
-
-    artifact = tmp_path / "reports" / "profile.json"
-    assert main(["profile", "table3", "--scale", "0.05", "--top", "3",
-                 "-o", str(artifact)]) == 0
-    out = capsys.readouterr().out
-    assert "time share by layer" in out
-    assert "top 3 functions" in out
-    report = json.loads(artifact.read_text())
-    assert report["experiment"] == "table3"
-    assert set(report["phases"]) == {"cold_run_s", "warm_run_s",
-                                     "profiled_run_s"}
-    assert report["layers"], "per-subpackage shares must not be empty"
-    assert len(report["top_functions"]) <= 3
-    shares = {row["name"] for row in report["modules"]}
-    assert any(name.startswith("traces") for name in shares)
+# -- observability: repro run --observe ------------------------------------
 
 
-def test_profile_command_rejects_unknown_experiment(capsys):
-    assert main(["profile", "not-an-experiment"]) == 2
-    assert "unknown experiment" in capsys.readouterr().err
+def _observe(tmp_path, *argv: str) -> int:
+    return main(["run", *argv, "--jobs", "1", "--quiet",
+                 "--manifest", str(tmp_path / "m.jsonl"),
+                 "--observe", str(tmp_path / "obs")])
 
 
-# -- observability: repro trace / repro metrics / run artifacts ------------
+def _unit_records(manifest) -> list[dict]:
+    from repro.engine import read_manifest
 
-
-def test_trace_command_writes_valid_chrome_trace(tmp_path, capsys):
-    import json
-
-    out = tmp_path / "t.json"
-    code = main(["trace", "exp_table3", "--scale", "0.05",
-                 "--trace-out", str(out)])
-    assert code == 0
-    stdout = capsys.readouterr().out
-    assert "agreement ok" in stdout
-    assert "MISMATCH" not in stdout
-    data = json.loads(out.read_text())  # round-trips json.loads
-    assert data["traceEvents"]
-    # Per-layer durations in the artifact agree with the reports to 1e-9
-    # (they are the collector's exact floats, so in fact bit-for-bit).
-    from repro.obs.events import read_chrome_layer_totals
-
-    per_run = read_chrome_layer_totals(out)
-    assert len(per_run) == 3  # one probe per device class
-    assert all(total > 0 for run in per_run for total in run.values())
-
-
-def test_trace_command_jsonl_sidecar(tmp_path, capsys):
-    out = tmp_path / "t.json"
-    side = tmp_path / "t.jsonl"
-    assert main(["trace", "fig2", "--scale", "0.03",
-                 "--trace-out", str(out), "--jsonl-out", str(side)]) == 0
-    from repro.obs.events import iter_jsonl
-
-    kinds = {record["kind"] for record in iter_jsonl(side)}
-    assert {"run", "request", "layer"} <= kinds
-
-
-def test_trace_command_unknown_experiment(tmp_path, capsys):
-    code = main(["trace", "nope", "--trace-out", str(tmp_path / "t.json")])
-    assert code == 2
-    assert "unknown experiment" in capsys.readouterr().err
-
-
-def test_metrics_command_writes_json_and_prometheus(tmp_path, capsys):
-    import json
-
-    out = tmp_path / "m.json"
-    prom = tmp_path / "m.prom"
-    code = main(["metrics", "table3", "--scale", "0.05",
-                 "--metrics-out", str(out), "--prom-out", str(prom)])
-    assert code == 0
-    data = json.loads(out.read_text())
-    assert len(data["runs"]) == 3
-    run = data["runs"][0]
-    assert run["agreement_max_abs_diff"] == 0.0
-    assert run["metrics"]["series"], "time-series must not be empty"
-    text = prom.read_text()
-    assert "# TYPE repro_ops_total counter" in text
-    assert "repro_response_time_s_bucket" in text
+    return [r for r in read_manifest(manifest) if r["record"] == "unit"]
 
 
 def test_run_with_observability_artifacts(tmp_path, capsys):
-    import json
-
-    traces = tmp_path / "traces"
-    metrics = tmp_path / "metrics"
-    code = main(["run", "fig4", "--scale", "0.05", "--jobs", "1",
-                 "--cache-dir", str(tmp_path / "cache"),
-                 "--manifest", str(tmp_path / "m.jsonl"),
-                 "--trace-out", str(traces),
-                 "--metrics-out", str(metrics), "--quiet"])
+    observed = tmp_path / "obs"
+    code = _observe(tmp_path, "fig4", "--scale", "0.05",
+                    "--cache-dir", str(tmp_path / "cache"))
     assert code == 0
     capsys.readouterr()
-    trace_files = list(traces.glob("*.trace.json"))
-    metric_files = list(metrics.glob("*.metrics.json"))
-    assert len(trace_files) == 1
-    assert len(metric_files) == 1
-    json.loads(trace_files[0].read_text())
-    runs = json.loads(metric_files[0].read_text())["runs"]
+    [trace] = observed.glob("*.trace.json")
+    [metrics] = observed.glob("*.metrics.json")
+    [layers] = observed.glob("*.layers.txt")
+    json.loads(trace.read_text())
+    runs = json.loads(metrics.read_text())["runs"]
     # One process track per run, whose layer slices sum to that run's
     # layer_breakdown bit for bit.
     from repro.obs.events import read_chrome_layer_totals
 
-    per_track = read_chrome_layer_totals(trace_files[0])
+    per_track = read_chrome_layer_totals(trace)
     assert runs and len(per_track) == len(runs)
     for totals, run in zip(per_track, runs):
         reported = run["layer_breakdown_latency_s"]
         for name in set(totals) | set(reported):
             assert totals.get(name, 0.0) == reported.get(name, 0.0), name
-    # The manifest references both artifacts on the unit record.
-    from repro.engine import read_manifest
-
-    unit = [r for r in read_manifest(tmp_path / "m.jsonl")
-            if r["record"] == "unit"][0]
-    assert unit["artifacts"] == {"trace": str(trace_files[0]),
-                                 "metrics": str(metric_files[0])}
+    # One attribution table per run.
+    assert layers.read_text().count(" measured ops\n") == len(runs)
+    # The manifest references all three artifacts on the unit record.
+    [unit] = _unit_records(tmp_path / "m.jsonl")
+    assert unit["artifacts"] == {"trace": str(trace), "metrics": str(metrics),
+                                 "layers": str(layers)}
 
 
 def test_run_observed_recomputes_instead_of_cache_replay(tmp_path, capsys):
@@ -476,54 +401,248 @@ def test_run_observed_recomputes_instead_of_cache_replay(tmp_path, capsys):
     assert main(["run", "fig4", "--scale", "0.05", "--jobs", "1",
                  "--cache-dir", cache_dir, "--quiet"]) == 0
     capsys.readouterr()
-    assert main(["run", "fig4", "--scale", "0.05", "--jobs", "1",
-                 "--cache-dir", cache_dir, "--quiet",
-                 "--trace-out", str(tmp_path / "traces")]) == 0
+    assert _observe(tmp_path, "fig4", "--scale", "0.05",
+                    "--cache-dir", cache_dir) == 0
     out = capsys.readouterr().out
     assert "0 cache hit(s)" in out  # replay has nothing to record
-    assert (tmp_path / "traces").glob("*.trace.json")
+    assert list((tmp_path / "obs").glob("*.trace.json"))
 
 
-# -- repro inspect: report on stdout, diagnostics on stderr ----------------
+@pytest.fixture(scope="module")
+def observed_table4(tmp_path_factory):
+    """One observed ``repro run table4 --scale 0.02``, shared: its exit
+    code, stderr, report and artifacts, how many times it called
+    ``Simulator.run``, and the unit's observability session."""
+    import contextlib
+    import io
+    from types import SimpleNamespace
 
+    import repro.obs
+    from repro.core.simulator import Simulator
 
-def test_inspect_healthy_run_keeps_stderr_empty(capsys):
-    assert main(["inspect", "table4", "--scale", "0.03"]) == 0
-    captured = capsys.readouterr()
-    assert "layer" in captured.out
-    assert captured.err == ""
+    root = tmp_path_factory.mktemp("observed-table4")
+    calls = []
+    sessions = []
+    run = Simulator.run
 
+    def counting_run(self, *args, **kwargs):
+        calls.append(1)
+        return run(self, *args, **kwargs)
 
-def test_inspect_routes_mismatch_diagnostics_to_stderr(capsys, monkeypatch):
-    from repro.experiments.base import ExperimentResult, Table
+    class RecordedSession(repro.obs.ObservabilitySession):
+        def __init__(self) -> None:
+            super().__init__()
+            sessions.append(self)
 
-    report = ExperimentResult(
-        experiment_id="inspect:table4",
-        title="Per-layer attribution",
-        tables=(Table(title="probe", headers=("layer",), rows=(("dram",),)),),
-        notes=("a note",),
-        diagnostics=(
-            "ATTRIBUTION MISMATCH: a probe's per-layer components do not "
-            "sum to its reported totals",
-            "probe x: latency 1.0 vs 2.0 (diff -1)",
-        ),
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        patch.setattr(Simulator, "run", counting_run)
+        patch.setattr(repro.obs, "ObservabilitySession", RecordedSession)
+        code = _observe(root, "table4", "--scale", "0.02", "--no-cache",
+                        "--output", str(root / "observed.txt"))
+    [session] = sessions
+    [unit] = _unit_records(root / "m.jsonl")
+    artifacts = {kind: Path(path) for kind, path in unit["artifacts"].items()}
+    return SimpleNamespace(
+        code=code, err=err.getvalue(), report=root / "observed.txt",
+        calls=len(calls), session=session, artifacts=artifacts,
+        runs=json.loads(artifacts["metrics"].read_text())["runs"],
     )
-    monkeypatch.setattr(
-        "repro.experiments.inspection.inspect_experiment",
-        lambda experiment_id, scale, seed: (report, False),
-    )
-    code = main(["inspect", "table4"])
-    assert code == 1
-    captured = capsys.readouterr()
-    # Report (tables, notes) on stdout; failure detail only on stderr.
-    assert "probe" in captured.out
-    assert "MISMATCH" not in captured.out
-    assert "ATTRIBUTION MISMATCH" in captured.err
-    assert "diff -1" in captured.err
+
+
+def test_inspect_healthy_run_keeps_stderr_empty(observed_table4):
+    # The per-layer report is the unit's layers file, one table per
+    # simulation; a run whose checks pass writes nothing on stderr.
+    assert observed_table4.code == 0
+    assert observed_table4.err == ""
+    layers = observed_table4.artifacts["layers"].read_text()
+    assert layers.startswith("run 0: mac on ")
+    assert layers.count("energy J") == len(observed_table4.runs)
 
 
 def test_inspect_unknown_experiment_exits_2(capsys):
-    assert main(["inspect", "not-an-experiment"]) == 2
-    captured = capsys.readouterr()
-    assert "unknown experiment" in captured.err
-    assert captured.out == ""
+    # inspect, trace, metrics and profile are gone: argparse rejects each
+    # as an invalid command, with exit 2 and nothing on stdout.
+    for command in ("inspect", "trace", "metrics", "profile"):
+        with pytest.raises(SystemExit) as exited:
+            main([command, "table4"])
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"invalid choice: '{command}'" in captured.err
+
+
+def test_profile_command_rejects_unknown_experiment(tmp_path, capsys):
+    # Profiling is cProfile around ``repro run`` (python -m cProfile -o
+    # out.prof -m repro run <id> --jobs 1 --no-cache).  An unknown
+    # experiment is rejected before any unit runs, and the profile
+    # still reads back.
+    import cProfile
+    import pstats
+
+    profiler = cProfile.Profile()
+    code = profiler.runcall(main, ["run", "not-an-experiment", "--jobs", "1",
+                                   "--no-cache", "--manifest",
+                                   str(tmp_path / "m.jsonl")])
+    assert code == 2
+    _assert_one_error_line(capsys, "unknown experiment 'not-an-experiment'")
+    profiler.dump_stats(tmp_path / "out.prof")
+    profiled = {name for _file, _line, name
+                in pstats.Stats(str(tmp_path / "out.prof")).stats}
+    assert "cmd_run" in profiled
+    assert "run_unit_inline" not in profiled
+
+
+def test_trace_command_unknown_experiment(tmp_path, capsys):
+    assert _observe(tmp_path, "not-an-experiment") == 2
+    _assert_one_error_line(capsys, "unknown experiment 'not-an-experiment'")
+    assert not (tmp_path / "obs").exists()
+
+
+def test_observe_attribution_mismatch_fails_the_unit(tmp_path, capsys,
+                                                     monkeypatch):
+    from repro.obs.session import ObservabilitySession
+
+    end_run = ObservabilitySession.end_run
+
+    def skewed_end_run(self, result=None):
+        # Run 3 loses a sliver of device latency between the slices and
+        # the report.
+        if self._run_index == 3:
+            self._layer_sums["device"] += 1e-9
+        return end_run(self, result)
+
+    monkeypatch.setattr(ObservabilitySession, "end_run", skewed_end_run)
+    code = _observe(tmp_path, "table4", "--scale", "0.02", "--no-cache")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "FAILED table4 s=0.02" in err
+    assert "run 3 (mac on " in err
+    assert "layer slices differ from layer_breakdown" in err
+    # The failed unit still wrote its artifacts, and the manifest says so.
+    [unit] = _unit_records(tmp_path / "m.jsonl")
+    assert unit["outcome"] == "error"
+    assert unit["retries"] == 0  # a failed check is not retried
+    assert "run 3 (mac on " in unit["error"]
+    assert set(unit["artifacts"]) == {"trace", "metrics", "layers"}
+    for path in unit["artifacts"].values():
+        assert Path(path).is_file()
+
+
+def test_trace_command_writes_valid_chrome_trace(observed_table4):
+    # One process track per simulation, whose layer slices sum to that
+    # run's layer_breakdown bit for bit.
+    from repro.obs.events import read_chrome_layer_totals
+
+    trace = observed_table4.artifacts["trace"]
+    assert json.loads(trace.read_text())["traceEvents"]
+    per_track = read_chrome_layer_totals(trace)
+    assert len(per_track) == len(observed_table4.runs) == 21
+    for totals, run in zip(per_track, observed_table4.runs):
+        reported = run["layer_breakdown_latency_s"]
+        for name in set(totals) | set(reported):
+            assert totals.get(name, 0.0) == reported.get(name, 0.0), name
+        assert all(total > 0 for total in totals.values())
+
+
+def test_metrics_command_writes_json_and_prometheus(observed_table4):
+    # One metrics run per simulation, each in exact agreement and with a
+    # sampled series.  The unit's registry holds its last simulation,
+    # and its Prometheus exposition counts what that run's JSON counts.
+    runs = observed_table4.runs
+    assert all(run["agreement_max_abs_diff"] == 0.0 for run in runs)
+    assert all(run["metrics"]["series"] for run in runs)
+    text = observed_table4.session.registry.to_prometheus()
+    assert "# TYPE repro_ops_total counter" in text
+    assert "repro_response_time_s_bucket" in text
+    values = dict(line.rsplit(" ", 1) for line in text.splitlines()
+                  if not line.startswith("#"))
+    last = runs[-1]
+    assert (float(values["repro_ops_total"])
+            == last["metrics"]["instruments"]["ops_total"]["value"]
+            == last["totals"]["ops"])
+
+
+def test_observe_checks_every_simulation_and_keeps_the_report(
+        observed_table4, tmp_path):
+    assert len(observed_table4.runs) == observed_table4.calls == 21
+    plain_report = tmp_path / "plain.txt"
+    assert main(["run", "table4", "--scale", "0.02", "--jobs", "1",
+                 "--no-cache", "--quiet", "--output", str(plain_report),
+                 "--manifest", str(tmp_path / "plain.jsonl")]) == 0
+    assert observed_table4.report.read_bytes() == plain_report.read_bytes()
+
+
+def test_artifact_stems_are_distinct_per_unit():
+    from repro.engine import WorkUnit
+    from repro.engine.scheduler import _artifact_stem
+
+    # Plain units keep their names.
+    assert _artifact_stem(WorkUnit("table4", scale=0.02)) == "table4-s0.02"
+    assert (_artifact_stem(WorkUnit("table4", scale=0.02, seed=3))
+            == "table4-s0.02-seed3")
+    # Units that differ only in kwargs or kernel do not share a path.
+    shards = [WorkUnit("fleet", scale=0.02, seed=3,
+                       kwargs=(("shard", shard), ("shards", 4)))
+              for shard in range(4)]
+    kernels = [WorkUnit("table4", scale=0.02, kernel=kernel)
+               for kernel in (None, "batched", "vector")]
+    stems = [_artifact_stem(unit) for unit in shards + kernels]
+    assert len(set(stems)) == len(stems)
+    assert all(stem.startswith("fleet-s0.02-seed3-") for stem in stems[:4])
+
+
+def test_observed_fleet_shards_get_one_artifact_set_each(tmp_path, capsys):
+    assert main(["fleet", "--devices", "8", "--seed", "3", "--scale", "0.02",
+                 "--ops", "200", "--shards", "4", "--jobs", "1", "--quiet",
+                 "--cache-dir", str(tmp_path / "c"),
+                 "--manifest", str(tmp_path / "f.jsonl")]) == 0
+    assert main(["run", "--resume", str(tmp_path / "f.jsonl"), "--jobs", "1",
+                 "--quiet", "--manifest", str(tmp_path / "r.jsonl"),
+                 "--observe", str(tmp_path / "obs")]) == 0
+    units = _unit_records(tmp_path / "r.jsonl")
+    paths = [path for unit in units for path in unit["artifacts"].values()]
+    assert len(units) == 4 and len(set(paths)) == 12
+    assert len(list((tmp_path / "obs").iterdir())) == 12
+
+
+def test_observed_units_leave_the_result_cache_alone(tmp_path, capsys):
+    # Observation forces the batched path, so an observed vector unit's
+    # result must never answer for the vector unit's cache key.
+    cache_dir = str(tmp_path / "cache")
+    args = ["table4", "--scale", "0.02", "--kernel", "vector",
+            "--cache-dir", cache_dir]
+    assert _observe(tmp_path, *args) == 0
+    capsys.readouterr()
+    [unit] = _unit_records(tmp_path / "m.jsonl")
+    assert unit["cache"] == "off"
+    assert main(["cache", "stats", "--cache-dir", cache_dir]) == 0
+    assert "entries      0" in capsys.readouterr().out
+    assert main(["run", *args, "--jobs", "1", "--quiet",
+                 "--manifest", str(tmp_path / "again.jsonl")]) == 0
+    assert "0 cache hit(s), 1 miss(es)" in capsys.readouterr().out
+
+
+def test_dropped_events_warn_once_per_unit_under_jobs(tmp_path, capfd,
+                                                      monkeypatch):
+    import repro.obs
+
+    class SmallRing(repro.obs.ObservabilitySession):
+        def __init__(self) -> None:
+            super().__init__(trace_capacity=500)
+
+    # The engine's pool forks (the default start method on Linux) after
+    # the patch, so its workers observe with the small ring too.
+    monkeypatch.setattr(repro.obs, "ObservabilitySession", SmallRing)
+    assert main(["run", "table4", "fig4", "--scale", "0.02", "--jobs", "2",
+                 "--no-cache", "--quiet", "--observe", str(tmp_path / "obs"),
+                 "--manifest", str(tmp_path / "m.jsonl")]) == 0
+    warnings = [line for line in capfd.readouterr().err.splitlines()
+                if line.startswith("warning: ")]
+    assert len(warnings) == 2
+    for unit, line in zip(sorted(["table4", "fig4"]), sorted(warnings)):
+        assert line.startswith(f"warning: {unit} s=0.02: the event ring "
+                               f"dropped ")
+        assert line.endswith("the trace keeps only the newest 500")

@@ -1,71 +1,104 @@
-"""``repro inspect``: per-layer attribution reports for experiments."""
+"""Per-layer attribution of observed runs.
+
+``repro run <ids> --observe DIR`` checks every simulation of a work unit
+and writes its latency and energy per layer, one table per simulation,
+to ``<stem>.layers.txt`` (:meth:`ObservabilitySession.layer_tables`).
+These tables replace the probe reports of the former ``repro inspect``.
+"""
 
 from __future__ import annotations
+
+import json
+from pathlib import Path
 
 import pytest
 
 from repro.__main__ import main
+from repro.engine import WorkUnit
+from repro.engine.scheduler import run_unit_observed
 from repro.errors import ConfigurationError
-from repro.experiments.inspection import (
-    inspect_experiment,
-    probes_for,
-)
 
 
-def test_inspect_components_sum_to_totals():
-    report, ok = inspect_experiment("validation", scale=0.05)
-    assert ok, "per-layer components must sum to the run totals"
-    text = report.render()
-    assert "layer" in text
-    assert "device" in text
-    assert "total" in text
+@pytest.fixture(scope="module")
+def table4(tmp_path_factory):
+    """An observed table4 unit: its metrics runs, and its layer tables
+    split into rows of words."""
+    out = str(tmp_path_factory.mktemp("table4"))
+    _result, artifacts = run_unit_observed(WorkUnit("table4", scale=0.02),
+                                           out, out)
+    runs = json.loads(Path(artifacts["metrics"]).read_text())["runs"]
+    layers = Path(artifacts["layers"]).read_text()
+    tables = [[line.split() for line in table.splitlines()]
+              for table in layers.split("\n\n")]
+    return runs, tables
 
 
-def test_inspect_flash_probe_reports_cleaning_layer():
-    # table4's default probes include a flash card, whose reclamation work
-    # must surface as the attributed `cleaning` pseudo-layer.
-    report, ok = inspect_experiment("table4", scale=0.02)
-    assert ok
-    text = report.render()
-    assert "cleaning" in text
-    assert "intel-datasheet" in text
+def test_inspect_components_sum_to_totals(table4):
+    runs, tables = table4
+    assert len(runs) == len(tables) == 21
+    for run, table in zip(runs, tables):
+        totals = run["totals"]
+        latency = sum(run["layer_breakdown_latency_s"].values())
+        energy = sum(run["layer_breakdown_energy_j"].values())
+        assert latency == pytest.approx(totals["latency_s"], rel=1e-6)
+        assert energy == pytest.approx(totals["energy_j"], rel=1e-9)
+        # Title, header, rule, one row per layer, then the total row.
+        assert table[1] == ["layer", "latency", "s", "lat", "%",
+                            "energy", "J", "en", "%"]
+        assert ([row[0] for row in table[3:]]
+                == [*run["layer_breakdown_latency_s"], "total"])
 
 
-def test_inspect_unknown_experiment_raises():
-    with pytest.raises(ConfigurationError):
-        inspect_experiment("does-not-exist")
+def test_inspect_flash_probe_reports_cleaning_layer(table4):
+    # A flash card's reclamation work surfaces as the attributed
+    # `cleaning` pseudo-layer of each of its simulations.
+    runs, tables = table4
+    card = [table for run, table in zip(runs, tables)
+            if run["device"] == "intel-datasheet"]
+    assert card
+    for table in card:
+        assert "cleaning" in [row[0] for row in table[3:-1]]
 
 
-def test_inspect_no_simulation_experiments_fall_back():
-    report, ok = inspect_experiment("table2", scale=0.02)
-    assert ok
-    assert any("no storage simulation" in note for note in report.notes)
+def test_inspect_unknown_experiment_raises(tmp_path):
+    with pytest.raises(ConfigurationError,
+                       match="unknown experiment 'does-not-exist'"):
+        run_unit_observed(WorkUnit("does-not-exist"), str(tmp_path),
+                          str(tmp_path))
+    assert list(tmp_path.iterdir()) == []
 
 
-def test_probe_registry_keys_are_real_experiment_ids():
-    from repro.experiments.inspection import _NO_SIMULATION, _PROBES
-    from repro.experiments.registry import all_experiments
-
-    known = set(all_experiments())
-    assert set(_PROBES) <= known
-    assert set(_NO_SIMULATION) <= known
-
-
-def test_probe_registry_covers_specialized_experiments():
-    assert probes_for("fig5") != probes_for("table4")
-    labels = [probe.label for probe in probes_for("fig5")]
-    assert any("SRAM" in label for label in labels)
+def test_inspect_no_simulation_experiments_fall_back(tmp_path):
+    # table2 lists manufacturer specifications and simulates nothing:
+    # its unit passes the checks, and its layers file says so.
+    out = str(tmp_path)
+    _result, artifacts = run_unit_observed(WorkUnit("table2", scale=0.02),
+                                           out, out)
+    assert json.loads(Path(artifacts["metrics"]).read_text())["runs"] == []
+    assert Path(artifacts["layers"]).read_text() == "no simulation ran\n"
 
 
-def test_inspect_cli_prints_breakdown(capsys):
-    code = main(["inspect", "validation", "--scale", "0.05"])
+def test_inspect_cli_prints_breakdown(tmp_path, capsys):
+    code = main(["run", "validation", "--scale", "0.05", "--jobs", "1",
+                 "--no-cache", "--quiet",
+                 "--manifest", str(tmp_path / "m.jsonl"),
+                 "--observe", str(tmp_path / "obs")])
     assert code == 0
-    out = capsys.readouterr().out
-    assert "Per-layer attribution" in out
-    assert "energy J" in out
+    assert capsys.readouterr().err == ""
+    layers = (tmp_path / "obs" / "validation-s0.05.layers.txt").read_text()
+    assert layers.startswith("run 0: synth on cu140-measured, ")
+    assert layers.count("energy J") == 3  # one table per simulation
 
 
-def test_inspect_cli_unknown_experiment_errors(capsys):
-    code = main(["inspect", "nope"])
+def test_inspect_cli_unknown_experiment_errors(tmp_path, capsys):
+    # Every id is checked before any unit runs: one bad id among good
+    # ones observes nothing and writes no manifest.
+    code = main(["run", "table2", "nope", "--jobs", "1", "--no-cache",
+                 "--manifest", str(tmp_path / "m.jsonl"),
+                 "--observe", str(tmp_path / "obs")])
     assert code == 2
-    assert "unknown experiment" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: unknown experiment 'nope'")
+    assert captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from repro.obs.events import (
     EVENT_KINDS,
     EventTracer,
-    iter_jsonl,
     read_chrome_layer_totals,
 )
 from repro.obs.metrics import (
@@ -91,22 +90,6 @@ def test_layer_totals_scoped_to_a_run():
     assert tracer.layer_latency_totals(since_run=0) == {"device": 1.0}
     assert tracer.layer_latency_totals(since_run=1) == {"device": 4.0}
     assert tracer.layer_latency_totals() == {"device": 5.0}
-
-
-def test_jsonl_round_trip(tmp_path):
-    tracer = EventTracer()
-    tracer.emit("run", 0.0, 0.0, "mac|disk", 0.0)
-    tracer.emit("layer", 0.125, 0.25, "dram", 0.0, 0.5)
-    tracer.emit("cache", 0.125, 0.0, "dram", 3, 1)
-    tracer.emit("spin_up", 1.0, 2.5, "disk")
-    path = tracer.write_jsonl(tmp_path / "events.jsonl")
-    records = list(iter_jsonl(path))
-    assert [r["kind"] for r in records] == ["run", "layer", "cache", "spin_up"]
-    assert records[1] == {"kind": "layer", "t0_s": 0.125, "name": "dram",
-                          "latency_s": 0.25, "energy_j": 0.5}
-    assert records[2] == {"kind": "cache", "t0_s": 0.125, "name": "dram",
-                          "hits": 3, "misses": 1}
-    assert records[3]["dur_s"] == 2.5
 
 
 def test_chrome_export_round_trips_json(tmp_path):
@@ -267,7 +250,7 @@ def test_streamed_chrome_equals_the_oracle(capacity, events):
 
 
 def test_observed_unit_artifacts_equal_the_oracle(tmp_path, monkeypatch):
-    """A real ``repro run --trace-out --metrics-out`` unit, byte for byte."""
+    """A real ``repro run --observe`` unit, byte for byte."""
     import repro.obs
     from repro.engine import WorkUnit
     from repro.engine.scheduler import run_unit_observed
@@ -289,6 +272,7 @@ def test_observed_unit_artifacts_equal_the_oracle(tmp_path, monkeypatch):
     assert trace == json.dumps(_chrome_oracle(session.tracer))
     metrics = Path(artifacts["metrics"]).read_text()
     assert metrics == json.dumps(session.to_json_dict())
+    assert Path(artifacts["layers"]).read_text() == session.layer_tables()
 
 
 def test_chrome_export_memory_is_bounded_by_the_ring(tmp_path):

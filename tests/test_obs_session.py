@@ -65,6 +65,22 @@ def test_traced_layer_sums_equal_breakdown_bitwise(device):
     assert session.runs[-1]["agreement_max_abs_diff"] == 0.0
 
 
+@pytest.mark.parametrize("device", DEVICES)
+def test_attribution_checks_pass_and_catch_missing_work(device):
+    """Every real run passes both checks; a run whose layer components
+    miss its energy total by more than the tolerance is reported."""
+    session = ObservabilitySession()
+    for seed in (7, 8):
+        simulate(_trace("mac", n_ops=1000, seed=seed),
+                 SimulationConfig(device=device), obs=session)
+    assert session.attribution_problems() == []
+    assert session.layer_tables().count(" measured ops\n") == 2
+    session.runs[1]["totals"]["energy_j"] *= 1 + 1e-8
+    [problem] = session.attribution_problems()
+    assert problem.startswith(f"run 1 (mac on {session.runs[1]['device']}): "
+                              "layer components do not sum to the run totals")
+
+
 @settings(max_examples=10, deadline=None)
 @given(
     workload=st.sampled_from(WORKLOADS),

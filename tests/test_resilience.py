@@ -301,23 +301,23 @@ class TestManifestV2:
             resume_spec(path)
 
 
-# -- artifact directories created once, in the parent ----------------------
+# -- the artifact directory is created once, in the parent -----------------
 
 class TestArtifactDirectories:
     def test_execute_creates_dirs_up_front(self, tmp_path):
-        trace_dir = tmp_path / "nested" / "traces"
-        metrics_dir = tmp_path / "nested" / "metrics"
-        execute([], jobs=1, trace_dir=str(trace_dir),
-                metrics_dir=str(metrics_dir))
-        assert trace_dir.is_dir()
-        assert metrics_dir.is_dir()
+        observe_dir = tmp_path / "nested" / "observed"
+        execute([], jobs=1, observe_dir=str(observe_dir))
+        assert observe_dir.is_dir()
 
     def test_observed_units_write_into_them(self, tmp_path):
-        trace_dir = tmp_path / "t"
+        observe_dir = tmp_path / "o"
         [outcome] = execute([WorkUnit("table2", scale=SMALL)], jobs=1,
-                            trace_dir=str(trace_dir))
+                            observe_dir=str(observe_dir))
         assert outcome.ok
-        assert os.path.isfile(outcome.artifacts["trace"])
+        assert set(outcome.artifacts) == {"trace", "metrics", "layers"}
+        for path in outcome.artifacts.values():
+            assert os.path.dirname(path) == str(observe_dir)
+            assert os.path.isfile(path)
 
 
 # -- summarize gains recovery counts ---------------------------------------
