@@ -15,7 +15,7 @@ Al-Maeeni et al. (see PAPERS.md):
   reference path's — the population's *composition* never moves.
 
 * **Traces are synthesized distributionally.**  Per-device op streams
-  are drawn from the same mixtures ``_WorkloadGenerator`` uses (gap
+  are drawn from the same mixtures ``WorkloadSpec.generate`` uses (gap
   burst/pause/session mixture with the same analytic cap-and-rescale
   target, Zipf/hot-cold file popularity over a canonical per-workload
   file table, shifted-geometric sizes, repeat runs, sequential-cursor
@@ -128,7 +128,7 @@ def sample_device_batch(
 
 class _WorkloadTables:
     """File sizes, Zipf cumulative weights, and the hot set for one
-    workload — the canonical stand-in for ``_WorkloadGenerator``'s
+    workload — the canonical stand-in for ``WorkloadSpec.generate``'s
     per-device tables (file sizes are i.i.d. uniform, so assigning them
     in rank order is distributionally identical to the reference's
     per-device shuffle)."""

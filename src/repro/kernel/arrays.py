@@ -1,18 +1,18 @@
 """Flat NumPy views of a compiled trace, shared by every vector kernel.
 
-:func:`op_arrays` lifts :class:`~repro.traces.compiled.CompiledOps` (Python
-lists of per-op scalars) into dtype'd arrays once per trace and caches the
-result on the trace object, exactly like the compiled ops themselves.  The
-per-op block *tuples* stay in the compiled form — the kernels index them
-lazily (flash-card writes, sleeping-disk buffer membership) because only a
-small fraction of operations ever need block identities.
+:func:`op_arrays` hands the kernels the arrays
+:class:`~repro.traces.compiled.CompiledOps` already holds, cached on the
+trace object exactly like the compiled ops themselves.  The per-op block
+*tuples* stay in the compiled form — the kernels index them lazily
+(flash-card writes, sleeping-disk buffer membership) because only a small
+fraction of operations ever need block identities.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-import numpy as np
+from repro.traces.trace import DELETE, READ, WRITE
 
 if TYPE_CHECKING:
     from repro.traces.compiled import CompiledOps
@@ -20,35 +20,22 @@ if TYPE_CHECKING:
 
 _CACHE_ATTR = "_kernel_op_arrays"
 
-#: Integer codes for :class:`~repro.core.request.RequestKind` members.
-READ, WRITE, DELETE = 0, 1, 2
+__all__ = ["DELETE", "READ", "WRITE", "OpArrays", "op_arrays"]
 
 
 class OpArrays:
-    """Parallel per-operation arrays: kind code, time, size, file id,
-    block count."""
+    """Parallel per-operation arrays: kind code (the trace's op codes),
+    time, size, file id, block count."""
 
     __slots__ = ("kind", "time", "size", "file_id", "n_blocks", "n_ops")
 
     def __init__(self, compiled: "CompiledOps") -> None:
-        from repro.core.request import RequestKind
-
-        code = {
-            RequestKind.READ: READ,
-            RequestKind.WRITE: WRITE,
-            RequestKind.DELETE: DELETE,
-        }
         self.n_ops = compiled.n_ops
-        self.kind = np.fromiter(
-            (code[k] for k in compiled.kinds), dtype=np.int8, count=self.n_ops
-        )
-        self.time = np.asarray(compiled.times, dtype=np.float64)
-        self.size = np.asarray(compiled.sizes, dtype=np.int64)
-        self.file_id = np.asarray(compiled.file_ids, dtype=np.int64)
-        # The file mapper emits each device block at most once per op, and
-        # sizes are block-granular for every kind, so the block count falls
-        # straight out of the size column.
-        self.n_blocks = self.size // compiled.block_bytes
+        self.kind = compiled.op_codes
+        self.time = compiled.time
+        self.size = compiled.size
+        self.file_id = compiled.file_id
+        self.n_blocks = compiled.n_blocks
 
 
 def op_arrays(trace: "Trace", compiled: "CompiledOps") -> OpArrays:

@@ -5,7 +5,10 @@ accesses into disk-level operations, by associating a unique disk location
 with each file" (section 4.1).  :class:`FileMapper` performs that
 association: every (file, block-within-file) pair is bound to a device block
 number on first touch, deletions release the binding, and released blocks
-are recycled for later allocations.
+are recycled for later allocations.  It maps one record at a time for the
+per-op reference kernel and is the oracle for
+:func:`~repro.traces.compiled.compile_trace`, which computes the same
+mapping over a whole trace's columns in NumPy.
 
 Allocation is lazy and per-block rather than per-file because the traces do
 not announce file sizes up front; a file's blocks are allocated in access
@@ -31,6 +34,7 @@ import heapq
 from collections.abc import Iterable
 
 from repro.errors import TraceError
+from repro.traces.compiled import compile_trace
 from repro.traces.record import BlockOp, Operation, TraceRecord
 from repro.traces.trace import Trace
 
@@ -224,8 +228,7 @@ def dataset_blocks(trace: Trace) -> int:
     """Number of distinct device blocks a trace binds over its lifetime.
 
     This is the high-water mark of the mapper after the full trace, which is
-    what the simulated device capacity must cover.
+    what the simulated device capacity must cover (read from the trace's
+    cached compiled form).
     """
-    mapper = FileMapper(trace.block_size)
-    mapper.translate_all(trace)
-    return mapper.high_water_blocks
+    return compile_trace(trace).dataset_blocks

@@ -49,7 +49,7 @@ from repro.errors import TraceError
 from repro.traces.record import Operation
 from repro.traces.stats import TraceStatistics, compute_statistics
 from repro.traces.trace import Trace
-from repro.traces.workloads import WorkloadSpec, _WorkloadGenerator
+from repro.traces.workloads import WorkloadSpec, _file_table, _gap_chunk
 from repro.units import KB
 
 #: On-disk model format marker (``model.json``).
@@ -379,8 +379,9 @@ def _fit_burst_weight(stats: TraceStatistics, probe_seed: int) -> float:
             burst_weight=weight,
             burst_mean_scale=_BURST_MEAN_SCALE,
         )
-        generator = _WorkloadGenerator(spec, random.Random(probe_seed))
-        gaps = [generator._interarrival() for _ in range(8192)]
+        rng = random.Random(probe_seed)
+        _file_table(spec, rng)  # the draws a trace makes before its gaps
+        gaps = _gap_chunk(spec, rng) + _gap_chunk(spec, rng)  # 8192 gaps
         mean = sum(gaps) / len(gaps)
         return math.sqrt(sum((gap - mean) ** 2 for gap in gaps) / len(gaps))
 

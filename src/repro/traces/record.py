@@ -14,6 +14,7 @@ section 4.1); :class:`BlockOp` is the result of that preprocessing.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 from repro.errors import TraceError
@@ -50,8 +51,10 @@ class TraceRecord:
     size: int = 0
 
     def __post_init__(self) -> None:
-        if self.time < 0:
-            raise TraceError(f"record time must be >= 0, got {self.time}")
+        if not 0 <= self.time < math.inf:  # false for nan, too
+            raise TraceError(
+                f"record time must be finite and >= 0, got {self.time}"
+            )
         if self.offset < 0:
             raise TraceError(f"record offset must be >= 0, got {self.offset}")
         if self.op is Operation.DELETE:

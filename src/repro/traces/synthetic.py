@@ -19,12 +19,12 @@ data, and both fractions are exposed as parameters.)
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
 from repro.errors import TraceError
-from repro.traces.record import Operation, TraceRecord
-from repro.traces.trace import Trace
+from repro.traces.trace import DELETE, READ, WRITE, Trace
 from repro.units import KB
 
 
@@ -69,102 +69,87 @@ class SyntheticWorkload:
 
         Erased files are recreated in full (one ``file_bytes`` write) the
         next time the workload writes to them, per the paper; reads are
-        redirected away from currently-erased files.
+        redirected away from currently-erased files.  An erase that would
+        leave no file is skipped (its draws stay made).
         """
         rng = random.Random(seed)
+        random_ = rng.random
+        randrange = rng.randrange
+        randint = rng.randint
         n_files = self.n_files
         n_hot = max(1, round(n_files * self.hot_data_fraction))
-        erased: set[int] = set()
+        n_cold = n_files - n_hot
+        hot_fraction = self.hot_access_fraction
+        burst_fraction = self.burst_fraction
+        burst_span = 2.0 * self.burst_mean_s
+        pause_offset = self.pause_offset_s
+        pause_rate = 1.0 / self.pause_mean_s
+        read_fraction = self.read_fraction
+        write_bound = self.read_fraction + self.write_fraction
+        small_fraction = self.small_size_fraction
+        medium_bound = self.small_size_fraction + self.medium_size_fraction
+        file_bytes = self.file_bytes
 
-        records: list[TraceRecord] = []
+        def choose_file() -> int:
+            if random_() < hot_fraction:
+                return randrange(n_hot)
+            return n_hot + randrange(n_cold)
+
+        times: list[float] = []
+        ops: list[int] = []
+        file_ids: list[int] = []
+        offsets: list[int] = []
+        sizes: list[int] = []
+        erased: set[int] = set()
         clock = 0.0
         for _ in range(n_ops):
-            clock += self._interarrival(rng)
-            op = self._choose_operation(rng)
-            file_id = self._choose_file(rng, n_files, n_hot)
+            # Bimodal gaps: uniform(0, 2 * burst mean), or the pause offset
+            # plus an exponential (random.uniform and expovariate, inlined).
+            if random_() < burst_fraction:
+                clock += 0.0 + burst_span * random_()
+            else:
+                clock += pause_offset + -math.log(1.0 - random_()) / pause_rate
+            draw = random_()
+            op = READ if draw < read_fraction else WRITE if draw < write_bound else DELETE
+            file_id = choose_file()
 
-            if op is Operation.DELETE:
+            if op == DELETE:
                 if len(erased) >= n_files - 1:
                     continue  # never erase the entire dataset
                 while file_id in erased:
-                    file_id = self._choose_file(rng, n_files, n_hot)
+                    file_id = choose_file()
                 erased.add(file_id)
-                records.append(
-                    TraceRecord(time=clock, op=op, file_id=file_id)
-                )
-                continue
-
-            if op is Operation.WRITE and file_id in erased:
+                offset = size = 0
+            elif op == WRITE and file_id in erased:
                 # First write after an erase recreates the whole file.
                 erased.discard(file_id)
-                records.append(
-                    TraceRecord(
-                        time=clock,
-                        op=op,
-                        file_id=file_id,
-                        offset=0,
-                        size=self.file_bytes,
-                    )
+                offset, size = 0, file_bytes
+            else:
+                if op == READ:
+                    while file_id in erased:
+                        file_id = choose_file()
+                draw = random_()
+                if draw < small_fraction:
+                    size = 512
+                else:
+                    if draw < medium_bound:
+                        size = randint(512 + 1, 16 * KB)
+                    else:
+                        size = randint(16 * KB + 1, file_bytes)
+                    size = max(block_size, (size // block_size) * block_size)
+                max_offset = file_bytes - size
+                offset = (
+                    randint(0, max_offset // block_size) * block_size
+                    if max_offset > 0 else 0
                 )
-                continue
+            times.append(clock)
+            ops.append(op)
+            file_ids.append(file_id)
+            offsets.append(offset)
+            sizes.append(size)
 
-            if op is Operation.READ and file_id in erased:
-                file_id = self._live_file(rng, n_files, n_hot, erased)
-
-            size = self._choose_size(rng, block_size)
-            offset = self._choose_offset(rng, size, block_size)
-            records.append(
-                TraceRecord(time=clock, op=op, file_id=file_id, offset=offset, size=size)
-            )
-
-        return Trace(
-            self.name,
-            records,
+        return Trace.from_columns(
+            self.name, times, ops, file_ids, offsets, sizes,
             block_size=block_size,
             metadata={"generator": "SyntheticWorkload", "seed": seed},
         )
-
-    # -- draws ----------------------------------------------------------------
-
-    def _interarrival(self, rng: random.Random) -> float:
-        if rng.random() < self.burst_fraction:
-            return rng.uniform(0.0, 2.0 * self.burst_mean_s)
-        return self.pause_offset_s + rng.expovariate(1.0 / self.pause_mean_s)
-
-    def _choose_operation(self, rng: random.Random) -> Operation:
-        draw = rng.random()
-        if draw < self.read_fraction:
-            return Operation.READ
-        if draw < self.read_fraction + self.write_fraction:
-            return Operation.WRITE
-        return Operation.DELETE
-
-    def _choose_file(self, rng: random.Random, n_files: int, n_hot: int) -> int:
-        if rng.random() < self.hot_access_fraction:
-            return rng.randrange(n_hot)
-        return n_hot + rng.randrange(n_files - n_hot)
-
-    def _live_file(
-        self, rng: random.Random, n_files: int, n_hot: int, erased: set[int]
-    ) -> int:
-        while True:
-            candidate = self._choose_file(rng, n_files, n_hot)
-            if candidate not in erased:
-                return candidate
-
-    def _choose_size(self, rng: random.Random, block_size: int) -> int:
-        draw = rng.random()
-        if draw < self.small_size_fraction:
-            return 512
-        if draw < self.small_size_fraction + self.medium_size_fraction:
-            size = rng.randint(512 + 1, 16 * KB)
-        else:
-            size = rng.randint(16 * KB + 1, self.file_bytes)
-        return max(block_size, (size // block_size) * block_size)
-
-    def _choose_offset(self, rng: random.Random, size: int, block_size: int) -> int:
-        max_offset = self.file_bytes - size
-        if max_offset <= 0:
-            return 0
-        slots = max_offset // block_size
-        return rng.randint(0, slots) * block_size

@@ -33,13 +33,13 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import TraceError
-from repro.traces.record import Operation, TraceRecord
-from repro.traces.trace import Trace
+from repro.traces.trace import DELETE, READ, WRITE, Trace
 from repro.units import KB
 
 #: Inter-arrival gaps drawn, and rescaled to the target mean, at a time.
@@ -164,8 +164,13 @@ class WorkloadSpec:
     def generate(self, seed: int = 0, n_ops: int | None = None) -> Trace:
         """Generate a trace with ``n_ops`` operations (default: enough to
         span the workload's nominal duration)."""
-        generator = _WorkloadGenerator(self, random.Random(seed))
-        return generator.run(n_ops if n_ops is not None else self.n_operations, seed)
+        columns = _draw_columns(
+            self, random.Random(seed), self.n_operations if n_ops is None else n_ops
+        )
+        return Trace.from_columns(
+            self.name, *columns, block_size=self.block_size,
+            metadata={"generator": "WorkloadSpec", "seed": seed},
+        )
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -235,218 +240,202 @@ def _expovariate(uniforms: np.ndarray, mean: float) -> np.ndarray:
     return -np.fromiter(logs, float, len(uniforms)) / (1.0 / mean)
 
 
-class _WorkloadGenerator:
-    """One-shot generation state for a :class:`WorkloadSpec`."""
+def _file_table(
+    spec: WorkloadSpec, rng: random.Random
+) -> tuple[list[int], list[int], list[float], list[int], list[int]]:
+    """The files a trace draws from, and the draws that make them.
 
-    def __init__(self, spec: WorkloadSpec, rng: random.Random) -> None:
-        self.spec = spec
-        self.rng = rng
-        self._build_files()
-        self._build_popularity()
-        self._cursor: dict[int, int] = {}  # file -> next sequential block
-        self.deleted: set[int] = set()
-        self._gaps: list[float] = []
-        self._gap_index = 0
+    Returns each file's size in blocks (by file id), the file ids by
+    popularity rank, the cumulative Zipf weight by rank, and the hot and
+    cold files (both empty without a hot/cold overlay).
+    """
+    target_blocks = spec.distinct_kbytes * KB // spec.block_size
+    sizes: list[int] = []
+    total = 0
+    while total < target_blocks:
+        size = rng.randint(spec.min_file_blocks, spec.max_file_blocks)
+        size = min(size, int(target_blocks - total)) or 1
+        sizes.append(size)
+        total += size
 
-    def _build_files(self) -> None:
-        spec = self.spec
-        target_blocks = spec.distinct_kbytes * KB // spec.block_size
-        sizes: list[int] = []
-        total = 0
-        while total < target_blocks:
-            size = self.rng.randint(spec.min_file_blocks, spec.max_file_blocks)
-            size = min(size, int(target_blocks - total)) or 1
-            sizes.append(size)
-            total += size
-        self.file_blocks = sizes
+    # Zipf weights over a shuffled file ranking, plus the hot set.
+    n = len(sizes)
+    ranks = list(range(n))
+    rng.shuffle(ranks)
+    cumulative = []
+    running = 0.0
+    for rank in range(n):
+        running += 1.0 / (rank + 1) ** spec.zipf_exponent
+        cumulative.append(running)
 
-    def _build_popularity(self) -> None:
-        """Zipf weights over a shuffled file ranking, plus the hot set."""
-        spec = self.spec
-        n = len(self.file_blocks)
-        ranks = list(range(n))
-        self.rng.shuffle(ranks)
-        weights = [1.0 / (rank + 1) ** spec.zipf_exponent for rank in range(n)]
-        cumulative = []
-        running = 0.0
-        for weight in weights:
-            running += weight
-            cumulative.append(running)
-        self.files_by_rank = ranks
-        self.cumulative = cumulative
-        self.total_weight = running
-
-        self.hot_files: list[int] = []
-        self.cold_files: list[int] = []
-        if spec.hot_access_fraction is not None:
-            target_blocks = spec.hot_data_fraction * sum(self.file_blocks)
-            hot_blocks = 0
-            for file_id in ranks:
-                if hot_blocks < target_blocks:
-                    self.hot_files.append(file_id)
-                    hot_blocks += self.file_blocks[file_id]
-                else:
-                    self.cold_files.append(file_id)
-            if not self.cold_files:  # degenerate: everything is hot
-                self.cold_files = list(self.hot_files)
-        self._hot_set = set(self.hot_files)
-
-    # -- draws ----------------------------------------------------------------
-
-    def _interarrival(self) -> float:
-        """Next inter-arrival gap, drawn ``GAP_CHUNK`` at a time."""
-        if self._gap_index >= len(self._gaps):
-            self._gaps = _gap_chunk(self.spec, self.rng)
-            self._gap_index = 0
-        gap = self._gaps[self._gap_index]
-        self._gap_index += 1
-        return gap
-
-    def _choose_file(self, op: Operation = Operation.READ) -> int:
-        spec = self.spec
-        if spec.hot_access_fraction is not None:
-            hot_fraction = spec.hot_access_fraction
-            if op is Operation.WRITE and spec.write_hot_access_fraction is not None:
-                hot_fraction = spec.write_hot_access_fraction
-            if self.rng.random() < hot_fraction:
-                return self.rng.choice(self.hot_files)
-            return self.rng.choice(self.cold_files)
-        draw = self.rng.random() * self.total_weight
-        low, high = 0, len(self.cumulative) - 1
-        while low < high:
-            mid = (low + high) // 2
-            if self.cumulative[mid] < draw:
-                low = mid + 1
+    hot_files: list[int] = []
+    cold_files: list[int] = []
+    if spec.hot_access_fraction is not None:
+        target = spec.hot_data_fraction * sum(sizes)
+        hot_blocks = 0
+        for file_id in ranks:
+            if hot_blocks < target:
+                hot_files.append(file_id)
+                hot_blocks += sizes[file_id]
             else:
-                high = mid
-        return self.files_by_rank[low]
+                cold_files.append(file_id)
+        if not cold_files:  # degenerate: everything is hot
+            cold_files = list(hot_files)
+    return sizes, ranks, cumulative, hot_files, cold_files
 
-    def _choose_size_blocks(self, mean_blocks: float, file_size: int) -> int:
-        """Two-component size mix with the requested overall mean.
 
-        Most transfers come from a shifted-geometric body; a small
-        ``large_fraction`` come from a heavy component with mean
-        ``large_mean_blocks``.  The body mean is solved so the mixture hits
-        ``mean_blocks`` overall.
-        """
-        spec = self.spec
-        if spec.large_fraction > 0 and self.rng.random() < spec.large_fraction:
-            blocks = self._geometric(spec.large_mean_blocks)
-        else:
-            body_mean = mean_blocks
-            if spec.large_fraction > 0:
-                body_mean = (
-                    mean_blocks - spec.large_fraction * spec.large_mean_blocks
-                ) / (1.0 - spec.large_fraction)
-            blocks = self._geometric(max(1.0, body_mean))
-        return max(1, min(blocks, file_size))
+def _geometric_log(mean_blocks: float) -> float | None:
+    """``log(1 - 1/mean)`` of a shifted-geometric size with this mean, or
+    ``None`` when the mean is at most one block (one block, no draw)."""
+    if mean_blocks <= 1.0:
+        return None
+    return math.log(1.0 - 1.0 / mean_blocks)
 
-    def _geometric(self, mean_blocks: float) -> int:
-        """Shifted geometric draw with the given mean (>= 1)."""
-        if mean_blocks <= 1.0:
-            return 1
-        success = 1.0 / mean_blocks
-        draw = self.rng.random()
-        return 1 + int(math.log(max(draw, 1e-12)) / math.log(1.0 - success))
 
-    def _choose_operation(self) -> Operation:
-        draw = self.rng.random()
-        if draw < self.spec.read_fraction:
-            return Operation.READ
-        if draw < self.spec.read_fraction + self.spec.delete_fraction:
-            return Operation.DELETE
-        return Operation.WRITE
+def _draw_columns(
+    spec: WorkloadSpec, rng: random.Random, n_ops: int
+) -> tuple[list[float], list[int], list[int], list[int], list[int]]:
+    """The (time, op code, file id, offset, size) columns of a trace.
 
-    # -- main loop -------------------------------------------------------------
+    Per operation: a gap (drawn ``GAP_CHUNK`` at a time), an operation
+    kind, a file (the previous one again with ``repeat_fraction``, else
+    from the hot/cold overlay or the Zipf ranking), a block count from a
+    two-component size mix with the target mean (a shifted-geometric
+    body, plus a ``large_fraction`` heavy component), and a block offset
+    (the file's sequential cursor with ``sequential_fraction``, else
+    uniform).  Every ``hot_drift_ops`` records one hot file swaps with a
+    cold one.  A deletion of a deleted file, or one that would leave no
+    file, and a read of a deleted file are skipped (their draws stay
+    made); a write re-creates a deleted file.
+    """
+    sizes, ranks, cumulative, hot_files, cold_files = _file_table(spec, rng)
+    hot_set = set(hot_files)
+    n_files = len(sizes)
+    last_rank = len(cumulative) - 1
+    total_weight = cumulative[-1] if cumulative else 0.0
 
-    def run(self, n_ops: int, seed: int) -> Trace:
-        spec = self.spec
-        records: list[TraceRecord] = []
-        clock = 0.0
-        last_file: int | None = None
-        while len(records) < n_ops:
-            clock += self._interarrival()
-            op = self._choose_operation()
-            repeatable = (
-                last_file is not None
-                and last_file not in self.deleted
-                # Write bursts re-target the hot working set: a write does
-                # not inherit a cold file from a preceding cold read, which
-                # would smear write traffic over cold data.
-                and (
-                    op is not Operation.WRITE
-                    or spec.write_hot_access_fraction is None
-                    or last_file in self._hot_set
-                )
+    random_ = rng.random
+    choice = rng.choice
+    randint = rng.randint
+    read_fraction = spec.read_fraction
+    delete_bound = spec.read_fraction + spec.delete_fraction
+    hot_fraction = spec.hot_access_fraction
+    write_hot = spec.write_hot_access_fraction
+    write_fraction = hot_fraction if write_hot is None else write_hot
+    repeat_fraction = spec.repeat_fraction
+    drift_ops = spec.hot_drift_ops
+    sequential_fraction = spec.sequential_fraction
+    block_size = spec.block_size
+    large_fraction = spec.large_fraction
+    large_log = _geometric_log(spec.large_mean_blocks)
+    body_logs = []
+    for mean in (spec.mean_read_blocks, spec.mean_write_blocks):
+        if large_fraction >= 1.0:  # every size is large: no body draw
+            body_logs.append(None)
+            continue
+        if large_fraction > 0:
+            mean = (mean - large_fraction * spec.large_mean_blocks) / (
+                1.0 - large_fraction
             )
-            if spec.hot_drift_ops and len(records) % spec.hot_drift_ops == 0:
-                self._drift_hot_set()
-            if repeatable and self.rng.random() < spec.repeat_fraction:
-                file_id = last_file
-            else:
-                file_id = self._choose_file(op)
-            last_file = file_id
-            file_size = self.file_blocks[file_id]
+        body_logs.append(_geometric_log(max(1.0, mean)))
+    read_log, write_log = body_logs
 
-            if op is Operation.DELETE:
-                if file_id in self.deleted or len(self.deleted) >= len(self.file_blocks) - 1:
-                    continue
-                self.deleted.add(file_id)
-                self._cursor.pop(file_id, None)
-                records.append(TraceRecord(time=clock, op=op, file_id=file_id))
-                continue
+    times: list[float] = []
+    ops: list[int] = []
+    file_ids: list[int] = []
+    offsets: list[int] = []
+    lengths: list[int] = []
+    cursor: dict[int, int] = {}  # file -> next sequential block
+    deleted: set[int] = set()
+    gaps: list[float] = []
+    gap_index = 0
+    clock = 0.0
+    last_file: int | None = None
+    emitted = 0
+    while emitted < n_ops:
+        if gap_index == len(gaps):
+            gaps = _gap_chunk(spec, rng)
+            gap_index = 0
+        clock += gaps[gap_index]
+        gap_index += 1
 
-            if file_id in self.deleted:
-                if op is Operation.READ:
-                    continue  # cannot read a deleted file; skip the draw
-                self.deleted.discard(file_id)  # a write recreates the file
-
-            mean = spec.mean_read_blocks if op is Operation.READ else spec.mean_write_blocks
-            nblocks = self._choose_size_blocks(mean, file_size)
-            offset_block = self._choose_offset_block(file_id, file_size, nblocks)
-            records.append(
-                TraceRecord(
-                    time=clock,
-                    op=op,
-                    file_id=file_id,
-                    offset=offset_block * spec.block_size,
-                    size=nblocks * spec.block_size,
-                )
-            )
-        return Trace(
-            spec.name,
-            records,
-            block_size=spec.block_size,
-            metadata={"generator": "WorkloadSpec", "seed": seed},
+        draw = random_()
+        op = READ if draw < read_fraction else DELETE if draw < delete_bound else WRITE
+        # Write bursts re-target the hot working set: a write does not
+        # inherit a cold file from a preceding cold read, which would
+        # smear write traffic over cold data.
+        repeatable = (
+            last_file is not None
+            and last_file not in deleted
+            and (op != WRITE or write_hot is None or last_file in hot_set)
         )
+        if drift_ops and emitted % drift_ops == 0 and hot_files and cold_files:
+            hot_index = rng.randrange(len(hot_files))
+            cold_index = rng.randrange(len(cold_files))
+            hot_file = hot_files[hot_index]
+            cold_file = cold_files[cold_index]
+            hot_files[hot_index] = cold_file
+            cold_files[cold_index] = hot_file
+            hot_set.discard(hot_file)
+            hot_set.add(cold_file)
+        if repeatable and random_() < repeat_fraction:
+            file_id = last_file
+        elif hot_fraction is not None:
+            fraction = write_fraction if op == WRITE else hot_fraction
+            file_id = choice(hot_files) if random_() < fraction else choice(cold_files)
+        else:
+            file_id = ranks[bisect_left(cumulative, random_() * total_weight, 0, last_rank)]
+        last_file = file_id
 
-    def _drift_hot_set(self) -> None:
-        """Swap one hot file for a cold one (working-set drift)."""
-        if not self.hot_files or not self.cold_files:
-            return
-        hot_index = self.rng.randrange(len(self.hot_files))
-        cold_index = self.rng.randrange(len(self.cold_files))
-        hot_file = self.hot_files[hot_index]
-        cold_file = self.cold_files[cold_index]
-        self.hot_files[hot_index] = cold_file
-        self.cold_files[cold_index] = hot_file
-        self._hot_set.discard(hot_file)
-        self._hot_set.add(cold_file)
+        if op == DELETE:
+            if file_id in deleted or len(deleted) >= n_files - 1:
+                continue
+            deleted.add(file_id)
+            cursor.pop(file_id, None)
+            times.append(clock)
+            ops.append(DELETE)
+            file_ids.append(file_id)
+            offsets.append(0)
+            lengths.append(0)
+            emitted += 1
+            continue
+        if file_id in deleted:
+            if op == READ:
+                continue  # cannot read a deleted file; skip the draw
+            deleted.discard(file_id)  # a write recreates the file
 
-    def _choose_offset_block(self, file_id: int, file_size: int, nblocks: int) -> int:
+        if large_fraction > 0 and random_() < large_fraction:
+            size_log = large_log
+        else:
+            size_log = read_log if op == READ else write_log
+        nblocks = 1 if size_log is None else (
+            1 + int(math.log(max(random_(), 1e-12)) / size_log)
+        )
+        file_size = sizes[file_id]
+        if nblocks > file_size:
+            nblocks = max(1, file_size)
+
         limit = file_size - nblocks
         if limit <= 0:
-            self._cursor[file_id] = 0
-            return 0
-        cursor = self._cursor.get(file_id)
-        if cursor is not None and cursor <= limit and (
-            self.rng.random() < self.spec.sequential_fraction
-        ):
-            offset = cursor
+            cursor[file_id] = 0
+            offset = 0
         else:
-            offset = self.rng.randint(0, limit)
-        self._cursor[file_id] = (offset + nblocks) % max(1, file_size)
-        return offset
+            position = cursor.get(file_id)
+            if position is not None and position <= limit and (
+                random_() < sequential_fraction
+            ):
+                offset = position
+            else:
+                offset = randint(0, limit)
+            cursor[file_id] = (offset + nblocks) % file_size
+
+        times.append(clock)
+        ops.append(op)
+        file_ids.append(file_id)
+        offsets.append(offset * block_size)
+        lengths.append(nblocks * block_size)
+        emitted += 1
+    return times, ops, file_ids, offsets, lengths
 
 
 def MacWorkload() -> WorkloadSpec:

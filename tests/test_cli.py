@@ -159,6 +159,19 @@ def test_malformed_trace_prints_one_line_and_exits_2(tmp_path, capsys):
     _assert_one_error_line(capsys, "expected >= 7 fields")
 
 
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("kernel", ["batched", "vector"])
+def test_non_finite_trace_time_prints_one_line_and_exits_2(
+    text, kernel, tmp_path, capsys
+):
+    path = tmp_path / "nonfinite.txt"
+    path.write_text(f"0.0 write 1 0 1024\n{text} read 1 0 1024\n")
+    argv = ["simulate", "--workload", str(path), "--device", "intel-datasheet",
+            "--kernel", kernel]
+    assert main(argv) == 2
+    _assert_one_error_line(capsys, f"{path}:2: record time must be finite")
+
+
 def test_bad_fitted_model_prints_one_line_and_exits_2(tmp_path, capsys):
     from repro.traces.fitting import FittedWorkload
     from repro.traces.stats import compute_statistics

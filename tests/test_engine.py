@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import copyreg
+import gzip
+import io
 import json
+import pickle
 
 import pytest
 
@@ -23,12 +27,16 @@ from repro.engine import (
     summarize,
 )
 from repro.engine.manifest import UNIT_FIELDS
-from repro.errors import ConfigurationError
+from repro.engine.trace_store import TRACE_FORMAT
+from repro.errors import ConfigurationError, TraceError
 from repro.experiments import traces_cache
 from repro.experiments.base import Experiment, ExperimentResult, Table
 from repro.experiments.registry import _EXPERIMENTS
 from repro.experiments.runner import run_experiment
 from repro.fleet import FleetSpec, run_fleet
+from repro.kernel.arrays import op_arrays
+from repro.traces.compiled import compile_trace
+from repro.traces.trace import Trace
 
 #: cheap drivers for end-to-end scheduling tests (table2 is static,
 #: fig4 simulates the short dos trace)
@@ -150,6 +158,27 @@ class TestResultCache:
 
 # -- trace store -----------------------------------------------------------
 
+def _pre_columnar_pickle(trace: Trace) -> bytes:
+    """``trace`` pickled as traces were before they were columnar: the
+    ``Trace`` class, then an instance dict holding the record list."""
+    state = {
+        "name": trace.name, "block_size": trace.block_size,
+        "metadata": dict(trace.metadata), "_records": list(trace.records),
+        "_distinct_bytes": None,
+    }
+    old = object.__new__(Trace)
+
+    class Pickler(pickle.Pickler):
+        def reducer_override(self, obj):
+            if obj is old:
+                return copyreg.__newobj__, (Trace,), state
+            return NotImplemented
+
+    buffer = io.BytesIO()
+    Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(old)
+    return buffer.getvalue()
+
+
 class TestTraceStore:
     def test_round_trip(self, tmp_path):
         store = TraceStore(tmp_path)
@@ -163,6 +192,43 @@ class TestTraceStore:
 
     def test_missing_is_none(self, tmp_path):
         assert TraceStore(tmp_path).load("synth", 0.5, 9) is None
+
+    def test_entry_is_the_columns_alone(self, tmp_path):
+        store = TraceStore(tmp_path)
+        trace = traces_cache.trace_for("dos", SMALL)
+        fresh = pickle.dumps(Trace.from_columns(
+            trace.name, *trace.columns, block_size=trace.block_size,
+            metadata=trace.metadata,
+        ), protocol=pickle.HIGHEST_PROTOCOL)
+        compile_trace(trace)
+        op_arrays(trace, compile_trace(trace))
+        path = store.save(trace, "dos", SMALL, 1)
+        assert path.name.endswith(f".{TRACE_FORMAT}.pkl.gz")
+        with gzip.open(path, "rb") as stream:
+            assert stream.read() == fresh
+        loaded = store.load("dos", SMALL, 1)
+        assert not hasattr(loaded, "_compiled_ops")
+        assert [c.tolist() for c in loaded.columns] == [c.tolist() for c in trace.columns]
+        assert loaded.metadata == trace.metadata
+
+    def test_pre_columnar_entry_is_a_miss_at_old_and_new_path(self, tmp_path):
+        store = TraceStore(tmp_path)
+        trace = traces_cache.trace_for("synth", SMALL)
+        old_format = _pre_columnar_pickle(trace)
+        with pytest.raises(TraceError, match="no columns"):
+            pickle.loads(old_format)
+        old_path = store.root / "traces" / f"synth-s{float(SMALL)!r}-r1.pkl.gz"
+        new_path = store.path_for("synth", SMALL, 1)
+        for path in (old_path, new_path):
+            path.parent.mkdir(parents=True, exist_ok=True)
+            with gzip.open(path, "wb") as stream:
+                stream.write(old_format)
+            assert store.load("synth", SMALL, 1) is None
+        assert old_path.exists()  # another format's name: never read
+        assert not new_path.exists()  # read, rejected and quarantined
+        assert (store.quarantine_dir / new_path.name).exists()
+        assert store.prewarm(("synth",), SMALL, 1) == 1
+        assert store.load("synth", SMALL, 1).records == trace.records
 
     def test_prewarm_generates_once(self, tmp_path):
         store = TraceStore(tmp_path)

@@ -1,10 +1,14 @@
 """File-level to block-level preprocessing."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import TraceError
+from repro.traces.compiled import compile_trace
 from repro.traces.filemap import FileMapper, dataset_blocks, map_trace
 from repro.traces.record import Operation, TraceRecord
+from repro.traces.trace import Trace
 from repro.units import KB
 
 
@@ -101,3 +105,60 @@ class TestMapTrace:
         for op in map_trace(tiny_trace):
             assert op.size % tiny_trace.block_size == 0
             assert op.size == op.nblocks * tiny_trace.block_size
+
+
+# -- the NumPy compiler against the per-record mapper ------------------------
+
+@st.composite
+def record_streams(draw):
+    """Record streams with deletions of never-touched files, double
+    deletions, re-creation after deletion, unaligned multi-block transfers
+    and offsets above 2**32 (and near 2**62, where the compiler ranks the
+    block indexes to keep its sort key in 64 bits)."""
+    block_size = draw(st.sampled_from([1, 512, KB]))
+    files = draw(st.lists(
+        st.sampled_from([0, 1, 2, 7, -3, 2**40]), min_size=1, max_size=4,
+        unique=True,
+    ))
+    offsets = st.one_of(
+        st.integers(0, 8 * block_size),
+        st.integers(2**32, 2**32 + 64 * block_size),
+        st.integers(2**62, 2**62 + 8 * block_size),
+    )
+    records = []
+    time = 0.0
+    for _ in range(draw(st.integers(0, 60))):
+        time += draw(st.sampled_from([0.0, 0.25]))
+        op = draw(st.sampled_from(Operation))
+        file_id = draw(st.sampled_from(files))
+        if op is Operation.DELETE:
+            records.append(record(time, op, file_id))
+        else:
+            size = draw(st.integers(1, 4 * block_size + 1))
+            records.append(record(time, op, file_id, draw(offsets), size))
+    return Trace("stream", records, block_size=block_size)
+
+
+@settings(max_examples=100, deadline=None)
+@given(trace=record_streams())
+def test_compiled_trace_matches_file_mapper(trace):
+    mapper = FileMapper(trace.block_size)
+    ops = mapper.translate_all(trace)
+    compiled = compile_trace(trace)
+    # repr: the blocks must be Python ints, not NumPy scalars.
+    assert repr(compiled.blocks) == repr([op.blocks for op in ops])
+    assert [kind.value for kind in compiled.kinds] == [op.op.value for op in ops]
+    assert compiled.sizes == [op.size for op in ops]
+    assert compiled.times == [op.time for op in ops]
+    assert compiled.file_ids == [op.file_id for op in ops]
+    assert compiled.dataset_blocks == mapper.high_water_blocks
+    assert compiled.n_blocks.tolist() == [len(op.blocks) for op in ops]
+    assert compiled.size.tolist() == compiled.sizes
+
+
+def test_compile_empty_and_delete_only_traces():
+    assert compile_trace(Trace("empty", [])).n_ops == 0
+    deletes = Trace("d", [record(0, Operation.DELETE, 4), record(1, Operation.DELETE, 4)])
+    compiled = compile_trace(deletes)
+    assert compiled.blocks == [(), ()]
+    assert compiled.dataset_blocks == 0

@@ -1,11 +1,14 @@
 """Trace (de)serialisation."""
 
+import hashlib
+
 import pytest
 
 from repro.errors import TraceError
 from repro.traces.io import load_trace, save_trace
 from repro.traces.record import Operation, TraceRecord
 from repro.traces.trace import Trace
+from repro.traces.workloads import workload_by_name
 
 
 @pytest.fixture
@@ -143,3 +146,27 @@ def test_time_backwards_names_line(tmp_path):
     path.write_text("1.0 read 1 0 1024\n0.5 read 1 0 1024\n")
     with pytest.raises(TraceError, match=r"rev\.txt:2: time runs backwards"):
         load_trace(path)
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+def test_non_finite_time_names_line(tmp_path, text):
+    path = tmp_path / "nonfinite.txt"
+    path.write_text(f"0.0 write 1 0 1024\n{text} read 1 0 1024\n")
+    with pytest.raises(TraceError, match=r"nonfinite\.txt:2: record time must be finite"):
+        load_trace(path)
+
+
+#: sha256 of ``save_trace`` output for generated traces, taken from the
+#: per-record generator: the lazy record view writes the same text.
+SAVED_DIGESTS = {
+    ("mac", 7, 6000): "78140c0aa6609884904452916f48d5a943ee9bb643eb762c60fb50a0cd8828e9",
+    ("dos", 7, 6000): "68a9c8ec9eb619730642d5dd7ff3d89ac4aa18b120e6c992b23e202315899d4c",
+}
+
+
+@pytest.mark.parametrize("name, seed, n_ops", list(SAVED_DIGESTS))
+def test_saved_generated_trace_digests(tmp_path, name, seed, n_ops):
+    path = tmp_path / f"{name}.txt"
+    save_trace(workload_by_name(name).generate(seed=seed, n_ops=n_ops), path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == SAVED_DIGESTS[name, seed, n_ops]

@@ -1,10 +1,14 @@
 """Trace record types and the Trace container."""
 
+import math
+import pickle
+
 import pytest
 
 from repro.errors import TraceError
 from repro.traces.record import BlockOp, Operation, TraceRecord
-from repro.traces.trace import Trace
+from repro.traces.trace import OPERATIONS, READ, Trace
+from repro.traces.workloads import MacWorkload
 from repro.units import KB
 
 
@@ -125,3 +129,104 @@ class TestTrace:
     def test_split_warm_invalid_fraction(self, tiny_trace):
         with pytest.raises(TraceError):
             tiny_trace.split_warm(1.0)
+
+
+# -- the columns and the lazy record view ------------------------------------
+
+GOOD = (0.0, Operation.WRITE, 1, 0, KB)
+
+
+@pytest.mark.parametrize("time", [math.nan, math.inf, -math.inf])
+def test_record_time_must_be_finite(time):
+    with pytest.raises(TraceError, match="record time must be finite"):
+        TraceRecord(time=time, op=Operation.READ, file_id=0, size=1)
+
+
+def vars_of(record: TraceRecord) -> tuple:
+    return record.time, record.op, record.file_id, record.offset, record.size
+
+
+def _columns(rows):
+    time, op, file_id, offset, size = zip(*rows)
+    return time, [OPERATIONS.index(o) for o in op], file_id, offset, size
+
+
+@pytest.mark.parametrize("row", [
+    (-0.1, Operation.READ, 0, 0, 1),
+    (math.nan, Operation.READ, 0, 0, 1),
+    (math.inf, Operation.WRITE, 0, 0, 1),
+    (-math.inf, Operation.DELETE, 0, 0, 0),
+    (1.0, Operation.READ, 0, -1, 1),
+    (1.0, Operation.DELETE, 0, 0, 10),
+    (1.0, Operation.READ, 0, 0, 0),
+    (1.0, Operation.WRITE, 0, 0, -5),
+], ids=["negative", "nan", "inf", "-inf", "offset", "delete-size", "read-size",
+        "write-size"])
+def test_from_columns_raises_the_record_error(row):
+    with pytest.raises(TraceError) as expected:
+        TraceRecord(*row)
+    with pytest.raises(TraceError) as raised:
+        Trace.from_columns("bad", *_columns([GOOD, row, (-1.0, *GOOD[1:])]))
+    assert str(raised.value) == str(expected.value)
+
+
+def test_from_columns_raises_the_time_order_error():
+    rows = [GOOD, (2.0, *GOOD[1:]), (1.5, *GOOD[1:])]
+    with pytest.raises(TraceError) as expected:
+        Trace("bad", [TraceRecord(*row) for row in rows])
+    with pytest.raises(TraceError) as raised:
+        Trace.from_columns("bad", *_columns(rows))
+    assert str(raised.value) == str(expected.value)
+    assert "record 2 goes back in time (1.5 < 2.0)" in str(raised.value)
+
+
+def test_from_columns_rejects_bad_op_codes_and_ragged_columns():
+    with pytest.raises(TraceError, match="record 1 has op code 3"):
+        Trace.from_columns("bad", [0.0, 1.0], [READ, 3], [0, 0], [0, 0], [1, 1])
+    with pytest.raises(TraceError, match="equal length"):
+        Trace.from_columns("bad", [0.0, 1.0], [READ], [0, 0], [0, 0], [1, 1])
+    with pytest.raises(TraceError, match="64 bits"):
+        Trace.from_columns("bad", [0.0], [READ], [0], [2**64], [1])
+
+
+def test_from_columns_equals_records(tiny_trace):
+    trace = Trace.from_columns(
+        "tiny", *_columns([vars_of(r) for r in tiny_trace]),
+        block_size=tiny_trace.block_size,
+    )
+    assert trace.records == tiny_trace.records
+    assert [c.tolist() for c in trace.columns] == [
+        c.tolist() for c in tiny_trace.columns
+    ]
+
+
+def test_record_view_holds_python_scalars():
+    trace = MacWorkload().generate(seed=1, n_ops=300)
+    assert trace._records is None  # nothing built until asked
+    for record in trace:
+        assert type(record.time) is float
+        assert type(record.op) is Operation
+        assert all(type(v) is int for v in vars_of(record)[2:])
+    assert trace.records is trace.records
+    assert trace[3] is trace.records[3]
+
+
+def test_columns_are_read_only(tiny_trace):
+    for column in tiny_trace.columns:
+        with pytest.raises(ValueError):
+            column[0] = 0
+    warm, rest = tiny_trace.split_warm(0.5)
+    with pytest.raises(ValueError):
+        rest.columns[0][0] = 0.0
+
+
+def test_pickle_keeps_columns_only(tiny_trace):
+    from repro.traces.compiled import compile_trace
+
+    before = pickle.dumps(tiny_trace)
+    compile_trace(tiny_trace)
+    assert pickle.dumps(tiny_trace) == before
+    loaded = pickle.loads(before)
+    assert not hasattr(loaded, "_compiled_ops")
+    assert loaded.records == tiny_trace.records
+    assert (loaded.name, loaded.block_size) == ("tiny", tiny_trace.block_size)

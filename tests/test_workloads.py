@@ -10,15 +10,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import TraceError
-from repro.traces.record import Operation
+from repro.traces.compiled import compile_trace
+from repro.traces.record import Operation, TraceRecord
 from repro.traces.stats import compute_statistics
 from repro.traces.synthetic import SyntheticWorkload
+from repro.traces.trace import Trace
 from repro.traces.workloads import (
     GAP_CHUNK,
     DosWorkload,
     HpWorkload,
     MacWorkload,
     WorkloadSpec,
+    _draw_columns,
     _gap_chunk,
     workload_by_name,
 )
@@ -309,3 +312,311 @@ def test_gap_chunk_matches_per_draw_loop(spec, seed):
             gap.hex() for gap in _per_draw_chunk(spec, slow)
         ]
     assert fast.getstate() == slow.getstate()
+
+
+# -- the column generator against the per-record loop it replaced ----------
+
+class _WorkloadGenerator:
+    """The oracle: one record object per operation, each helper a call.
+
+    The per-record generator ``WorkloadSpec.generate`` used before traces
+    were columnar.
+    """
+
+    def __init__(self, spec: WorkloadSpec, rng: random.Random) -> None:
+        self.spec = spec
+        self.rng = rng
+        self._build_files()
+        self._build_popularity()
+        self._cursor: dict[int, int] = {}  # file -> next sequential block
+        self.deleted: set[int] = set()
+        self._gaps: list[float] = []
+        self._gap_index = 0
+
+    def _build_files(self) -> None:
+        spec = self.spec
+        target_blocks = spec.distinct_kbytes * KB // spec.block_size
+        sizes: list[int] = []
+        total = 0
+        while total < target_blocks:
+            size = self.rng.randint(spec.min_file_blocks, spec.max_file_blocks)
+            size = min(size, int(target_blocks - total)) or 1
+            sizes.append(size)
+            total += size
+        self.file_blocks = sizes
+
+    def _build_popularity(self) -> None:
+        """Zipf weights over a shuffled file ranking, plus the hot set."""
+        spec = self.spec
+        n = len(self.file_blocks)
+        ranks = list(range(n))
+        self.rng.shuffle(ranks)
+        weights = [1.0 / (rank + 1) ** spec.zipf_exponent for rank in range(n)]
+        cumulative = []
+        running = 0.0
+        for weight in weights:
+            running += weight
+            cumulative.append(running)
+        self.files_by_rank = ranks
+        self.cumulative = cumulative
+        self.total_weight = running
+
+        self.hot_files: list[int] = []
+        self.cold_files: list[int] = []
+        if spec.hot_access_fraction is not None:
+            target_blocks = spec.hot_data_fraction * sum(self.file_blocks)
+            hot_blocks = 0
+            for file_id in ranks:
+                if hot_blocks < target_blocks:
+                    self.hot_files.append(file_id)
+                    hot_blocks += self.file_blocks[file_id]
+                else:
+                    self.cold_files.append(file_id)
+            if not self.cold_files:  # degenerate: everything is hot
+                self.cold_files = list(self.hot_files)
+        self._hot_set = set(self.hot_files)
+
+    # -- draws ----------------------------------------------------------------
+
+    def _interarrival(self) -> float:
+        """Next inter-arrival gap, drawn ``GAP_CHUNK`` at a time."""
+        if self._gap_index >= len(self._gaps):
+            self._gaps = _gap_chunk(self.spec, self.rng)
+            self._gap_index = 0
+        gap = self._gaps[self._gap_index]
+        self._gap_index += 1
+        return gap
+
+    def _choose_file(self, op: Operation = Operation.READ) -> int:
+        spec = self.spec
+        if spec.hot_access_fraction is not None:
+            hot_fraction = spec.hot_access_fraction
+            if op is Operation.WRITE and spec.write_hot_access_fraction is not None:
+                hot_fraction = spec.write_hot_access_fraction
+            if self.rng.random() < hot_fraction:
+                return self.rng.choice(self.hot_files)
+            return self.rng.choice(self.cold_files)
+        draw = self.rng.random() * self.total_weight
+        low, high = 0, len(self.cumulative) - 1
+        while low < high:
+            mid = (low + high) // 2
+            if self.cumulative[mid] < draw:
+                low = mid + 1
+            else:
+                high = mid
+        return self.files_by_rank[low]
+
+    def _choose_size_blocks(self, mean_blocks: float, file_size: int) -> int:
+        """Two-component size mix with the requested overall mean.
+
+        Most transfers come from a shifted-geometric body; a small
+        ``large_fraction`` come from a heavy component with mean
+        ``large_mean_blocks``.  The body mean is solved so the mixture hits
+        ``mean_blocks`` overall.
+        """
+        spec = self.spec
+        if spec.large_fraction > 0 and self.rng.random() < spec.large_fraction:
+            blocks = self._geometric(spec.large_mean_blocks)
+        else:
+            body_mean = mean_blocks
+            if spec.large_fraction > 0:
+                body_mean = (
+                    mean_blocks - spec.large_fraction * spec.large_mean_blocks
+                ) / (1.0 - spec.large_fraction)
+            blocks = self._geometric(max(1.0, body_mean))
+        return max(1, min(blocks, file_size))
+
+    def _geometric(self, mean_blocks: float) -> int:
+        """Shifted geometric draw with the given mean (>= 1)."""
+        if mean_blocks <= 1.0:
+            return 1
+        success = 1.0 / mean_blocks
+        draw = self.rng.random()
+        return 1 + int(math.log(max(draw, 1e-12)) / math.log(1.0 - success))
+
+    def _choose_operation(self) -> Operation:
+        draw = self.rng.random()
+        if draw < self.spec.read_fraction:
+            return Operation.READ
+        if draw < self.spec.read_fraction + self.spec.delete_fraction:
+            return Operation.DELETE
+        return Operation.WRITE
+
+    # -- main loop -------------------------------------------------------------
+
+    def run(self, n_ops: int, seed: int) -> Trace:
+        spec = self.spec
+        records: list[TraceRecord] = []
+        clock = 0.0
+        last_file: int | None = None
+        while len(records) < n_ops:
+            clock += self._interarrival()
+            op = self._choose_operation()
+            repeatable = (
+                last_file is not None
+                and last_file not in self.deleted
+                # Write bursts re-target the hot working set: a write does
+                # not inherit a cold file from a preceding cold read, which
+                # would smear write traffic over cold data.
+                and (
+                    op is not Operation.WRITE
+                    or spec.write_hot_access_fraction is None
+                    or last_file in self._hot_set
+                )
+            )
+            if spec.hot_drift_ops and len(records) % spec.hot_drift_ops == 0:
+                self._drift_hot_set()
+            if repeatable and self.rng.random() < spec.repeat_fraction:
+                file_id = last_file
+            else:
+                file_id = self._choose_file(op)
+            last_file = file_id
+            file_size = self.file_blocks[file_id]
+
+            if op is Operation.DELETE:
+                if file_id in self.deleted or len(self.deleted) >= len(self.file_blocks) - 1:
+                    continue
+                self.deleted.add(file_id)
+                self._cursor.pop(file_id, None)
+                records.append(TraceRecord(time=clock, op=op, file_id=file_id))
+                continue
+
+            if file_id in self.deleted:
+                if op is Operation.READ:
+                    continue  # cannot read a deleted file; skip the draw
+                self.deleted.discard(file_id)  # a write recreates the file
+
+            mean = spec.mean_read_blocks if op is Operation.READ else spec.mean_write_blocks
+            nblocks = self._choose_size_blocks(mean, file_size)
+            offset_block = self._choose_offset_block(file_id, file_size, nblocks)
+            records.append(
+                TraceRecord(
+                    time=clock,
+                    op=op,
+                    file_id=file_id,
+                    offset=offset_block * spec.block_size,
+                    size=nblocks * spec.block_size,
+                )
+            )
+        return Trace(
+            spec.name,
+            records,
+            block_size=spec.block_size,
+            metadata={"generator": "WorkloadSpec", "seed": seed},
+        )
+
+    def _drift_hot_set(self) -> None:
+        """Swap one hot file for a cold one (working-set drift)."""
+        if not self.hot_files or not self.cold_files:
+            return
+        hot_index = self.rng.randrange(len(self.hot_files))
+        cold_index = self.rng.randrange(len(self.cold_files))
+        hot_file = self.hot_files[hot_index]
+        cold_file = self.cold_files[cold_index]
+        self.hot_files[hot_index] = cold_file
+        self.cold_files[cold_index] = hot_file
+        self._hot_set.discard(hot_file)
+        self._hot_set.add(cold_file)
+
+    def _choose_offset_block(self, file_id: int, file_size: int, nblocks: int) -> int:
+        limit = file_size - nblocks
+        if limit <= 0:
+            self._cursor[file_id] = 0
+            return 0
+        cursor = self._cursor.get(file_id)
+        if cursor is not None and cursor <= limit and (
+            self.rng.random() < self.spec.sequential_fraction
+        ):
+            offset = cursor
+        else:
+            offset = self.rng.randint(0, limit)
+        self._cursor[file_id] = (offset + nblocks) % max(1, file_size)
+        return offset
+
+
+@st.composite
+def workload_specs(draw):
+    """Specs over every branch of the generator: the hot/cold overlay on
+    and off, write-hot, drift, repeats, the large size component and
+    deletions, with few small files so deletions run out of files."""
+    hot = draw(st.none() | st.floats(0.0, 1.0))
+    large_fraction = draw(st.sampled_from([0.0, 0.0, 0.02, 0.3]))
+    read_fraction = draw(st.floats(0.0, 1.0))
+    return dataclasses.replace(
+        MacWorkload(),
+        distinct_kbytes=draw(st.integers(1, 64)),
+        min_file_blocks=draw(st.integers(1, 4)),
+        max_file_blocks=draw(st.integers(4, 24)),
+        read_fraction=read_fraction,
+        delete_fraction=draw(st.sampled_from([0.0, 0.05, 0.4])) * (1.0 - read_fraction),
+        mean_read_blocks=draw(st.floats(0.5, 6.0)),
+        mean_write_blocks=draw(st.floats(0.5, 6.0)),
+        zipf_exponent=draw(st.floats(0.0, 1.5)),
+        hot_access_fraction=hot,
+        hot_data_fraction=draw(st.floats(0.01, 1.0)),  # some file is hot
+        write_hot_access_fraction=draw(st.none() | st.floats(0.0, 1.0)),
+        repeat_fraction=draw(st.floats(0.0, 1.0)),
+        hot_drift_ops=draw(st.sampled_from([0, 1, 7])),
+        sequential_fraction=draw(st.floats(0.0, 1.0)),
+        large_fraction=large_fraction,
+        large_mean_blocks=draw(st.floats(0.5, 40.0)),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=workload_specs(), seed=SEEDS, n_ops=st.integers(0, 600))
+@example(spec=DosWorkload(), seed=1, n_ops=5000)
+@example(spec=MacWorkload(), seed=2, n_ops=5000)
+def test_draw_columns_match_per_record_loop(spec, seed, n_ops):
+    fast, slow = random.Random(seed), random.Random(seed)
+    columns = _draw_columns(spec, fast, n_ops)
+    oracle = _WorkloadGenerator(spec, slow).run(n_ops, seed)
+    assert columns == tuple(column.tolist() for column in oracle.columns)
+    assert fast.getstate() == slow.getstate()
+
+
+#: sha256 of ``compile_trace`` output (request kinds, device blocks, sizes,
+#: ``dataset_blocks``) for the ``TRACE_DIGESTS`` traces and full-scale
+#: ``dos``, taken from the per-record ``FileMapper`` compiler.
+COMPILE_DIGESTS = {
+    ("mac", 3, 64): "40838c5c63ec025b3b584d9a8bf70121e120302314f96c24ab2e00e610b270f4",
+    ("mac", 2**63 + 5, 4097): "badfc130b0a5220b77270835f5b34662023aec23764089e179c55b8cc727ba29",
+    ("mac", 1, 9000): "4dc51c178a97c1869f818110ec9cba4cf7e0ae52bacc734461c60cfad7bb0f94",
+    ("dos", 3, 64): "92dca22a9ea7ce951cec267e3a9be14e32d59888b77d2a17f39c4287122856a0",
+    ("dos", 2**63 + 5, 4097): "dc8898a75288a219583ce6aa81d6f251057f4bbf1fc181cfa4e7f69f66a66b46",
+    ("dos", 1, 9000): "b4d0a08835144d948653a0c8215cd0565999beeb680a44b860acdeef82e3f28d",
+    ("dos", 1, 10_200): "15fcb7c40b344bfec47dc0d9343d9c6d8f7ce4688ea837416e62a7dbde22aec0",
+    ("hp", 3, 64): "90992ff8e980accdfeb899ef337b4c786a8d36e01ee8fbf683ee502c2920812b",
+    ("hp", 2**63 + 5, 4097): "8f3882042c09d1f3c19b6c3b585c81dee508c0ce893e05013235235e0f021d98",
+    ("hp", 1, 9000): "a242b519359908fc92f3071138a1cb13764c1dc76244bd8e6629dee1fc94b20e",
+    ("synth", 3, 64): "2e94b192d941e4146ac898f0294eea29546244acd294d9546b8bc032cd06f363",
+    ("synth", 2**63 + 5, 4097): "fbdb1e16b72d9a3d23e2e1247ef88aa88ec770f134f54f7b424c13bd9904d4f1",
+    ("synth", 1, 9000): "475e9d7cc3d5b3041432669b81a3716783c1f9455add184c13e20e76ec7dfcc8",
+}
+
+
+@pytest.mark.parametrize("name, seed, n_ops", list(COMPILE_DIGESTS))
+def test_compiled_trace_digests(name, seed, n_ops):
+    if name == "synth":
+        trace = SyntheticWorkload().generate(n_ops=n_ops, seed=seed)
+    else:
+        trace = workload_by_name(name).generate(seed=seed, n_ops=n_ops)
+    compiled = compile_trace(trace)
+    digest = hashlib.sha256()
+    for kind, blocks, size in zip(compiled.kinds, compiled.blocks, compiled.sizes):
+        digest.update(repr((kind.value, blocks, size)).encode())
+    digest.update(repr(compiled.dataset_blocks).encode())
+    assert digest.hexdigest() == COMPILE_DIGESTS[name, seed, n_ops]
+
+
+@pytest.mark.parametrize("name", ["mac", "dos", "hp"])
+def test_record_view_matches_per_record_generator(name):
+    spec = workload_by_name(name)
+    trace = spec.generate(seed=4, n_ops=3000)
+    oracle = _WorkloadGenerator(spec, random.Random(4)).run(3000, 4)
+    # repr, not ==: a NumPy scalar compares equal to a float but prints
+    # differently, so it would change the text export.
+    assert repr(trace.records) == repr(oracle.records)
+    assert (trace.name, trace.block_size, trace.metadata) == (
+        oracle.name, oracle.block_size, oracle.metadata
+    )
