@@ -41,6 +41,7 @@ from repro.devices.flashcard import FlashCard
 from repro.errors import TraceError
 from repro.faults.injector import FaultInjector
 from repro.kernel import runtime as kernel_runtime
+from repro.kernel import validate_kernel
 from repro.obs import runtime as obs_runtime
 from repro.traces.compiled import CompiledOps, compile_trace
 from repro.traces.filemap import FileMapper
@@ -85,21 +86,26 @@ class Simulator:
         if kernel is None:
             kernel = kernel_runtime.active()
         if kernel is not None:
-            from repro.kernel import validate_kernel
-
             validate_kernel(kernel)
-            if kernel == "vector":
-                # Imported lazily: the vector kernel imports core modules.
-                from repro.kernel.vector import simulate_vector, unsupported_reason
+        # Every path compiles one block operation per trace record.
+        if len(trace) == 0:
+            raise TraceError(
+                f"trace {trace.name!r} produced no block operations; nothing "
+                "to simulate (check the trace generator and scale parameters)"
+            )
+        if kernel == "vector":
+            # Imported lazily: the vector kernel imports core modules.
+            from repro.kernel.vector import simulate_vector, unsupported_reason
 
-                reason = unsupported_reason(self.config, obs)
-                if reason is None:
-                    return simulate_vector(trace, self.config)
-                result = self._run_classic(trace, batched=True, obs=obs)
-                result.extra["kernel"] = "batched"
-                result.extra["kernel_requested"] = "vector"
-                result.extra["kernel_fallback_reason"] = reason
-                return result
+            reason = unsupported_reason(self.config, obs)
+            if reason is None:
+                return simulate_vector(trace, self.config)
+            result = self._run_classic(trace, batched=True, obs=obs)
+            result.extra["kernel"] = "batched"
+            result.extra["kernel_requested"] = "vector"
+            result.extra["kernel_fallback_reason"] = reason
+            return result
+        if kernel is not None:
             result = self._run_classic(trace, batched=kernel == "batched", obs=obs)
             result.extra["kernel"] = kernel
             return result
@@ -155,8 +161,6 @@ class Simulator:
                 submit = stack.submit
                 for op in ops[lo:hi]:
                     submit(op)
-        if n_ops == 0:
-            raise TraceError(_EMPTY_TRACE_MESSAGE.format(name=trace.name))
         warm_count = int(n_ops * self.config.warm_fraction)
 
         collector = MetricsCollector(measuring=warm_count == 0)
@@ -232,12 +236,6 @@ class Simulator:
             reliability=hierarchy.reliability_snapshot(),
             layer_breakdown=_layer_breakdown(hierarchy, collector),
         )
-
-
-_EMPTY_TRACE_MESSAGE = (
-    "trace {name!r} produced no block operations; nothing to "
-    "simulate (check the trace generator and scale parameters)"
-)
 
 
 def _layer_breakdown(

@@ -8,11 +8,11 @@ machine) and exposes the read/write/delete/advance interface defined in
 marked ``assumed`` where the paper is silent.
 """
 
-from repro.devices.base import AccessKind, DeviceModel, DeviceState, StorageDevice
+from repro.devices.base import AccessKind, StorageDevice
 from repro.devices.power import EnergyMeter
-from repro.devices.disk import MagneticDisk, MagneticDiskModel, MagneticDiskState
-from repro.devices.flashdisk import FlashDisk, FlashDiskModel, FlashDiskState
-from repro.devices.flashcard import FlashCard, FlashCardModel, FlashCardState
+from repro.devices.disk import MagneticDisk
+from repro.devices.flashdisk import FlashDisk
+from repro.devices.flashcard import FlashCard
 from repro.devices.spindown import FixedTimeoutPolicy, NeverSpinDownPolicy, SpinDownPolicy
 from repro.devices.specs import (
     DEVICE_SPECS,
@@ -26,22 +26,14 @@ from repro.devices.specs import (
 __all__ = [
     "AccessKind",
     "DEVICE_SPECS",
-    "DeviceModel",
-    "DeviceState",
     "DiskSpec",
     "EnergyMeter",
     "FixedTimeoutPolicy",
     "FlashCard",
-    "FlashCardModel",
     "FlashCardSpec",
-    "FlashCardState",
     "FlashDisk",
-    "FlashDiskModel",
     "FlashDiskSpec",
-    "FlashDiskState",
     "MagneticDisk",
-    "MagneticDiskModel",
-    "MagneticDiskState",
     "MemorySpec",
     "NeverSpinDownPolicy",
     "SpinDownPolicy",

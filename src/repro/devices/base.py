@@ -15,20 +15,13 @@ computes response time as completion minus arrival.  ``delete`` is a
 metadata operation (trim) and is free in both time and energy, matching the
 paper's treatment of deletions as file-system bookkeeping.
 
-Each device is split into three pieces:
-
-* a :class:`DeviceState` subclass — a plain mutable dataclass holding
-  every piece of evolving bookkeeping (clocks, counters, spin state,
-  dirty maps).  Nothing in a state object knows how to compute a cost.
-* a :class:`DeviceModel` subclass — **pure parameter math** derived from
-  the device's spec: per-operation durations, per-block write/copy/erase
-  seconds, power draws.  Model objects are immutable after construction
-  and safe to share; the vectorized kernel (:mod:`repro.kernel`) consumes
-  them directly to advance whole op windows as array math.
-* the :class:`StorageDevice` subclass — a thin composer that owns one
-  state and one model and implements the per-operation reference path.
-  The arithmetic is expression-for-expression what the model provides, so
-  the reference path stays hex-exact across the split.
+Each device is one object: the spec it was built from (``device.spec``),
+the constants derived from it once at construction (per-block write,
+copy and erase seconds), and its evolving bookkeeping (clocks, counters,
+spin state, segment and sector maps) as plain attributes.  The per-op
+path reads and mutates those attributes directly, and the vector kernels
+(:mod:`repro.kernel`) read the same spec and fields when they start from
+a freshly built device.
 """
 
 from __future__ import annotations
@@ -36,7 +29,6 @@ from __future__ import annotations
 import enum
 from abc import ABC, abstractmethod
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from repro.devices.power import EnergyMeter
 from repro.errors import SimulationError
@@ -47,59 +39,6 @@ class AccessKind(enum.Enum):
 
     READ = "read"
     WRITE = "write"
-
-
-@dataclass
-class DeviceState:
-    """Mutable bookkeeping every device carries.
-
-    Subclasses extend this with their own evolving fields (spin state,
-    segment maps, sector queues).  A state object is *dumb storage*: all
-    cost arithmetic lives in the companion :class:`DeviceModel`.
-    """
-
-    clock: float = 0.0
-    busy_until: float = 0.0
-    reads: int = 0
-    writes: int = 0
-    bytes_read: int = 0
-    bytes_written: int = 0
-
-
-class DeviceModel:
-    """Pure parameter math derived from a device spec.
-
-    Holds the spec plus any derived per-operation constants.  Model
-    objects never mutate after construction, which is what lets the
-    vector kernel read their constants once and replay millions of
-    operations as array arithmetic.
-    """
-
-    __slots__ = ("spec",)
-
-    def __init__(self, spec) -> None:
-        self.spec = spec
-
-    def recovery_power_w(self) -> float:
-        """Power drawn by the post-crash recovery scan."""
-        return self.spec.active_power_w
-
-
-def state_mirror(name: str, doc: str | None = None) -> property:
-    """A property delegating an attribute to the device's state object.
-
-    Keeps the public per-field API (``device.clock``, ``device.spin_ups``)
-    intact across the state/math split; hot paths bind the state object
-    locally instead of paying the property indirection per access.
-    """
-
-    def fget(self):
-        return getattr(self._state, name)
-
-    def fset(self, value) -> None:
-        setattr(self._state, name, value)
-
-    return property(fget, fset, doc=doc)
 
 
 class StorageDevice(ABC):
@@ -115,21 +54,15 @@ class StorageDevice(ABC):
     #: single ``is not None`` check and never touch the simulation math.
     obs_sink = None
 
-    #: State class instantiated for each new device instance.
-    state_factory = DeviceState
-
-    def __init__(self, name: str, state: DeviceState | None = None) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
         self.energy = EnergyMeter(name)
-        self._state = state if state is not None else self.state_factory()
-
-    # Public field API, delegated to the state object.
-    clock = state_mirror("clock")
-    busy_until = state_mirror("busy_until")
-    reads = state_mirror("reads")
-    writes = state_mirror("writes")
-    bytes_read = state_mirror("bytes_read")
-    bytes_written = state_mirror("bytes_written")
+        self.clock = 0.0
+        self.busy_until = 0.0
+        self.reads = 0
+        self.writes = 0
+        self.bytes_read = 0
+        self.bytes_written = 0
 
     def set_obs_sink(self, sink) -> None:
         """Attach (or, with None, detach) the observability event sink."""
@@ -142,11 +75,10 @@ class StorageDevice(ABC):
 
         Returns the effective start time of the new operation.
         """
-        state = self._state
-        start = max(at, state.busy_until)
-        if start < state.clock - 1e-9:
+        start = max(at, self.busy_until)
+        if start < self.clock - 1e-9:
             raise SimulationError(
-                f"{self.name}: operation starts at {start} before clock {state.clock}"
+                f"{self.name}: operation starts at {start} before clock {self.clock}"
             )
         self.advance(start)
         return start
@@ -154,9 +86,8 @@ class StorageDevice(ABC):
     def _finish(self, start: float, duration: float) -> float:
         """Mark the device busy for ``duration`` seconds from ``start``."""
         completion = start + duration
-        state = self._state
-        state.busy_until = completion
-        state.clock = completion
+        self.busy_until = completion
+        self.clock = completion
         return completion
 
     # -- abstract interface ------------------------------------------------------
@@ -213,11 +144,10 @@ class StorageDevice(ABC):
         interrupts (cleaning jobs, erase progress, spin state).
         """
         self.advance(at)
-        state = self._state
-        if state.busy_until > at:
-            state.busy_until = at
-        if state.clock > at:
-            state.clock = at
+        if self.busy_until > at:
+            self.busy_until = at
+        if self.clock > at:
+            self.clock = at
 
     def recover(self, at: float, duration: float) -> float:
         """Run the post-crash recovery scan; returns its completion time.
@@ -229,11 +159,10 @@ class StorageDevice(ABC):
             return at
         self.energy.charge("recovery", self._recovery_power_w(), duration)
         end = at + duration
-        state = self._state
-        if end > state.clock:
-            state.clock = end
-        if end > state.busy_until:
-            state.busy_until = end
+        if end > self.clock:
+            self.clock = end
+        if end > self.busy_until:
+            self.busy_until = end
         return end
 
     def _recovery_power_w(self) -> float:
@@ -248,21 +177,19 @@ class StorageDevice(ABC):
     def reset_accounting(self) -> None:
         """Zero energy and counters (called after the warm-start prefix)."""
         self.energy.reset()
-        state = self._state
-        state.reads = 0
-        state.writes = 0
-        state.bytes_read = 0
-        state.bytes_written = 0
+        self.reads = 0
+        self.writes = 0
+        self.bytes_read = 0
+        self.bytes_written = 0
 
     # -- reporting ------------------------------------------------------------
 
     def stats(self) -> dict[str, float]:
         """Operation counters and energy for reports."""
-        state = self._state
         return {
-            "reads": state.reads,
-            "writes": state.writes,
-            "bytes_read": state.bytes_read,
-            "bytes_written": state.bytes_written,
+            "reads": self.reads,
+            "writes": self.writes,
+            "bytes_read": self.bytes_read,
+            "bytes_written": self.bytes_written,
             "energy_j": self.energy.total_j,
         }

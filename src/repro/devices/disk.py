@@ -14,26 +14,17 @@ Per the paper's simulator assumptions (section 4.2): repeated accesses to
 the same file never seek; any other access pays the average seek; every
 transfer pays average rotational latency.
 
-Split per the state/math convention of :mod:`repro.devices.base`:
-:class:`MagneticDiskState` carries the spindle state, clocks, and
-counters; :class:`MagneticDiskModel` is the pure cost arithmetic
-(mechanical latency, transfer time, power draws) the vector kernel
-shares; :class:`MagneticDisk` composes the two on the per-op path.
+The disk keeps its spindle state, spin counters and seek locality as
+plain attributes (``state``, ``spin_ups``, ``spin_downs``); its cost
+arithmetic reads the spec directly.
 """
 
 from __future__ import annotations
 
 import enum
 from collections.abc import Sequence
-from dataclasses import dataclass
 
-from repro.devices.base import (
-    AccessKind,
-    DeviceModel,
-    DeviceState,
-    StorageDevice,
-    state_mirror,
-)
+from repro.devices.base import AccessKind, StorageDevice
 from repro.devices.specs import DiskSpec
 from repro.devices.spindown import FixedTimeoutPolicy, SpinDownPolicy
 from repro.units import transfer_time
@@ -47,41 +38,6 @@ class SpindleState(enum.Enum):
     SPINNING_DOWN = "spinning_down"
 
 
-#: Historical name for the spindle state enum, kept as an alias.
-DiskState = SpindleState
-
-
-@dataclass
-class MagneticDiskState(DeviceState):
-    """Mutable disk bookkeeping: spindle machine, spin counters, locality."""
-
-    spindle: SpindleState = SpindleState.SPINNING
-    spin_ups: int = 0
-    spin_downs: int = 0
-    idle_since: float = 0.0
-    spin_down_end: float = 0.0
-    last_file: int | None = None
-
-
-class MagneticDiskModel(DeviceModel):
-    """Pure disk cost math: mechanical time, transfer time, power draws."""
-
-    __slots__ = ()
-
-    def operation_time(
-        self, size: int, file_id: int, last_file: int | None, kind: AccessKind
-    ) -> float:
-        """Mechanical + transfer time for one operation (excludes spin-up)."""
-        spec = self.spec
-        seek = 0.0 if file_id == last_file else spec.seek_s
-        bandwidth = (
-            spec.read_bandwidth_bps
-            if kind is AccessKind.READ
-            else spec.write_bandwidth_bps
-        )
-        return seek + spec.rotation_s + spec.controller_s + transfer_time(size, bandwidth)
-
-
 class MagneticDisk(StorageDevice):
     """A spin-managed magnetic disk.
 
@@ -92,8 +48,6 @@ class MagneticDisk(StorageDevice):
             with the disk spun up; micro-benchmarks keep it spinning).
     """
 
-    state_factory = MagneticDiskState
-
     def __init__(
         self,
         spec: DiskSpec,
@@ -102,129 +56,128 @@ class MagneticDisk(StorageDevice):
     ) -> None:
         super().__init__(spec.name)
         self.spec = spec
-        self.model = MagneticDiskModel(spec)
         self.policy = policy if policy is not None else FixedTimeoutPolicy(5.0)
-        self._state.spindle = (
-            SpindleState.SPINNING if start_spinning else SpindleState.SLEEPING
-        )
-
-    # Public field API, delegated to the state object.
-    state = state_mirror("spindle", doc="Current spindle state.")
-    spin_ups = state_mirror("spin_ups")
-    spin_downs = state_mirror("spin_downs")
-    _idle_since = state_mirror("idle_since")
-    _spin_down_end = state_mirror("spin_down_end")
-    _last_file = state_mirror("last_file")
+        #: Current spindle state.
+        self.state = SpindleState.SPINNING if start_spinning else SpindleState.SLEEPING
+        self.spin_ups = 0
+        self.spin_downs = 0
+        self._idle_since = 0.0
+        self._spin_down_end = 0.0
+        self._last_file: int | None = None
 
     # -- idle-time state machine --------------------------------------------------
 
     def advance(self, until: float) -> None:
-        state = self._state
         spec = self.spec
         charge = self.energy.charge
-        while state.clock < until - 1e-12:
-            if state.spindle is SpindleState.SPINNING:
-                deadline = self.policy.spin_down_at(state.idle_since)
+        while self.clock < until - 1e-12:
+            if self.state is SpindleState.SPINNING:
+                deadline = self.policy.spin_down_at(self._idle_since)
                 if deadline is None or deadline >= until:
-                    charge("idle", spec.idle_power_w, until - state.clock)
-                    state.clock = until
+                    charge("idle", spec.idle_power_w, until - self.clock)
+                    self.clock = until
                     continue
-                if deadline > state.clock:
-                    charge("idle", spec.idle_power_w, deadline - state.clock)
-                    state.clock = deadline
-                state.spindle = SpindleState.SPINNING_DOWN
-                state.spin_down_end = state.clock + spec.spin_down_s
-                state.spin_downs += 1
+                if deadline > self.clock:
+                    charge("idle", spec.idle_power_w, deadline - self.clock)
+                    self.clock = deadline
+                self.state = SpindleState.SPINNING_DOWN
+                self._spin_down_end = self.clock + spec.spin_down_s
+                self.spin_downs += 1
                 if self.obs_sink is not None:
                     self.obs_sink(
-                        "spin_down", state.clock, spec.spin_down_s, self.name
+                        "spin_down", self.clock, spec.spin_down_s, self.name
                     )
-            elif state.spindle is SpindleState.SPINNING_DOWN:
-                end = min(until, state.spin_down_end)
-                charge("spin_down", spec.spin_down_power_w, end - state.clock)
-                state.clock = end
-                if state.clock >= state.spin_down_end - 1e-12:
-                    state.spindle = SpindleState.SLEEPING
+            elif self.state is SpindleState.SPINNING_DOWN:
+                end = min(until, self._spin_down_end)
+                charge("spin_down", spec.spin_down_power_w, end - self.clock)
+                self.clock = end
+                if self.clock >= self._spin_down_end - 1e-12:
+                    self.state = SpindleState.SLEEPING
             else:  # SLEEPING
-                charge("sleep", spec.sleep_power_w, until - state.clock)
-                state.clock = until
+                charge("sleep", spec.sleep_power_w, until - self.clock)
+                self.clock = until
 
     def accepts_immediate_flush(self) -> bool:
         """Drain write buffers only while the platters are spinning."""
-        return self._state.spindle is SpindleState.SPINNING
+        return self.state is SpindleState.SPINNING
 
     def power_cycle(self, at: float) -> None:
         """Power loss: the platters emergency-retract and stop; the next
         access pays a full spin-up."""
         super().power_cycle(at)
-        state = self._state
-        state.spindle = SpindleState.SLEEPING
-        state.idle_since = at
-        state.last_file = None
+        self.state = SpindleState.SLEEPING
+        self._idle_since = at
+        self._last_file = None
 
     # -- access path ---------------------------------------------------------------
 
     def read(self, at: float, size: int, blocks: Sequence[int], file_id: int) -> float:
         completion = self._access(at, size, file_id, AccessKind.READ)
-        state = self._state
-        state.reads += 1
-        state.bytes_read += size
+        self.reads += 1
+        self.bytes_read += size
         return completion
 
     def write(self, at: float, size: int, blocks: Sequence[int], file_id: int) -> float:
         completion = self._access(at, size, file_id, AccessKind.WRITE)
-        state = self._state
-        state.writes += 1
-        state.bytes_written += size
+        self.writes += 1
+        self.bytes_written += size
         return completion
+
+    def operation_time(self, size: int, file_id: int, kind: AccessKind) -> float:
+        """Mechanical + transfer time for one operation (excludes spin-up)."""
+        spec = self.spec
+        seek = 0.0 if file_id == self._last_file else spec.seek_s
+        bandwidth = (
+            spec.read_bandwidth_bps
+            if kind is AccessKind.READ
+            else spec.write_bandwidth_bps
+        )
+        return seek + spec.rotation_s + spec.controller_s + transfer_time(size, bandwidth)
 
     def _access(self, at: float, size: int, file_id: int, kind: AccessKind) -> float:
         spec = self.spec
-        state = self._state
         start = self._begin(at)
         now = start
 
-        if state.spindle is SpindleState.SPINNING_DOWN:
+        if self.state is SpindleState.SPINNING_DOWN:
             # Uninterruptible: wait out the remainder of the spin-down.
-            wait = state.spin_down_end - now
+            wait = self._spin_down_end - now
             self.energy.charge("spin_down", spec.spin_down_power_w, wait)
-            now = state.spin_down_end
-            state.spindle = SpindleState.SLEEPING
+            now = self._spin_down_end
+            self.state = SpindleState.SLEEPING
 
-        if state.spindle is SpindleState.SLEEPING:
-            self.policy.note_spin_up(now, now - state.idle_since)
+        if self.state is SpindleState.SLEEPING:
+            self.policy.note_spin_up(now, now - self._idle_since)
             self.energy.charge("spin_up", spec.spin_up_power_w, spec.spin_up_s)
             if self.obs_sink is not None:
                 self.obs_sink("spin_up", now, spec.spin_up_s, self.name)
             now += spec.spin_up_s
-            state.spin_ups += 1
-            state.spindle = SpindleState.SPINNING
+            self.spin_ups += 1
+            self.state = SpindleState.SPINNING
 
-        duration = self.model.operation_time(size, file_id, state.last_file, kind)
+        duration = self.operation_time(size, file_id, kind)
         self.energy.charge(kind.value, spec.active_power_w, duration)
         now += duration
 
-        state.clock = now
-        state.busy_until = now
-        state.idle_since = now
-        state.last_file = file_id
+        self.clock = now
+        self.busy_until = now
+        self._idle_since = now
+        self._last_file = file_id
         return now
 
     # -- reporting ---------------------------------------------------------------
 
     def reset_accounting(self) -> None:
         super().reset_accounting()
-        state = self._state
-        state.spin_ups = 0
-        state.spin_downs = 0
+        self.spin_ups = 0
+        self.spin_downs = 0
 
     def stats(self) -> dict[str, float]:
         base = super().stats()
-        state = self._state
         base.update(
             {
-                "spin_ups": state.spin_ups,
-                "spin_downs": state.spin_downs,
+                "spin_ups": self.spin_ups,
+                "spin_downs": self.spin_downs,
             }
         )
         return base

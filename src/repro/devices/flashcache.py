@@ -22,40 +22,23 @@ Semantics:
 
 The class satisfies the :class:`~repro.devices.base.StorageDevice`
 interface, so the standard hierarchy (DRAM in front) and simulator work
-unchanged.
+unchanged.  It keeps only the residency map and its hit/flush counters;
+all cost math belongs to the composed disk and flash card.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 
-from repro.devices.base import DeviceState, StorageDevice, state_mirror
+from repro.devices.base import StorageDevice
 from repro.devices.disk import MagneticDisk
 from repro.devices.flashcard import FlashCard
 from repro.errors import ConfigurationError
 
 
-@dataclass
-class FlashCacheState(DeviceState):
-    """Mutable hybrid bookkeeping: residency map and hit/flush counters."""
-
-    resident: OrderedDict = field(default_factory=OrderedDict)  # block -> dirty
-    flash_read_hits: int = 0
-    flash_read_misses: int = 0
-    disk_flushes: int = 0
-
-
 class FlashCacheDevice(StorageDevice):
-    """A magnetic disk fronted by a flash-card block cache.
-
-    Already a composer by construction: the mutable residency map lives in
-    :class:`FlashCacheState`, while all cost math belongs to the composed
-    disk and flash card models.
-    """
-
-    state_factory = FlashCacheState
+    """A magnetic disk fronted by a flash-card block cache."""
 
     def __init__(
         self,
@@ -81,12 +64,10 @@ class FlashCacheDevice(StorageDevice):
         if dirty_watermark_blocks < 1:
             raise ConfigurationError("dirty watermark must be >= 1 block")
         self.dirty_watermark_blocks = dirty_watermark_blocks
-
-    # Public field API, delegated to the state object.
-    _resident = state_mirror("resident")
-    flash_read_hits = state_mirror("flash_read_hits")
-    flash_read_misses = state_mirror("flash_read_misses")
-    disk_flushes = state_mirror("disk_flushes")
+        self._resident: OrderedDict[int, bool] = OrderedDict()  # block -> dirty
+        self.flash_read_hits = 0
+        self.flash_read_misses = 0
+        self.disk_flushes = 0
 
     # -- StorageDevice plumbing ---------------------------------------------------
 
@@ -281,14 +262,13 @@ class FlashCacheDevice(StorageDevice):
     def reset_accounting(self) -> None:
         self.disk.reset_accounting()
         self.flash.reset_accounting()
-        state = self._state
-        state.reads = 0
-        state.writes = 0
-        state.bytes_read = 0
-        state.bytes_written = 0
-        state.flash_read_hits = 0
-        state.flash_read_misses = 0
-        state.disk_flushes = 0
+        self.reads = 0
+        self.writes = 0
+        self.bytes_read = 0
+        self.bytes_written = 0
+        self.flash_read_hits = 0
+        self.flash_read_misses = 0
+        self.disk_flushes = 0
 
     def wear(self, duration_s: float):
         """Erase-count summary of the flash-cache card."""

@@ -22,26 +22,17 @@ Cleaning copies go to a separate *cleaner-head* segment so the cleaner can
 always make progress; the write head leaves the last erased segment to the
 cleaner whenever there is anything worth cleaning.
 
-Split per the state/math convention of :mod:`repro.devices.base`:
-:class:`FlashCardState` carries the segment array, logical map, heads,
-in-flight cleaning job, and counters; :class:`FlashCardModel` is the pure
-per-block cost arithmetic (write/copy/erase seconds, power draws) the
-vector kernel shares; :class:`FlashCard` composes the two.
+The card keeps its segment array, logical map, heads, in-flight cleaning
+job and counters as plain attributes (``segments``, ``segments_cleaned``,
+...), and fixes its per-block write and copy seconds at construction.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
 
-from repro.devices.base import (
-    AccessKind,
-    DeviceModel,
-    DeviceState,
-    StorageDevice,
-    state_mirror,
-)
+from repro.devices.base import AccessKind, StorageDevice
 from repro.devices.specs import FlashCardSpec
 from repro.errors import ConfigurationError, FlashOutOfSpaceError
 from repro.flash.cleaner import CleaningPolicy, GreedyPolicy
@@ -60,58 +51,6 @@ class _CleaningJob:
         self.copy_queue: deque[int] = deque(victim.live)
         self.copy_progress_s = 0.0
         self.erase_remaining_s = erase_time_s
-
-
-@dataclass
-class FlashCardState(DeviceState):
-    """Mutable card bookkeeping: segments, logical map, heads, counters."""
-
-    segments: list[Segment] = field(default_factory=list)
-    map: dict[int, int] = field(default_factory=dict)  # logical block -> segment
-    erased: deque[int] = field(default_factory=deque)
-    write_head: Segment | None = None
-    clean_head: Segment | None = None
-    job: _CleaningJob | None = None
-    spares_remaining: int = 0
-    segments_cleaned: int = 0
-    blocks_copied: int = 0
-    stalled_writes: int = 0
-    write_stall_s: float = 0.0
-    erase_failures: int = 0
-    remapped_segments: int = 0
-    retired_segments: int = 0
-
-
-class FlashCardModel(DeviceModel):
-    """Pure card cost math: per-block write/copy seconds, erase time, power.
-
-    The per-block constants are fixed by the spec and block size for the
-    card's lifetime; precomputed because the write and cleaning paths
-    consult them once per block.
-    """
-
-    __slots__ = ("block_bytes", "blocks_per_segment", "block_write_s", "block_copy_s")
-
-    def __init__(self, spec: FlashCardSpec, block_bytes: int) -> None:
-        super().__init__(spec)
-        self.block_bytes = block_bytes
-        self.blocks_per_segment = spec.segment_bytes // block_bytes
-        self.block_write_s = spec.write_latency_s + transfer_time(
-            block_bytes, spec.write_bandwidth_bps
-        )
-        # Cleaning copies stay inside the card/driver and move at hardware
-        # speed, without the host file-system overhead of ordinary I/O.
-        self.block_copy_s = (
-            spec.read_latency_s
-            + transfer_time(block_bytes, spec.copy_read_bandwidth_bps)
-            + transfer_time(block_bytes, spec.copy_write_bandwidth_bps)
-        )
-
-    def read_time(self, size: int) -> float:
-        """Host-visible duration of one read of ``size`` bytes."""
-        return self.spec.read_latency_s + transfer_time(
-            size, self.spec.read_bandwidth_bps
-        )
 
 
 class FlashCard(StorageDevice):
@@ -135,8 +74,6 @@ class FlashCard(StorageDevice):
         spare_segments: spare erase units available for bad-block remapping
             before retirements start costing capacity.
     """
-
-    state_factory = FlashCardState
 
     def __init__(
         self,
@@ -162,55 +99,58 @@ class FlashCard(StorageDevice):
                 f"segment size {spec.segment_bytes} is not a multiple of "
                 f"block size {block_bytes}"
             )
-        self.model = FlashCardModel(spec, block_bytes)
         self.block_bytes = block_bytes
-        self.blocks_per_segment = self.model.blocks_per_segment
+        self.blocks_per_segment = spec.segment_bytes // block_bytes
         n_segments = self.capacity_bytes // spec.segment_bytes
         if n_segments < 3:
             raise ConfigurationError("flash card needs at least 3 segments")
-        state = self._state
-        state.segments = [
+        self.segments = [
             Segment(i, self.blocks_per_segment) for i in range(n_segments)
         ]
-        state.erased = deque(range(n_segments))
-        state.spares_remaining = max(0, spare_segments)
+        self._map: dict[int, int] = {}  # logical block -> segment
+        self._erased: deque[int] = deque(range(n_segments))
+        self._write_head: Segment | None = None
+        self._clean_head: Segment | None = None
+        self._job: _CleaningJob | None = None
+        self.spares_remaining = max(0, spare_segments)
         self.policy = policy if policy is not None else GreedyPolicy()
         self.background_cleaning = background_cleaning
         self.reserve_segments = max(1, reserve_segments)
         self._injector = injector
 
-        # Per-block timing constants, aliased from the model because
-        # _write_block and _job_step consult them once per block.
-        self._block_write_s = self.model.block_write_s
-        self._block_copy_s = self.model.block_copy_s
+        # Per-block timing, fixed by the spec and block size for the card's
+        # lifetime; precomputed because the write and cleaning paths
+        # consult them once per block.
+        self.block_write_s = spec.write_latency_s + transfer_time(
+            block_bytes, spec.write_bandwidth_bps
+        )
+        # Cleaning copies stay inside the card/driver and move at hardware
+        # speed, without the host file-system overhead of ordinary I/O.
+        self.block_copy_s = (
+            spec.read_latency_s
+            + transfer_time(block_bytes, spec.copy_read_bandwidth_bps)
+            + transfer_time(block_bytes, spec.copy_write_bandwidth_bps)
+        )
 
-    # Public field API, delegated to the state object.
-    segments = state_mirror("segments")
-    spares_remaining = state_mirror("spares_remaining")
-    segments_cleaned = state_mirror("segments_cleaned")
-    blocks_copied = state_mirror("blocks_copied")
-    stalled_writes = state_mirror("stalled_writes")
-    write_stall_s = state_mirror("write_stall_s")
-    erase_failures = state_mirror("erase_failures")
-    remapped_segments = state_mirror("remapped_segments")
-    retired_segments = state_mirror("retired_segments")
-    _map = state_mirror("map")
-    _erased = state_mirror("erased")
-    _write_head = state_mirror("write_head")
-    _clean_head = state_mirror("clean_head")
-    _job = state_mirror("job")
+        self.segments_cleaned = 0
+        self.blocks_copied = 0
+        self.stalled_writes = 0
+        self.write_stall_s = 0.0
+        self.erase_failures = 0
+        self.remapped_segments = 0
+        self.retired_segments = 0
 
     # -- derived quantities ---------------------------------------------------------
 
     @property
     def total_blocks(self) -> int:
         """Total block slots on the card."""
-        return len(self._state.segments) * self.blocks_per_segment
+        return len(self.segments) * self.blocks_per_segment
 
     @property
     def live_blocks(self) -> int:
         """Blocks currently holding live data."""
-        return len(self._state.map)
+        return len(self._map)
 
     @property
     def utilization(self) -> float:
@@ -221,25 +161,24 @@ class FlashCard(StorageDevice):
     @property
     def erased_segment_count(self) -> int:
         """Fully-erased segments in stock."""
-        return len(self._state.erased)
+        return len(self._erased)
 
     def wear(self, duration_s: float) -> WearStats:
         """Erase-count summary over ``duration_s`` of simulated time."""
-        return wear_stats(self._state.segments, self.spec.endurance_cycles, duration_s)
+        return wear_stats(self.segments, self.spec.endurance_cycles, duration_s)
 
     def check_invariants(self) -> None:
         """Validate segment accounting and the logical map (used by tests)."""
-        state = self._state
-        for segment in state.segments:
+        for segment in self.segments:
             segment.check_invariant()
-        for logical, index in state.map.items():
-            if logical not in state.segments[index].live:
+        for logical, index in self._map.items():
+            if logical not in self.segments[index].live:
                 raise FlashOutOfSpaceError(
                     f"map says block {logical} lives in segment {index}, "
                     "but the segment disagrees"
                 )
-        mapped = sum(segment.live_blocks for segment in state.segments)
-        if mapped != len(state.map):
+        mapped = sum(segment.live_blocks for segment in self.segments)
+        if mapped != len(self._map):
             raise FlashOutOfSpaceError("live-block count mismatch")
 
     # -- setup ---------------------------------------------------------------------
@@ -250,46 +189,45 @@ class FlashCard(StorageDevice):
         The paper preallocates both the trace's dataset and enough filler to
         hit the target storage utilization (section 4.2).
         """
-        state = self._state
         if (
             isinstance(logical_blocks, range)
             and logical_blocks.step == 1
-            and not state.map
-            and state.write_head is None
+            and not self._map
+            and self._write_head is None
         ):
             # Fast path for the stock call shape (a fresh card, contiguous
             # blocks): fill whole segments at C speed.  The resulting sets
             # and dict are built by the same ascending insertions the
             # per-block loop performs, so their iteration order — which
             # cleaning-job snapshots observe — is identical.
-            segments = state.segments
+            segments = self.segments
             head = None
             for lo in range(logical_blocks.start, logical_blocks.stop,
                             self.blocks_per_segment):
                 hi = min(lo + self.blocks_per_segment, logical_blocks.stop)
-                if not state.erased:
+                if not self._erased:
                     raise FlashOutOfSpaceError("preload exceeds card capacity")
-                head = segments[state.erased.popleft()]
+                head = segments[self._erased.popleft()]
                 head.live = set(range(lo, hi))
                 head.free_blocks = head.capacity - (hi - lo)
                 head.last_write_time = 0.0
-                state.map.update(dict.fromkeys(range(lo, hi), head.index))
+                self._map.update(dict.fromkeys(range(lo, hi), head.index))
             if head is not None:
-                state.write_head = head
+                self._write_head = head
         else:
             for logical in logical_blocks:
-                if logical in state.map:
+                if logical in self._map:
                     continue
-                head = state.write_head
+                head = self._write_head
                 if head is None or head.is_full:
-                    if not state.erased:
+                    if not self._erased:
                         raise FlashOutOfSpaceError(
                             "preload exceeds card capacity"
                         )
-                    head = state.segments[state.erased.popleft()]
-                    state.write_head = head
+                    head = self.segments[self._erased.popleft()]
+                    self._write_head = head
                 head.allocate(logical, 0.0)
-                state.map[logical] = head.index
+                self._map[logical] = head.index
         max_live = self.total_blocks - self.blocks_per_segment
         if self.live_blocks > max_live:
             raise ConfigurationError(
@@ -304,7 +242,7 @@ class FlashCard(StorageDevice):
         # Clean proactively: start as soon as the stock of erased segments
         # drops to the reserve, so a fresh segment is (usually) ready by the
         # time the write head fills the current one.
-        return len(self._state.erased) <= self.reserve_segments
+        return len(self._erased) <= self.reserve_segments
 
     def _head_indices(self) -> set[int]:
         """Segments no victim may touch: heads still accepting appends.
@@ -315,23 +253,21 @@ class FlashCard(StorageDevice):
         died is likewise fair game: erasing it costs no copies, and at tight
         utilization it can be the only way to make progress.
         """
-        state = self._state
 
         def protected(head: Segment | None) -> bool:
             return head is not None and not head.is_full and head.live_blocks > 0
 
         exclude = set()
-        if protected(state.write_head):
-            exclude.add(state.write_head.index)
-        if protected(state.clean_head):
-            exclude.add(state.clean_head.index)
+        if protected(self._write_head):
+            exclude.add(self._write_head.index)
+        if protected(self._clean_head):
+            exclude.add(self._clean_head.index)
         return exclude
 
     def _cleaner_headroom(self) -> int:
         """Block slots the cleaner could copy into right now."""
-        state = self._state
-        head_free = state.clean_head.free_blocks if state.clean_head else 0
-        return head_free + len(state.erased) * self.blocks_per_segment
+        head_free = self._clean_head.free_blocks if self._clean_head else 0
+        return head_free + len(self._erased) * self.blocks_per_segment
 
     def _start_job(self, now: float) -> bool:
         """Select a victim and open a cleaning job.  Returns success.
@@ -341,36 +277,34 @@ class FlashCard(StorageDevice):
         grows the headroom, and refusing infeasible victims is what keeps
         the cleaner deadlock-free at very high utilization.
         """
-        state = self._state
-        if state.job is not None:
+        if self._job is not None:
             return True
         headroom = self._cleaner_headroom()
         feasible = [
-            segment for segment in state.segments if segment.live_blocks <= headroom
+            segment for segment in self.segments if segment.live_blocks <= headroom
         ]
         victim = self.policy.choose_victim(feasible, self._head_indices(), now)
         if victim is None:
             return False
-        if victim is state.write_head:
-            state.write_head = None
-        if victim is state.clean_head:
-            state.clean_head = None
-        state.job = _CleaningJob(victim, self.spec.erase_time_s)
+        if victim is self._write_head:
+            self._write_head = None
+        if victim is self._clean_head:
+            self._clean_head = None
+        self._job = _CleaningJob(victim, self.spec.erase_time_s)
         return True
 
     def _alloc_for_cleaner(self, logical: int, now: float) -> None:
-        state = self._state
-        head = state.clean_head
+        head = self._clean_head
         if head is None or head.is_full:
-            if not state.erased:
+            if not self._erased:
                 raise FlashOutOfSpaceError(
                     "cleaner has nowhere to copy live data; the card is "
                     "over-committed (utilization too high)"
                 )
-            head = state.segments[state.erased.popleft()]
-            state.clean_head = head
+            head = self.segments[self._erased.popleft()]
+            self._clean_head = head
         head.allocate(logical, now)
-        state.map[logical] = head.index
+        self._map[logical] = head.index
 
     def _job_step(self, now: float, budget: float, bucket: str) -> tuple[float, float]:
         """Run up to ``budget`` seconds of the current job at time ``now``.
@@ -378,8 +312,7 @@ class FlashCard(StorageDevice):
         Returns ``(time_consumed, new_now)``.  Copy work is charged at the
         active power, erase work at the erase power, both into ``bucket``.
         """
-        state = self._state
-        job = state.job
+        job = self._job
         assert job is not None
         charge = self.energy.charge
         spec = self.spec
@@ -391,7 +324,7 @@ class FlashCard(StorageDevice):
                 # Overwritten or deleted since the job started; nothing to copy.
                 job.copy_queue.popleft()
                 continue
-            needed = self._block_copy_s - job.copy_progress_s
+            needed = self.block_copy_s - job.copy_progress_s
             if budget < needed:
                 job.copy_progress_s += budget
                 charge(bucket, spec.active_power_w, budget)
@@ -404,7 +337,7 @@ class FlashCard(StorageDevice):
             job.copy_queue.popleft()
             job.victim.invalidate(logical)
             self._alloc_for_cleaner(logical, now + consumed)
-            state.blocks_copied += 1
+            self.blocks_copied += 1
 
         if not job.copy_queue and budget > 0:
             step = min(budget, job.erase_remaining_s)
@@ -413,7 +346,7 @@ class FlashCard(StorageDevice):
             consumed += step
             if job.erase_remaining_s <= 1e-12:
                 self._complete_erase(job.victim)
-                state.job = None
+                self._job = None
 
         return consumed, now + consumed
 
@@ -426,63 +359,65 @@ class FlashCard(StorageDevice):
         they run out — shrinking effective capacity until writes can no
         longer find space and :class:`FlashOutOfSpaceError` is raised.
         """
-        state = self._state
         if self._injector is not None and self._injector.erase_failure(
             victim.erase_count, self.spec.endurance_cycles
         ):
-            state.erase_failures += 1
-            if state.spares_remaining > 0:
-                state.spares_remaining -= 1
-                state.remapped_segments += 1
+            self.erase_failures += 1
+            if self.spares_remaining > 0:
+                self.spares_remaining -= 1
+                self.remapped_segments += 1
                 victim.remap_to_spare()
-                state.erased.append(victim.index)
-                state.segments_cleaned += 1
+                self._erased.append(victim.index)
+                self.segments_cleaned += 1
             else:
                 victim.retire()
-                state.retired_segments += 1
+                self.retired_segments += 1
             return
         victim.erase()
-        state.erased.append(victim.index)
-        state.segments_cleaned += 1
+        self._erased.append(victim.index)
+        self.segments_cleaned += 1
 
     def _run_job_to_completion(self, now: float, bucket: str) -> float:
         """Run the current job until its segment is erased (foreground)."""
-        state = self._state
-        while state.job is not None:
+        while self._job is not None:
             _, now = self._job_step(now, float("inf"), bucket)
         return now
 
     # -- idle-time behaviour -----------------------------------------------------------
 
     def advance(self, until: float) -> None:
-        state = self._state
-        if until <= state.clock:
+        if until <= self.clock:
             return
-        budget = until - state.clock
+        budget = until - self.clock
         if self.background_cleaning:
             while budget > 1e-12:
-                if state.job is None:
-                    if not self._needs_cleaning() or not self._start_job(state.clock):
+                if self._job is None:
+                    if not self._needs_cleaning() or not self._start_job(self.clock):
                         break
-                consumed, _ = self._job_step(state.clock, budget, "clean")
-                state.clock += consumed
+                consumed, _ = self._job_step(self.clock, budget, "clean")
+                self.clock += consumed
                 budget -= consumed
                 if consumed <= 0:
                     break
         if budget > 0:
             self.energy.charge("idle", self.spec.idle_power_w, budget)
-            state.clock = until
-        state.clock = until
+            self.clock = until
+        self.clock = until
 
     # -- access path ---------------------------------------------------------------
 
+    def read_time(self, size: int) -> float:
+        """Host-visible duration of one read of ``size`` bytes."""
+        return self.spec.read_latency_s + transfer_time(
+            size, self.spec.read_bandwidth_bps
+        )
+
     def read(self, at: float, size: int, blocks: Sequence[int], file_id: int) -> float:
         start = self._begin(at)
-        duration = self.model.read_time(size)
+        duration = self.read_time(size)
         self.energy.charge(AccessKind.READ.value, self.spec.active_power_w, duration)
-        state = self._state
-        state.reads += 1
-        state.bytes_read += size
+        self.reads += 1
+        self.bytes_read += size
         return self._finish(start, duration)
 
     def write(self, at: float, size: int, blocks: Sequence[int], file_id: int) -> float:
@@ -491,28 +426,26 @@ class FlashCard(StorageDevice):
         write_block = self._write_block
         for logical in blocks:
             now = write_block(now, logical)
-        state = self._state
-        state.writes += 1
-        state.bytes_written += size
-        state.clock = now
-        state.busy_until = now
+        self.writes += 1
+        self.bytes_written += size
+        self.clock = now
+        self.busy_until = now
         return now
 
     def _write_block(self, now: float, logical: int) -> float:
-        state = self._state
-        old_index = state.map.pop(logical, None)
+        old_index = self._map.pop(logical, None)
         if old_index is not None:
-            state.segments[old_index].invalidate(logical)
+            self.segments[old_index].invalidate(logical)
 
-        head = state.write_head
+        head = self._write_head
         if head is None or head.is_full:
             now = self._ensure_erased_for_write(now)
-            head = state.segments[state.erased.popleft()]
-            state.write_head = head
+            head = self.segments[self._erased.popleft()]
+            self._write_head = head
 
         head.allocate(logical, now)
-        state.map[logical] = head.index
-        duration = self._block_write_s
+        self._map[logical] = head.index
+        duration = self.block_write_s
         self.energy.charge(AccessKind.WRITE.value, self.spec.active_power_w, duration)
 
         if self.background_cleaning and self._needs_cleaning():
@@ -526,16 +459,15 @@ class FlashCard(StorageDevice):
         is (or soon could be) something to clean; otherwise nothing could
         ever be reclaimed once the card fills.
         """
-        state = self._state
-        available = len(state.erased)
+        available = len(self._erased)
         if available == 0:
             return False
         if available >= 2:
             return True
-        if state.job is not None:
+        if self._job is not None:
             return False  # the in-flight cleaning may need it for copies
         return (
-            self.policy.choose_victim(state.segments, self._head_indices(), now)
+            self.policy.choose_victim(self.segments, self._head_indices(), now)
             is None
         )
 
@@ -543,14 +475,13 @@ class FlashCard(StorageDevice):
         """Stall (foreground-clean) until the write head may take a segment."""
         if self._write_head_may_pop(now):
             return now
-        state = self._state
         stall_start = now
         while not self._write_head_may_pop(now):
-            if state.job is None and not self._start_job(now):
+            if self._job is None and not self._start_job(now):
                 detail = ""
-                if state.retired_segments:
+                if self.retired_segments:
                     detail = (
-                        f" ({state.retired_segments} segments retired as bad "
+                        f" ({self.retired_segments} segments retired as bad "
                         "blocks and no spares remain)"
                     )
                 raise FlashOutOfSpaceError(
@@ -558,8 +489,8 @@ class FlashCard(StorageDevice):
                     f"cleaned{detail}"
                 )
             now = self._run_job_to_completion(now, "clean")
-        state.stalled_writes += 1
-        state.write_stall_s += now - stall_start
+        self.stalled_writes += 1
+        self.write_stall_s += now - stall_start
         if self.obs_sink is not None:
             self.obs_sink("cleaning", stall_start, now - stall_start, self.name)
         return now
@@ -567,11 +498,10 @@ class FlashCard(StorageDevice):
     def delete(self, at: float, blocks: Sequence[int]) -> None:
         """Invalidate deleted blocks; their space is reclaimed by cleaning."""
         self.advance(at)
-        state = self._state
         for logical in blocks:
-            index = state.map.pop(logical, None)
+            index = self._map.pop(logical, None)
             if index is not None:
-                state.segments[index].invalidate(logical)
+                self.segments[index].invalidate(logical)
 
     def power_cycle(self, at: float) -> None:
         """Power loss: flash contents survive, but the in-flight cleaning
@@ -579,7 +509,7 @@ class FlashCard(StorageDevice):
         the cleaner head), while the interrupted erase must restart from
         scratch on the next attempt."""
         super().power_cycle(at)
-        self._state.job = None
+        self._job = None
 
     # -- reporting ---------------------------------------------------------------
 
@@ -587,30 +517,28 @@ class FlashCard(StorageDevice):
 
     def cleaning_costs(self) -> tuple[float, float]:
         """Foreground stall time plus all energy charged to cleaning."""
-        return self._state.write_stall_s, self.energy.bucket_j("clean")
+        return self.write_stall_s, self.energy.bucket_j("clean")
 
     def reset_accounting(self) -> None:
         super().reset_accounting()
-        state = self._state
-        state.segments_cleaned = 0
-        state.blocks_copied = 0
-        state.stalled_writes = 0
-        state.write_stall_s = 0.0
-        state.erase_failures = 0
-        state.remapped_segments = 0
-        state.retired_segments = 0
-        for segment in state.segments:
+        self.segments_cleaned = 0
+        self.blocks_copied = 0
+        self.stalled_writes = 0
+        self.write_stall_s = 0.0
+        self.erase_failures = 0
+        self.remapped_segments = 0
+        self.retired_segments = 0
+        for segment in self.segments:
             segment.erase_count = 0
 
     def stats(self) -> dict[str, float]:
         base = super().stats()
-        state = self._state
         base.update(
             {
-                "segments_cleaned": state.segments_cleaned,
-                "blocks_copied": state.blocks_copied,
-                "stalled_writes": state.stalled_writes,
-                "write_stall_s": state.write_stall_s,
+                "segments_cleaned": self.segments_cleaned,
+                "blocks_copied": self.blocks_copied,
+                "stalled_writes": self.stalled_writes,
+                "write_stall_s": self.write_stall_s,
                 "utilization": self.utilization,
                 "erased_segments": self.erased_segment_count,
             }
@@ -618,10 +546,10 @@ class FlashCard(StorageDevice):
         if self._injector is not None:
             base.update(
                 {
-                    "erase_failures": state.erase_failures,
-                    "remapped_segments": state.remapped_segments,
-                    "retired_segments": state.retired_segments,
-                    "spares_remaining": state.spares_remaining,
+                    "erase_failures": self.erase_failures,
+                    "remapped_segments": self.remapped_segments,
+                    "retired_segments": self.retired_segments,
+                    "spares_remaining": self.spares_remaining,
                 }
             )
         return base

@@ -19,58 +19,123 @@ Two write modes:
 The asynchronous mode needs sector indirection, provided by
 :class:`repro.flash.ftl.SectorMap`.
 
-Split per the state/math convention of :mod:`repro.devices.base`:
-:class:`FlashDiskState` carries the sector map, erase progress, and
-counters; :class:`FlashDiskModel` is the pure cost arithmetic (read and
-write durations, per-sector erase seconds) the vector kernel shares;
-:class:`FlashDisk` composes the two.
+The device keeps its sector map, erase progress and counters as plain
+attributes (``sector_map``, ``pre_erased_sector_writes``, ...); its read
+and write durations are methods over the spec, and the per-sector erase
+time is fixed at construction.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 
-from repro.devices.base import (
-    AccessKind,
-    DeviceModel,
-    DeviceState,
-    StorageDevice,
-    state_mirror,
-)
+from repro.devices.base import AccessKind, StorageDevice
 from repro.devices.specs import FlashDiskSpec
 from repro.errors import ConfigurationError
 from repro.flash.ftl import SectorMap
 from repro.units import transfer_time
 
 
-@dataclass
-class FlashDiskState(DeviceState):
-    """Mutable flash-disk bookkeeping: sector map, erase progress, counters."""
+class FlashDisk(StorageDevice):
+    """A flash memory card with a disk-block interface.
 
-    sector_map: SectorMap | None = None
-    pre_erased_sector_writes: int = 0
-    coupled_sector_writes: int = 0
-    background_erasures: int = 0
-    #: seconds of erase work already paid toward the next dirty sector
-    erase_progress_s: float = 0.0
+    Args:
+        spec: device parameters.
+        capacity_bytes: medium size (defaults to the spec's capacity).
+        block_bytes: the file-system block size the simulator addresses the
+            device with; must be a multiple of the 512-byte sector.
+        async_erase: enable the SDP5A decoupled-erase mode (defaults to the
+            spec's capability flag).
+        injector: optional fault injector; background erases may then fail
+            permanently, retiring sectors (the device tracks no per-sector
+            wear, so failures arrive at the plan's flat base rate).
+    """
 
-
-class FlashDiskModel(DeviceModel):
-    """Pure flash-disk cost math: access durations and erase throughput."""
-
-    __slots__ = ("block_bytes", "sectors_per_block", "sector_erase_s")
-
-    def __init__(self, spec: FlashDiskSpec, block_bytes: int) -> None:
-        super().__init__(spec)
+    def __init__(
+        self,
+        spec: FlashDiskSpec,
+        capacity_bytes: int | None = None,
+        block_bytes: int = 512,
+        async_erase: bool | None = None,
+        injector=None,
+    ) -> None:
+        super().__init__(spec.name)
+        self.spec = spec
+        self.capacity_bytes = capacity_bytes or spec.capacity_bytes
+        if block_bytes % spec.sector_bytes:
+            raise ConfigurationError(
+                f"block size {block_bytes} is not a multiple of the "
+                f"{spec.sector_bytes}-byte sector"
+            )
         self.block_bytes = block_bytes
         self.sectors_per_block = block_bytes // spec.sector_bytes
+        self.async_erase = (
+            spec.supports_async_erase if async_erase is None else async_erase
+        )
+        n_sectors = self.capacity_bytes // spec.sector_bytes
+        self.sector_map = SectorMap(n_sectors)
+        self._injector = injector
         # Fixed by the spec for the device's lifetime; precomputed because
         # advance() consults it on every call.
-        self.sector_erase_s = transfer_time(
+        self._sector_erase_s = transfer_time(
             spec.sector_bytes, spec.erase_bandwidth_bps
         )
+        self.pre_erased_sector_writes = 0
+        self.coupled_sector_writes = 0
+        self.background_erasures = 0
+        #: seconds of erase work already paid toward the next dirty sector
+        self._erase_progress_s = 0.0
+
+    # -- setup -------------------------------------------------------------------
+
+    def preload(self, n_blocks: int) -> None:
+        """Mark blocks ``0..n_blocks-1`` as holding data at time zero."""
+        self.sector_map.preload(n_blocks * self.sectors_per_block)
+
+    # -- idle-time behaviour -------------------------------------------------------
+
+    def advance(self, until: float) -> None:
+        if until <= self.clock:
+            return
+        if not self.async_erase:
+            self.energy.charge("idle", self.spec.idle_power_w, until - self.clock)
+            self.clock = until
+            return
+        # Background erasure: drain the dirty queue at the erase bandwidth,
+        # suspending (trivially, since this only runs between operations)
+        # during I/O.
+        budget = until - self.clock
+        per_sector = self._sector_erase_s
+        sector_map = self.sector_map
+        charge = self.energy.charge
+        spec = self.spec
+        cursor = self.clock  # tracks erase-completion times for the obs sink
+        while budget > 0 and sector_map.dirty_sectors > 0:
+            needed = per_sector - self._erase_progress_s
+            if budget < needed:
+                self._erase_progress_s += budget
+                charge("erase", spec.active_power_w, budget)
+                budget = 0.0
+                break
+            charge("erase", spec.active_power_w, needed)
+            budget -= needed
+            self._erase_progress_s = 0.0
+            if self.obs_sink is not None:
+                self.obs_sink("erase", cursor, needed, self.name)
+            cursor += needed
+            # The SDP spec sheet quotes no endurance figure; per-sector wear
+            # is untracked, so failures arrive at the plan's flat base rate.
+            if self._injector is not None and self._injector.erase_failure(0, 1):
+                sector_map.retire_dirty_one()
+            else:
+                sector_map.erase_one()
+            self.background_erasures += 1
+        if budget > 0:
+            charge("idle", spec.idle_power_w, budget)
+        self.clock = until
+
+    # -- access path ---------------------------------------------------------------
 
     def read_time(self, size: int) -> float:
         """Host-visible duration of one read of ``size`` bytes."""
@@ -100,135 +165,30 @@ class FlashDiskModel(DeviceModel):
         """Sectors written by a ``size``-byte operation (at least one)."""
         return max(1, math.ceil(size / self.spec.sector_bytes))
 
-
-class FlashDisk(StorageDevice):
-    """A flash memory card with a disk-block interface.
-
-    Args:
-        spec: device parameters.
-        capacity_bytes: medium size (defaults to the spec's capacity).
-        block_bytes: the file-system block size the simulator addresses the
-            device with; must be a multiple of the 512-byte sector.
-        async_erase: enable the SDP5A decoupled-erase mode (defaults to the
-            spec's capability flag).
-        injector: optional fault injector; background erases may then fail
-            permanently, retiring sectors (the device tracks no per-sector
-            wear, so failures arrive at the plan's flat base rate).
-    """
-
-    state_factory = FlashDiskState
-
-    def __init__(
-        self,
-        spec: FlashDiskSpec,
-        capacity_bytes: int | None = None,
-        block_bytes: int = 512,
-        async_erase: bool | None = None,
-        injector=None,
-    ) -> None:
-        super().__init__(spec.name)
-        self.spec = spec
-        self.capacity_bytes = capacity_bytes or spec.capacity_bytes
-        if block_bytes % spec.sector_bytes:
-            raise ConfigurationError(
-                f"block size {block_bytes} is not a multiple of the "
-                f"{spec.sector_bytes}-byte sector"
-            )
-        self.model = FlashDiskModel(spec, block_bytes)
-        self.block_bytes = block_bytes
-        self.sectors_per_block = self.model.sectors_per_block
-        self.async_erase = (
-            spec.supports_async_erase if async_erase is None else async_erase
-        )
-        n_sectors = self.capacity_bytes // spec.sector_bytes
-        self._state.sector_map = SectorMap(n_sectors)
-        self._injector = injector
-        self._sector_erase_s = self.model.sector_erase_s
-
-    # Public field API, delegated to the state object.
-    sector_map = state_mirror("sector_map")
-    pre_erased_sector_writes = state_mirror("pre_erased_sector_writes")
-    coupled_sector_writes = state_mirror("coupled_sector_writes")
-    background_erasures = state_mirror("background_erasures")
-    _erase_progress_s = state_mirror("erase_progress_s")
-
-    # -- setup -------------------------------------------------------------------
-
-    def preload(self, n_blocks: int) -> None:
-        """Mark blocks ``0..n_blocks-1`` as holding data at time zero."""
-        self._state.sector_map.preload(n_blocks * self.sectors_per_block)
-
-    # -- idle-time behaviour -------------------------------------------------------
-
-    def advance(self, until: float) -> None:
-        state = self._state
-        if until <= state.clock:
-            return
-        if not self.async_erase:
-            self.energy.charge("idle", self.spec.idle_power_w, until - state.clock)
-            state.clock = until
-            return
-        # Background erasure: drain the dirty queue at the erase bandwidth,
-        # suspending (trivially, since this only runs between operations)
-        # during I/O.
-        budget = until - state.clock
-        per_sector = self._sector_erase_s
-        sector_map = state.sector_map
-        charge = self.energy.charge
-        spec = self.spec
-        cursor = state.clock  # tracks erase-completion times for the obs sink
-        while budget > 0 and sector_map.dirty_sectors > 0:
-            needed = per_sector - state.erase_progress_s
-            if budget < needed:
-                state.erase_progress_s += budget
-                charge("erase", spec.active_power_w, budget)
-                budget = 0.0
-                break
-            charge("erase", spec.active_power_w, needed)
-            budget -= needed
-            state.erase_progress_s = 0.0
-            if self.obs_sink is not None:
-                self.obs_sink("erase", cursor, needed, self.name)
-            cursor += needed
-            # The SDP spec sheet quotes no endurance figure; per-sector wear
-            # is untracked, so failures arrive at the plan's flat base rate.
-            if self._injector is not None and self._injector.erase_failure(0, 1):
-                sector_map.retire_dirty_one()
-            else:
-                sector_map.erase_one()
-            state.background_erasures += 1
-        if budget > 0:
-            charge("idle", spec.idle_power_w, budget)
-        state.clock = until
-
-    # -- access path ---------------------------------------------------------------
-
     def read(self, at: float, size: int, blocks: Sequence[int], file_id: int) -> float:
         start = self._begin(at)
-        duration = self.model.read_time(size)
+        duration = self.read_time(size)
         self.energy.charge(AccessKind.READ.value, self.spec.active_power_w, duration)
-        state = self._state
-        state.reads += 1
-        state.bytes_read += size
+        self.reads += 1
+        self.bytes_read += size
         return self._finish(start, duration)
 
     def write(self, at: float, size: int, blocks: Sequence[int], file_id: int) -> float:
         start = self._begin(at)
-        state = self._state
         if self.async_erase:
             duration = self._async_write_duration(size, blocks)
         else:
-            duration = self.model.coupled_write_time(size)
-            state.coupled_sector_writes += self.model.sector_count(size)
+            duration = self.coupled_write_time(size)
+            self.coupled_sector_writes += self.sector_count(size)
             self._apply_mapping(blocks)
         self.energy.charge(AccessKind.WRITE.value, self.spec.active_power_w, duration)
-        state.writes += 1
-        state.bytes_written += size
+        self.writes += 1
+        self.bytes_written += size
         return self._finish(start, duration)
 
     def _apply_mapping(self, blocks: Sequence[int]) -> None:
         """Keep the sector map coherent in coupled mode (no timing impact)."""
-        sector_map = self._state.sector_map
+        sector_map = self.sector_map
         sectors_per_block = self.sectors_per_block
         for block in blocks:
             base = block * sectors_per_block
@@ -237,8 +197,7 @@ class FlashDisk(StorageDevice):
 
     def _async_write_duration(self, size: int, blocks: Sequence[int]) -> float:
         """Split the write between pre-erased (fast) and coupled sectors."""
-        state = self._state
-        sector_map = state.sector_map
+        sector_map = self.sector_map
         sectors_per_block = self.sectors_per_block
         fast_sectors = 0
         slow_sectors = 0
@@ -249,21 +208,21 @@ class FlashDisk(StorageDevice):
                     fast_sectors += 1
                 else:
                     slow_sectors += 1
-        state.pre_erased_sector_writes += fast_sectors
-        state.coupled_sector_writes += slow_sectors
-        return self.model.async_write_time(fast_sectors, slow_sectors)
+        self.pre_erased_sector_writes += fast_sectors
+        self.coupled_sector_writes += slow_sectors
+        return self.async_write_time(fast_sectors, slow_sectors)
 
     def power_cycle(self, at: float) -> None:
         """Power loss: mappings survive in flash, but partial progress on
         the sector being erased is lost (the erase restarts)."""
         super().power_cycle(at)
-        self._state.erase_progress_s = 0.0
+        self._erase_progress_s = 0.0
 
     def delete(self, at: float, blocks: Sequence[int]) -> None:
         """Trim: deleted sectors join the dirty queue (async mode) so the
         background eraser can recycle them."""
         self.advance(at)
-        sector_map = self._state.sector_map
+        sector_map = self.sector_map
         sectors_per_block = self.sectors_per_block
         for block in blocks:
             base = block * sectors_per_block
@@ -281,23 +240,21 @@ class FlashDisk(StorageDevice):
 
     def reset_accounting(self) -> None:
         super().reset_accounting()
-        state = self._state
-        state.pre_erased_sector_writes = 0
-        state.coupled_sector_writes = 0
-        state.background_erasures = 0
+        self.pre_erased_sector_writes = 0
+        self.coupled_sector_writes = 0
+        self.background_erasures = 0
 
     def stats(self) -> dict[str, float]:
         base = super().stats()
-        state = self._state
         base.update(
             {
-                "pre_erased_sector_writes": state.pre_erased_sector_writes,
-                "coupled_sector_writes": state.coupled_sector_writes,
-                "background_erasures": state.background_erasures,
-                "dirty_sectors": state.sector_map.dirty_sectors,
-                "free_sectors": state.sector_map.free_sectors,
+                "pre_erased_sector_writes": self.pre_erased_sector_writes,
+                "coupled_sector_writes": self.coupled_sector_writes,
+                "background_erasures": self.background_erasures,
+                "dirty_sectors": self.sector_map.dirty_sectors,
+                "free_sectors": self.sector_map.free_sectors,
             }
         )
         if self._injector is not None:
-            base["retired_sectors"] = state.sector_map.retired_sectors
+            base["retired_sectors"] = self.sector_map.retired_sectors
         return base

@@ -31,9 +31,11 @@ Al-Maeeni et al. (see PAPERS.md):
   class: magnetic disks and coupled flash disks run through closed-form
   (G, L) array kernels mirroring :mod:`repro.kernel.disk_kernel` /
   :mod:`repro.kernel.flashdisk_kernel`; flash cards reuse the exact
-  :class:`~repro.kernel.flashcard_kernel.CardKernel` per device with
-  the group's synthesized arrays shimmed in, so cleaning dynamics stay
-  on the reference code path.
+  :class:`~repro.kernel.flashcard_kernel.CardKernel` per device, over a
+  :class:`~repro.traces.compiled.CompiledOps` of the device's
+  synthesized row and a card that ``core.hierarchy._build_flash_card``
+  sized and preloaded, so cleaning dynamics stay on the reference code
+  path.
 """
 
 from __future__ import annotations
@@ -45,9 +47,9 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.devices.flashcard import FlashCard
+from repro.core.config import SimulationConfig
+from repro.core.hierarchy import _build_flash_card
 from repro.devices.specs import device_spec, memory_spec
-from repro.flash.cleaner import cleaning_policy
 from repro.fleet.population import (
     DEVICE_MIX,
     FleetSpec,
@@ -55,8 +57,9 @@ from repro.fleet.population import (
     sample_devices,
 )
 from repro.fleet.rng import counter_uniforms
-from repro.kernel.arrays import DELETE, READ, WRITE
 from repro.kernel.flashcard_kernel import CardKernel
+from repro.traces.compiled import CompiledOps
+from repro.traces.trace import DELETE, READ, WRITE
 from repro.traces.workloads import GAP_CHUNK, workload_by_name
 from repro.units import KB
 
@@ -851,27 +854,6 @@ def run_flashdisks_fast(
 # ---------------------------------------------------------------------------
 
 
-class _Ops:
-    """OpArrays-shaped shim over one device's synthesized row."""
-
-    __slots__ = ("kind", "time", "size", "file_id", "n_blocks", "n_ops")
-
-    def __init__(self, kind, time, size, n_blocks) -> None:
-        self.kind = kind
-        self.time = time
-        self.size = size
-        self.file_id = None  # CardKernel never reads file ids
-        self.n_blocks = n_blocks
-        self.n_ops = len(kind)
-
-
-class _Compiled:
-    __slots__ = ("blocks",)
-
-    def __init__(self, blocks) -> None:
-        self.blocks = blocks
-
-
 class _Plan:
     __slots__ = ("miss_counts",)
 
@@ -898,7 +880,6 @@ def run_cards_fast(
     tables = batch.tables
     bb = tables.block_bytes
     spec = device_spec(DEVICE_NAMES[3])
-    segment = spec.segment_bytes
     length = batch.valid.shape[1]
 
     out = {
@@ -914,7 +895,6 @@ def run_cards_fast(
         n = int(batch.n_ops[row])
         kind = batch.kind[row, :n]
         t = batch.t[row, :n]
-        size = batch.size[row, :n]
         nb = batch.n_blocks[row, :n]
         w = wait[row, :n]
         has_dram = dram_bytes[r] > 0
@@ -943,34 +923,18 @@ def run_cards_fast(
             a = int(batch.op_touch_start[row * length + i]) - start
             blocks[i] = tuple(remapped[a : a + int(nb[i])])
 
-        # Capacity and preload: the _build_flash_card formulas verbatim.
-        util = float(utilization[r])
-        dataset_bytes = dataset_blocks * bb
-        capacity = (
-            int(math.ceil(dataset_bytes / util / segment)) * segment
+        # The reference path's card: sized and preloaded by the hierarchy.
+        config = SimulationConfig(
+            device=spec.name, flash_utilization=float(utilization[r])
         )
-        while capacity - int(util * capacity) < 2 * segment or capacity < (
-            dataset_bytes + 2 * segment
-        ):
-            capacity += segment
-        capacity = max(capacity, 3 * segment)
-        card = FlashCard(
-            spec,
-            capacity_bytes=capacity,
-            block_bytes=bb,
-            policy=cleaning_policy("greedy"),
-            background_cleaning=True,
+        card = _build_flash_card(config, spec, bb, dataset_blocks)
+        compiled = CompiledOps(
+            kind, t, batch.file[row, :n], nb, blocks, dataset_blocks, bb
         )
-        capacity_blocks = capacity // bb
-        target_live = max(dataset_blocks, int(util * capacity_blocks))
-        card.preload(range(target_live))
 
         warm = n // 10
         kernel = CardKernel(card, plan, bb)
-        outcome = kernel.run(
-            _Ops(kind, t, size, nb), _Compiled(blocks), w, warm,
-            float(batch.duration[row]),
-        )
+        outcome = kernel.run(compiled, w, warm, float(batch.duration[row]))
         end_time = outcome["end_time"]
         resp = outcome["responses"][warm:]
         kinds_m = kind[warm:]

@@ -32,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.request import FLUSH_FILE_ID
-from repro.kernel.arrays import DELETE, READ, WRITE, OpArrays
+from repro.traces.trace import READ, WRITE
 
 _SPINNING, _SPINNING_DOWN, _SLEEPING = 0, 1, 2
 _MIN_CHUNK = 128
@@ -92,7 +92,7 @@ class DiskKernel:
             self.sram_bw = 0.0
         self.buffer: set[int] = set()
 
-        # Device state (mirrors MagneticDiskState; disk starts spinning).
+        # Device state (mirrors MagneticDisk's fields; disk starts spinning).
         self.spindle = _SPINNING
         self.clock = 0.0
         self.busy = 0.0
@@ -201,11 +201,11 @@ class DiskKernel:
 
     # -- scalar episode ------------------------------------------------------
 
-    def _episode_op(self, i: int, ops: OpArrays, compiled, wait: np.ndarray,
+    def _episode_op(self, i: int, compiled, wait: np.ndarray,
                     resp: np.ndarray) -> None:
-        t = float(ops.time[i])
+        t = float(compiled.time[i])
         self._adv(t)
-        kind = ops.kind[i]
+        kind = compiled.op_codes[i]
         w = float(wait[i])
         if kind == READ:
             if self.dram_plan is not None:
@@ -231,7 +231,7 @@ class DiskKernel:
                     queue_wait = max(0.0, self.busy - arrival)
                     completion = self._access(
                         arrival, device_blocks * self.block_bytes,
-                        int(ops.file_id[i]), is_read=True,
+                        int(compiled.file_id[i]), is_read=True,
                     )
                     adjusted = completion - min(
                         queue_wait, max(0.0, completion - arrival)
@@ -242,7 +242,7 @@ class DiskKernel:
             resp[i] = now - t
         elif kind == WRITE:
             blocks = compiled.blocks[i]
-            size = int(ops.size[i])
+            size = int(compiled.size[i])
             now = t + w
             buffer = self.buffer
             if len(blocks) <= self.sram_cap:
@@ -262,14 +262,14 @@ class DiskKernel:
                     self.sram_wait_s += sw
                 resp[i] = now - t
                 if self.spindle == _SPINNING:
-                    self._background_flush(int(ops.file_id[i]))
+                    self._background_flush(int(compiled.file_id[i]))
             else:
                 for block in blocks:
                     buffer.discard(block)
                 arrival = now
                 queue_wait = max(0.0, self.busy - arrival)
                 completion = self._access(
-                    arrival, size, int(ops.file_id[i]), is_read=False
+                    arrival, size, int(compiled.file_id[i]), is_read=False
                 )
                 adjusted = completion - min(
                     queue_wait, max(0.0, completion - arrival)
@@ -284,31 +284,31 @@ class DiskKernel:
 
     # -- the run loop --------------------------------------------------------
 
-    def run(self, ops: OpArrays, compiled, wait: np.ndarray, warm_count: int,
+    def run(self, compiled, wait: np.ndarray, warm_count: int,
             trace_duration: float) -> dict:
-        n = ops.n_ops
+        n = compiled.n_ops
         bb = self.block_bytes
-        times = ops.time
-        kinds = ops.kind
+        times = compiled.time
+        kinds = compiled.op_codes
         is_read = kinds == READ
         is_write = kinds == WRITE
         if self.dram_plan is not None:
             dev_read_blocks = self.dram_plan.miss_counts.astype(np.int64)
         else:
-            dev_read_blocks = ops.n_blocks
+            dev_read_blocks = compiled.n_blocks
         read_bytes = np.where(is_read, dev_read_blocks * bb, 0)
         dev_read = is_read & (read_bytes > 0)
         if self.sram_cap:
-            absorbed = is_write & (ops.n_blocks <= self.sram_cap)
+            absorbed = is_write & (compiled.n_blocks <= self.sram_cap)
         else:
             absorbed = np.zeros(n, dtype=bool)
         bypass = is_write & ~absorbed
         has_access = dev_read | is_write
-        acc_size = np.where(is_read, read_bytes, ops.size).astype(np.float64)
+        acc_size = np.where(is_read, read_bytes, compiled.size).astype(np.float64)
         arrival = np.where(absorbed, times, times + wait)
         sw = np.zeros(n, dtype=np.float64)
         if self.sram_cap:
-            np.divide(ops.size, self.sram_bw, out=sw, where=absorbed)
+            np.divide(compiled.size, self.sram_bw, out=sw, where=absorbed)
             sw[absorbed] += self.sram_lat
         base_dur = np.where(
             is_read,
@@ -336,7 +336,7 @@ class DiskKernel:
             if i < warm_count < end:
                 end = warm_count
             i = self._scan_chunk(
-                i, end, ops, wait, has_access, arrival, acc_size, base_dur,
+                i, end, compiled, wait, has_access, arrival, acc_size, base_dur,
                 dev_read, bypass, absorbed, sw, resp,
                 measured=i >= warm_count,
             )
@@ -348,7 +348,7 @@ class DiskKernel:
                     if not zeroed and i >= warm_count:
                         self._zero()
                         zeroed = True
-                    self._episode_op(i, ops, compiled, wait, resp)
+                    self._episode_op(i, compiled, wait, resp)
                     i += 1
                     if self.spindle == _SPINNING and not self.buffer:
                         break
@@ -361,12 +361,12 @@ class DiskKernel:
         self._adv(end_time)
         return self._outcome(resp, end_time)
 
-    def _scan_chunk(self, s: int, e: int, ops: OpArrays, wait, has_access,
+    def _scan_chunk(self, s: int, e: int, compiled, wait, has_access,
                     arrival, acc_size, base_dur, dev_read, bypass, absorbed,
                     sw, resp, measured: bool) -> int:
         """Vector-process awake-mode ops in ``[s, e)``; returns the first
         unprocessed index (== ``e`` when the whole chunk stayed awake)."""
-        times = ops.time
+        times = compiled.time
         acc_mask = has_access[s:e]
         acc_pos = np.flatnonzero(acc_mask)
         timeout = self.timeout
@@ -375,7 +375,7 @@ class DiskKernel:
         if len(acc_pos):
             idx = acc_pos + s
             a_seq = arrival[idx]
-            fid_seq = ops.file_id[idx]
+            fid_seq = compiled.file_id[idx]
             prev_fid = np.empty_like(fid_seq)
             prev_fid[0] = _NO_FILE if self.last_file is None else self.last_file
             prev_fid[1:] = fid_seq[:-1]
@@ -419,7 +419,7 @@ class DiskKernel:
         if k:
             self.busy = float(completions[k - 1])
             self.idle_since = self.busy
-            self.last_file = int(ops.file_id[acc_pos[k - 1] + s])
+            self.last_file = int(compiled.file_id[acc_pos[k - 1] + s])
         clock_exit = max(self.clock, self.busy, float(times[v - 1]))
         self.clock = clock_exit
 

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.kernel.arrays import DELETE, READ, OpArrays
+from repro.traces.trace import DELETE, READ
 
 if TYPE_CHECKING:
     from repro.devices.specs import MemorySpec
@@ -61,7 +61,7 @@ class DramPlan:
         lo, hi = self.miss_off[index], self.miss_off[index + 1]
         return self.miss_flat[lo:hi].tolist()
 
-    def waits_for(self, ops: OpArrays, spec: "MemorySpec",
+    def waits_for(self, compiled: "CompiledOps", spec: "MemorySpec",
                   block_bytes: int) -> np.ndarray:
         """Per-op DRAM wait (seconds) for the given memory part.
 
@@ -71,14 +71,14 @@ class DramPlan:
         """
         latency = spec.access_latency_s
         bandwidth = spec.bandwidth_bps
-        wait = np.zeros(ops.n_ops, dtype=np.float64)
-        is_read = ops.kind == READ
+        wait = np.zeros(compiled.n_ops, dtype=np.float64)
+        is_read = compiled.op_codes == READ
         hit_bytes = self.hit_counts * block_bytes
         np.divide(hit_bytes, bandwidth, out=wait, where=is_read & (hit_bytes > 0))
         wait[is_read & (hit_bytes > 0)] += latency
-        is_write = ~is_read & (ops.kind != DELETE)
-        sized = is_write & (ops.size > 0)
-        wait[sized] = latency + ops.size[sized] / bandwidth
+        is_write = ~is_read & (compiled.op_codes != DELETE)
+        sized = is_write & (compiled.size > 0)
+        wait[sized] = latency + compiled.size[sized] / bandwidth
         return wait
 
 

@@ -9,9 +9,11 @@ the EnergyMeter's per-charge dict updates become four float accumulators
 and one tight loop.
 
 Exactness discipline: this module mirrors
-:class:`~repro.devices.flashcard.FlashCard` expression-for-expression and
-mutates the *same* :class:`~repro.flash.segment.Segment` objects through
-the same insert/remove sequences.  That matters because a cleaning job
+:class:`~repro.devices.flashcard.FlashCard` expression-for-expression.  It
+starts from a freshly built, preloaded card, reads its per-block write and
+copy seconds, adopts its ``segments``, logical map, erased stock and
+heads, and mutates the *same* :class:`~repro.flash.segment.Segment`
+objects through the same insert/remove sequences.  That matters because a cleaning job
 snapshots ``deque(victim.live)`` — a set whose iteration order depends on
 its mutation history — so any shortcut that reordered set operations would
 reorder cleaning copies and diverge from the reference.  Only greedy
@@ -25,7 +27,7 @@ from collections import deque
 
 import numpy as np
 
-from repro.kernel.arrays import DELETE, READ, WRITE, OpArrays
+from repro.traces.trace import READ, WRITE
 
 
 class CardKernel:
@@ -42,18 +44,17 @@ class CardKernel:
         self.read_latency_s = spec.read_latency_s
         self.read_bw = spec.read_bandwidth_bps
         self.erase_time_s = spec.erase_time_s
-        self.block_write_s = card.model.block_write_s
-        self.block_copy_s = card.model.block_copy_s
+        self.block_write_s = card.block_write_s
+        self.block_copy_s = card.block_copy_s
         self.bps = card.blocks_per_segment
         self.background = card.background_cleaning
         self.reserve = card.reserve_segments
 
-        state = card._state
-        self.segments = state.segments
-        self.smap = state.map
-        self.erased = state.erased
-        self.write_head = state.write_head
-        self.clean_head = state.clean_head
+        self.segments = card.segments
+        self.smap = card._map
+        self.erased = card._erased
+        self.write_head = card._write_head
+        self.clean_head = card._clean_head
         # Per-segment live/free counters shadowing the Segment objects, so
         # victim selection is an argmin over arrays instead of a Python
         # scan of every segment.  (No segment retires in the vector
@@ -102,7 +103,7 @@ class CardKernel:
     def _find_victim(self, headroom=None):
         """Greedy victim (min live count, ties to lowest index) or None.
 
-        Matches ``FlashCard._choose_victim`` over the (optionally
+        Matches ``GreedyPolicy.choose_victim`` over the (optionally
         headroom-filtered) segment list: erased and fully-live segments
         are skipped, the write/clean heads are excluded while partially
         filled.
@@ -302,21 +303,21 @@ class CardKernel:
     # into the loop body: writes dominate the op stream and a method call
     # per write would re-bind a dozen locals 80k+ times per trace.
 
-    def run(self, ops: OpArrays, compiled, wait: np.ndarray, warm_count: int,
+    def run(self, compiled, wait: np.ndarray, warm_count: int,
             trace_duration: float) -> dict:
         # Plain Python scalars: element reads from NumPy arrays return
         # boxed np.float64s whose arithmetic is several times slower, and
         # they would poison every downstream float in this loop.
-        times = ops.time.tolist()
-        kinds = ops.kind.tolist()
-        sizes = ops.size.tolist()
+        times = compiled.time.tolist()
+        kinds = compiled.op_codes.tolist()
+        sizes = compiled.size.tolist()
         waits = wait.tolist()
         all_blocks = compiled.blocks
         plan = self.dram_plan
         if plan is not None:
             dev_counts = plan.miss_counts.tolist()
         else:
-            dev_counts = ops.n_blocks.tolist()
+            dev_counts = compiled.n_blocks.tolist()
         bb = self.block_bytes
         read_latency = self.read_latency_s
         read_bw = self.read_bw
@@ -369,14 +370,14 @@ class CardKernel:
         # to the next device-touching op (same budget, same clock).  Skip
         # them wholesale: their response is just the DRAM wait.
         if plan is not None:
-            skip = (ops.kind == READ) & (plan.miss_counts == 0)
+            skip = (compiled.op_codes == READ) & (plan.miss_counts == 0)
             # A hit read's reference response is (t + wait) - t, not wait:
             # the round trip through absolute time is observable noise.
-            resp = np.where(skip, (ops.time + wait) - ops.time, 0.0).tolist()
+            resp = np.where(skip, (compiled.time + wait) - compiled.time, 0.0).tolist()
             indices = np.flatnonzero(~skip).tolist()
         else:
-            resp = [0.0] * ops.n_ops
-            indices = range(ops.n_ops)
+            resp = [0.0] * compiled.n_ops
+            indices = range(compiled.n_ops)
         # Reference clock at the warm reset: every op advances the device
         # to its time, so catch up over any skipped warm ops first.
         boundary_t = times[warm_count - 1] if warm_count > 0 else None
@@ -627,7 +628,7 @@ class CardKernel:
             self._reset_accounting()
 
         frontier = self.busy if self.busy > self.clock else self.clock
-        last_t = times[-1] if ops.n_ops else 0.0
+        last_t = times[-1] if compiled.n_ops else 0.0
         end_time = max(trace_duration, frontier, last_t)
         self._advance(end_time)
         return self._outcome(np.asarray(resp), end_time)

@@ -24,51 +24,50 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernel.arrays import DELETE, READ, WRITE, OpArrays
+from repro.traces.trace import DELETE, READ, WRITE
 
 
-def run_flashdisk(device, ops: OpArrays, compiled, wait: np.ndarray,
+def run_flashdisk(device, compiled, wait: np.ndarray,
                   dram_plan, warm_count: int, trace_duration: float) -> dict:
     """Simulate a coupled-mode flash disk over the compiled arrays.
 
-    ``device`` is a freshly built (preloaded) FlashDisk, used for its spec,
-    derived model constants, and initial sector-pool counts; its state is
-    not mutated.
+    ``device`` is a freshly built (preloaded) FlashDisk, read for its spec,
+    block geometry and initial sector-pool counts; it is not mutated.
     """
     spec = device.spec
     bb = device.block_bytes
-    n = ops.n_ops
+    n = compiled.n_ops
 
-    kinds = ops.kind
+    kinds = compiled.op_codes
     is_read = kinds == READ
     is_write = kinds == WRITE
     if dram_plan is not None:
         dev_read_blocks = dram_plan.miss_counts.astype(np.int64)
     else:
-        dev_read_blocks = ops.n_blocks
+        dev_read_blocks = compiled.n_blocks
     read_bytes = np.where(is_read, dev_read_blocks * bb, 0)
     dev_read = is_read & (read_bytes > 0)
     acc = dev_read | is_write
 
     durations = np.zeros(n, dtype=np.float64)
     np.divide(read_bytes, spec.read_bandwidth_bps, out=durations, where=dev_read)
-    write_sizes = ops.size
+    write_sizes = compiled.size
     np.divide(write_sizes, spec.write_bandwidth_bps, out=durations, where=is_write)
     durations[acc] += spec.access_latency_s
 
-    arrivals = ops.time + wait
+    arrivals = compiled.time + wait
     # Base responses: the reference reports a pure-cache op's response as
     # (t + wait) - t, whose cancellation noise is observable output.
-    responses = (ops.time + wait) - ops.time
+    responses = (compiled.time + wait) - compiled.time
 
     # Queue-free accesses respond in (arrival + d) - t, filled wholesale;
     # the scalar loop below only tracks the busy frontier and rewrites
     # the queued ones.  Both mirror StorageDevice._begin/_finish and the
     # DeviceLayer queue-wait correction expression-for-expression.
     acc_i = np.flatnonzero(acc)
-    responses[acc_i] = (arrivals[acc_i] + durations[acc_i]) - ops.time[acc_i]
+    responses[acc_i] = (arrivals[acc_i] + durations[acc_i]) - compiled.time[acc_i]
     acc_idx = acc_i.tolist()
-    t_list = ops.time[acc_i].tolist()
+    t_list = compiled.time[acc_i].tolist()
     a_list = arrivals[acc_i].tolist()
     d_list = durations[acc_i].tolist()
     busy = 0.0
@@ -110,12 +109,12 @@ def run_flashdisk(device, ops: OpArrays, compiled, wait: np.ndarray,
     # op time the layers advanced to; measured accesses never start before
     # it (their arrivals are >= t_{wc-1} and they queue behind warm work).
     if warm_count > 0:
-        clock_reset = max(warm_frontier, float(ops.time[warm_count - 1]))
+        clock_reset = max(warm_frontier, float(compiled.time[warm_count - 1]))
     else:
         clock_reset = 0.0
 
     last_completion = busy
-    last_t = float(ops.time[-1]) if n else 0.0
+    last_t = float(compiled.time[-1]) if n else 0.0
     end_time = max(trace_duration, last_completion, last_t)
     busy_measured = float(durations[m_acc].sum())
     idle_j = spec.idle_power_w * max(0.0, (end_time - clock_reset) - busy_measured)
@@ -144,7 +143,7 @@ def run_flashdisk(device, ops: OpArrays, compiled, wait: np.ndarray,
     spb = device.sectors_per_block
     free0 = device.sector_map.free_sectors
     dirty0 = device.sector_map.dirty_sectors
-    block_writes = int(ops.n_blocks[is_write].sum())
+    block_writes = int(compiled.n_blocks[is_write].sum())
     free = max(0, free0 - spb * block_writes)
     taken = free0 - free
     n_eff_trims = 0

@@ -3,8 +3,8 @@
 :func:`simulate_vector` is the array-native counterpart of
 ``Simulator.run(trace, kernel="batched")``.  It compiles the trace, builds the
 *same* hierarchy the reference would (so device sizing, preload, and spec
-resolution stay in one place), then hands the flat op arrays to the
-device-appropriate kernel:
+resolution stay in one place), then hands the compiled trace's arrays to
+the device-appropriate kernel:
 
 * :class:`~repro.kernel.disk_kernel.DiskKernel` (magnetic disk + SRAM),
 * :func:`~repro.kernel.flashdisk_kernel.run_flashdisk` (coupled flash
@@ -35,22 +35,17 @@ from repro.devices.disk import MagneticDisk
 from repro.devices.flashcard import FlashCard
 from repro.devices.flashdisk import FlashDisk
 from repro.devices.specs import DiskSpec, FlashCardSpec, FlashDiskSpec, device_spec
-from repro.errors import TraceError
-from repro.kernel.arrays import DELETE, READ, WRITE, op_arrays
 from repro.kernel.disk_kernel import DiskKernel
 from repro.kernel.dram import classify
 from repro.kernel.flashcard_kernel import CardKernel
 from repro.kernel.flashdisk_kernel import run_flashdisk
 from repro.traces.compiled import compile_trace
+from repro.traces.trace import DELETE, READ, WRITE
 
 if TYPE_CHECKING:
     from repro.core.config import SimulationConfig
+    from repro.traces.compiled import CompiledOps
     from repro.traces.trace import Trace
-
-_EMPTY_TRACE_MESSAGE = (
-    "trace {name!r} produced no block operations; nothing to "
-    "simulate (check the trace generator and scale parameters)"
-)
 
 
 def unsupported_reason(config: "SimulationConfig", obs=None) -> str | None:
@@ -101,23 +96,21 @@ def unsupported_reason(config: "SimulationConfig", obs=None) -> str | None:
 def simulate_vector(trace: "Trace", config: "SimulationConfig") -> SimulationResult:
     """Run ``trace`` under ``config`` through the vector kernels.
 
-    Callers must have checked :func:`unsupported_reason` first; behaviour
+    Callers must have rejected an empty trace and checked
+    :func:`unsupported_reason` first, as ``Simulator.run`` does; behaviour
     outside the envelope is undefined (typically an exception).
     """
     compiled = compile_trace(trace)
-    if compiled.n_ops == 0:
-        raise TraceError(_EMPTY_TRACE_MESSAGE.format(name=trace.name))
     hierarchy = build_hierarchy(
         config, trace.block_size, max(1, compiled.dataset_blocks)
     )
-    ops = op_arrays(trace, compiled)
-    n = ops.n_ops
+    n = compiled.n_ops
     warm_count = int(n * config.warm_fraction)
 
     dram = hierarchy.dram
     if dram is not None:
         plan = classify(trace, compiled, dram.capacity_blocks)
-        wait = plan.waits_for(ops, dram.spec, hierarchy.block_bytes)
+        wait = plan.waits_for(compiled, dram.spec, hierarchy.block_bytes)
     else:
         plan = None
         wait = np.zeros(n, dtype=np.float64)
@@ -125,18 +118,20 @@ def simulate_vector(trace: "Trace", config: "SimulationConfig") -> SimulationRes
     device = hierarchy.device
     if isinstance(device, MagneticDisk):
         kernel = DiskKernel(device, hierarchy.sram, plan, hierarchy.block_bytes)
-        outcome = kernel.run(ops, compiled, wait, warm_count, trace.duration)
+        outcome = kernel.run(compiled, wait, warm_count, trace.duration)
     elif isinstance(device, FlashDisk):
         outcome = run_flashdisk(
-            device, ops, compiled, wait, plan, warm_count, trace.duration
+            device, compiled, wait, plan, warm_count, trace.duration
         )
     elif isinstance(device, FlashCard):
         kernel = CardKernel(device, plan, hierarchy.block_bytes)
-        outcome = kernel.run(ops, compiled, wait, warm_count, trace.duration)
+        outcome = kernel.run(compiled, wait, warm_count, trace.duration)
     else:  # pragma: no cover - guarded by unsupported_reason
         raise TypeError(f"no vector kernel for {type(device).__name__}")
 
-    return _assemble(trace, config, hierarchy, ops, wait, plan, outcome, warm_count)
+    return _assemble(
+        trace, config, hierarchy, compiled, wait, plan, outcome, warm_count
+    )
 
 
 def _response_stats(values: np.ndarray) -> ResponseStats:
@@ -170,25 +165,25 @@ def _assemble(
     trace: "Trace",
     config: "SimulationConfig",
     hierarchy,
-    ops,
+    compiled: "CompiledOps",
     wait: np.ndarray,
     plan,
     outcome: dict,
     warm_count: int,
 ) -> SimulationResult:
-    n = ops.n_ops
+    n = compiled.n_ops
     end_time = outcome["end_time"]
     resp = outcome["responses"][warm_count:]
-    kinds = ops.kind[warm_count:]
+    kinds = compiled.op_codes[warm_count:]
     if warm_count < n:
-        measured_start = float(ops.time[warm_count])
+        measured_start = float(compiled.time[warm_count])
     else:
         measured_start = end_time
     duration = max(0.0, end_time - measured_start)
     # The component clocks sit at the last warm op's time when the warm
     # boundary resets their meters; standby power runs from there to the
     # end of the run.
-    clock_reset = float(ops.time[warm_count - 1]) if warm_count > 0 else 0.0
+    clock_reset = float(compiled.time[warm_count - 1]) if warm_count > 0 else 0.0
     standby_window = end_time - clock_reset
 
     breakdown: dict[str, dict[str, float]] = {

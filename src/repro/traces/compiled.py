@@ -2,8 +2,8 @@
 
 :func:`compile_trace` performs the paper's file-to-disk translation
 (section 4.1) once per :class:`Trace` instance, in NumPy over the trace's
-columns, and stores the result both as NumPy arrays (for the vector
-kernels' :class:`~repro.kernel.arrays.OpArrays`) and as parallel lists
+columns, and stores the result both as NumPy arrays (which the vector
+kernels in :mod:`repro.kernel` read as they are) and as parallel lists
 (request kind, issue time, block tuple, in-stack size, file id) that
 :meth:`~repro.core.layers.LayerStack.run_batch` iterates directly.
 

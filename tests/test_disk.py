@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.devices.disk import DiskState, MagneticDisk
+from repro.devices.disk import MagneticDisk, SpindleState
 from repro.devices.specs import CU140_DATASHEET
 from repro.devices.spindown import FixedTimeoutPolicy, NeverSpinDownPolicy
 from repro.units import KB
@@ -58,26 +58,26 @@ class TestOperationTiming:
 class TestSpinStateMachine:
     def test_starts_spinning(self):
         disk = make_disk()
-        assert disk.state is DiskState.SPINNING
+        assert disk.state is SpindleState.SPINNING
 
     def test_spins_down_after_threshold(self):
         disk = make_disk(threshold=5.0)
         disk.read(0.0, KB, [0], 1)
         disk.advance(20.0)
-        assert disk.state is DiskState.SLEEPING
+        assert disk.state is SpindleState.SLEEPING
         assert disk.spin_downs == 1
 
     def test_no_spin_down_before_threshold(self):
         disk = make_disk(threshold=5.0)
         completion = disk.read(0.0, KB, [0], 1)
         disk.advance(completion + 4.9)
-        assert disk.state is DiskState.SPINNING
+        assert disk.state is SpindleState.SPINNING
 
     def test_never_policy_keeps_spinning(self):
         disk = make_disk(threshold=None)
         disk.read(0.0, KB, [0], 1)
         disk.advance(10_000.0)
-        assert disk.state is DiskState.SPINNING
+        assert disk.state is SpindleState.SPINNING
         assert disk.spin_downs == 0
 
     def test_access_while_sleeping_pays_spin_up(self):

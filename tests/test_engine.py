@@ -34,7 +34,7 @@ from repro.experiments.base import Experiment, ExperimentResult, Table
 from repro.experiments.registry import _EXPERIMENTS
 from repro.experiments.runner import run_experiment
 from repro.fleet import FleetSpec, run_fleet
-from repro.kernel.arrays import op_arrays
+from repro.kernel.dram import classify
 from repro.traces.compiled import compile_trace
 from repro.traces.trace import Trace
 
@@ -200,8 +200,7 @@ class TestTraceStore:
             trace.name, *trace.columns, block_size=trace.block_size,
             metadata=trace.metadata,
         ), protocol=pickle.HIGHEST_PROTOCOL)
-        compile_trace(trace)
-        op_arrays(trace, compile_trace(trace))
+        classify(trace, compile_trace(trace), 64)
         path = store.save(trace, "dos", SMALL, 1)
         assert path.name.endswith(f".{TRACE_FORMAT}.pkl.gz")
         with gzip.open(path, "rb") as stream:

@@ -37,7 +37,11 @@ def _trace(workload: str, n_ops: int, seed: int):
 
 
 def _snapshot(trace, config, *, kernel: str) -> dict:
-    result = simulate(trace, config, kernel=kernel)
+    return result_snapshot(simulate(trace, config, kernel=kernel))
+
+
+def result_snapshot(result) -> dict:
+    """The hex-exact fields two equivalent runs must share."""
     return {
         "duration_s": hexify(result.duration_s),
         "energy_j": hexify(result.energy_j),

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.config import SimulationConfig
 from repro.core.hierarchy import StorageHierarchy, build_hierarchy
-from repro.devices.disk import DiskState, MagneticDisk
+from repro.devices.disk import MagneticDisk, SpindleState
 from repro.devices.flashcard import FlashCard
 from repro.devices.flashdisk import FlashDisk
 from repro.traces.record import BlockOp, Operation
@@ -95,10 +95,10 @@ class TestWritePath:
     def test_write_absorbed_by_sram_when_disk_asleep(self):
         hierarchy = build("cu140-datasheet")
         hierarchy.advance(100.0)  # disk spins down
-        assert hierarchy.device.state is DiskState.SLEEPING
+        assert hierarchy.device.state is SpindleState.SLEEPING
         response = hierarchy.write(op(100.0, Operation.WRITE, [1]))
         assert response < 0.001
-        assert hierarchy.device.state is DiskState.SLEEPING  # still asleep
+        assert hierarchy.device.state is SpindleState.SLEEPING  # still asleep
         assert hierarchy.sram.dirty_count == 1
 
     def test_write_passes_through_while_spinning(self):

@@ -76,9 +76,10 @@ def test_energy_of_component(small_synth_trace):
     assert result.energy_of("nonexistent") == 0.0
 
 
-def test_empty_trace_rejected():
-    with pytest.raises(TraceError, match="no block operations"):
-        simulate(Trace("empty", [], block_size=KB), SimulationConfig())
+@pytest.mark.parametrize("kernel", [None, "reference", "batched", "vector"])
+def test_empty_trace_rejected(kernel):
+    with pytest.raises(TraceError, match="'empty' produced no block operations"):
+        simulate(Trace("empty", [], block_size=KB), SimulationConfig(), kernel=kernel)
 
 
 def test_empty_trace_rejected_before_building_accounting():
