@@ -9,7 +9,7 @@ from repro.core.hooks import HookBus
 from repro.core.metrics import MetricsCollector, ResponseAccumulator, ResponseStats
 from repro.core.request import Request, RequestKind, Response
 from repro.core.results import SimulationResult
-from repro.core.hierarchy import StorageHierarchy, build_hierarchy
+from repro.core.hierarchy import build_hierarchy
 from repro.core.layers import (
     DeviceLayer,
     DramLayer,
@@ -34,7 +34,6 @@ __all__ = [
     "SimulationResult",
     "Simulator",
     "SramLayer",
-    "StorageHierarchy",
     "StorageLayer",
     "build_hierarchy",
     "simulate",

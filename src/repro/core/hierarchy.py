@@ -1,4 +1,4 @@
-"""Storage-hierarchy assembly and its LayerStack-backed facade.
+"""Storage-hierarchy assembly: the hierarchy a configuration describes.
 
 A hierarchy is DRAM buffer cache -> optional battery-backed SRAM write
 buffer -> non-volatile device.  The request semantics follow the paper:
@@ -13,14 +13,10 @@ buffer -> non-volatile device.  The request semantics follow the paper:
   buffer full ("many writes will be delayed as they wait for the disk",
   section 5.5).
 
-The mechanics live in :mod:`repro.core.layers`: each component is a
-:class:`~repro.core.layers.StorageLayer` and the hierarchy composes them
-into a :class:`~repro.core.layers.LayerStack`.  :class:`StorageHierarchy`
-is the stable facade over that stack — it keeps the historical
-``read``/``write``/``delete`` float-returning interface (and the
-``.dram``/``.sram``/``.device`` attributes) that tests and experiment
-drivers use, while exposing the stack and its hook bus for callers that
-want full :class:`~repro.core.request.Response` objects.
+The mechanics live in :mod:`repro.core.layers`, whose
+:class:`~repro.core.layers.LayerStack` is the hierarchy object.  This
+module sizes and builds its components: :func:`build_hierarchy` turns a
+:class:`~repro.core.config.SimulationConfig` into a ``LayerStack``.
 """
 
 from __future__ import annotations
@@ -32,8 +28,7 @@ from repro.cache.buffer_cache import BufferCache
 from repro.cache.policies import eviction_policy
 from repro.cache.sram_buffer import SramWriteBuffer
 from repro.core.config import SimulationConfig
-from repro.core.layers import DeviceLayer, DramLayer, LayerStack, SramLayer, StorageLayer
-from repro.core.request import Response
+from repro.core.layers import LayerStack
 from repro.devices.base import StorageDevice
 from repro.devices.disk import MagneticDisk
 from repro.devices.flashcard import FlashCard
@@ -48,130 +43,7 @@ from repro.devices.specs import (
 from repro.devices.spindown import FixedTimeoutPolicy, NeverSpinDownPolicy
 from repro.errors import ConfigurationError
 from repro.faults.injector import FaultInjector
-from repro.faults.recovery import ReliabilityMeter
-from repro.faults.retry import RetryPolicy
 from repro.flash.cleaner import cleaning_policy
-from repro.traces.record import BlockOp
-
-
-class StorageHierarchy:
-    """A DRAM cache, an optional SRAM write buffer, and a device.
-
-    A thin facade over the :class:`~repro.core.layers.LayerStack` that
-    does the actual work; ``read``/``write`` return plain response times
-    for callers that don't need per-layer attribution, while ``submit``
-    returns the full :class:`~repro.core.request.Response`.
-    """
-
-    def __init__(
-        self,
-        device: StorageDevice,
-        dram: BufferCache | None,
-        sram: SramWriteBuffer | None,
-        block_bytes: int,
-        response_includes_queueing: bool = False,
-        injector: FaultInjector | None = None,
-    ) -> None:
-        self.device = device
-        self.dram = dram if dram is not None and dram.enabled else None
-        self.sram = sram if sram is not None and sram.enabled else None
-        self.block_bytes = block_bytes
-        self.write_back = bool(dram and dram.write_back)
-        self.response_includes_queueing = response_includes_queueing
-        self.faults = injector
-        if injector is not None:
-            plan = injector.plan
-            self.retry: RetryPolicy | None = RetryPolicy(
-                plan.max_retries, plan.retry_backoff_s
-            )
-            self.reliability: ReliabilityMeter | None = ReliabilityMeter()
-        else:
-            self.retry = None
-            self.reliability = None
-
-        layers: list[StorageLayer] = []
-        if self.dram is not None:
-            layers.append(DramLayer(self.dram, block_bytes))
-        if self.sram is not None:
-            layers.append(SramLayer(self.sram, block_bytes))
-        layers.append(
-            DeviceLayer(
-                device,
-                block_bytes,
-                response_includes_queueing=response_includes_queueing,
-                injector=injector,
-                retry=self.retry,
-                reliability=self.reliability,
-            )
-        )
-        self.stack = LayerStack(
-            layers, block_bytes, injector=injector, reliability=self.reliability
-        )
-        self.hooks = self.stack.hooks
-
-    # -- time/energy bookkeeping ---------------------------------------------------
-
-    def advance(self, until: float) -> None:
-        """Move every component's accounting clock forward to ``until``."""
-        self.stack.advance(until)
-
-    def latest_time(self) -> float:
-        """The latest point any component has reached."""
-        return self.stack.latest_time()
-
-    def finalize(self, until: float) -> None:
-        """Flush volatile dirty state and close energy accounting.
-
-        Dirty blocks in a write-back DRAM cache must reach the device (DRAM
-        is volatile); SRAM contents may stay buffered (battery-backed).
-        """
-        self.stack.finalize(until)
-
-    def reset_accounting(self) -> None:
-        """Zero all energy meters and counters (warm-start boundary)."""
-        self.stack.reset_accounting()
-
-    def energy_breakdown(self) -> dict[str, dict[str, float]]:
-        """Per-component, per-bucket energy in Joules."""
-        return self.stack.energy_breakdown()
-
-    @property
-    def total_energy_j(self) -> float:
-        """Total energy across all components, Joules."""
-        return self.stack.total_energy_j
-
-    # -- operation dispatch -----------------------------------------------------------
-
-    def submit(self, op: BlockOp) -> Response:
-        """Execute one operation; returns its full per-layer response."""
-        return self.stack.submit(op)
-
-    def read(self, op: BlockOp) -> float:
-        """Execute a read; returns its response time in seconds."""
-        return self.stack.submit(op).response_s
-
-    def write(self, op: BlockOp) -> float:
-        """Execute a write; returns its response time in seconds."""
-        return self.stack.submit(op).response_s
-
-    def delete(self, op: BlockOp) -> None:
-        """Execute a whole-file deletion (metadata-only, no response time)."""
-        self.stack.submit(op)
-
-    # -- crash / recovery --------------------------------------------------------------
-
-    def crash(self, at: float) -> None:
-        """Lose power at trace time ``at`` and recover."""
-        self.stack.crash(at)
-
-    def reliability_snapshot(self):
-        """Frozen reliability stats, or None when no faults were injected."""
-        return self.stack.reliability_snapshot()
-
-
-# ---------------------------------------------------------------------------
-# Assembly
-# ---------------------------------------------------------------------------
 
 
 def build_hierarchy(
@@ -179,7 +51,7 @@ def build_hierarchy(
     block_bytes: int,
     dataset_blocks: int,
     injector: FaultInjector | None = None,
-) -> StorageHierarchy:
+) -> LayerStack:
     """Construct the hierarchy ``config`` describes for a trace whose
     preprocessed dataset spans ``dataset_blocks`` device blocks."""
     spec = device_spec(config.device)
@@ -199,7 +71,7 @@ def build_hierarchy(
     else:  # pragma: no cover - registry guarantees the three spec types
         raise ConfigurationError(f"unsupported device spec type: {type(spec)!r}")
 
-    return StorageHierarchy(
+    return LayerStack(
         device,
         dram,
         sram,

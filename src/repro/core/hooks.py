@@ -60,14 +60,9 @@ class HookBus:
         return hook
 
     # Transient subscribers (an ObservabilitySession attaches for one run
-    # and must detach cleanly) need symmetric removal.  Removing is
-    # tolerant of double-detach; compiled emitters hold their snapshot and
-    # are unaffected mid-batch, exactly like late subscription.
-
-    def off_submit(self, hook: SubmitHook) -> None:
-        """Remove a previously subscribed submit hook (no-op if absent)."""
-        if hook in self.submit_hooks:
-            self.submit_hooks.remove(hook)
+    # and must detach cleanly) need removal.  Removing is tolerant of
+    # double-detach; compiled emitters hold their snapshot and are
+    # unaffected mid-batch, exactly like late subscription.
 
     def off_complete(self, hook: CompleteHook) -> None:
         """Remove a previously subscribed complete hook (no-op if absent)."""
@@ -80,14 +75,6 @@ class HookBus:
             self.crash_hooks.remove(hook)
 
     # -- emission ------------------------------------------------------------------
-
-    def emit_submit(self, request: Request) -> None:
-        for hook in self.submit_hooks:
-            hook(request)
-
-    def emit_complete(self, response: Response) -> None:
-        for hook in self.complete_hooks:
-            hook(response)
 
     def emit_crash(self, at: float, recovered_at: float) -> None:
         for hook in self.crash_hooks:

@@ -1,18 +1,17 @@
-"""Composable storage layers and the LayerStack that chains them.
+"""The storage hierarchy: storage layers and the LayerStack that chains them.
 
-The storage hierarchy used to be hand-wired: one class that knew the
-DRAM -> SRAM -> device plumbing inline.  This module replaces it with a
-uniform :class:`StorageLayer` protocol — ``submit`` / ``advance`` /
-``crash`` / ``finalize`` / ``snapshot`` — and a :class:`LayerStack` that
-composes any sequence of layers ending in a device.  Each layer handles
-the part of a request it can serve, forwards the remainder to its
-``downstream`` neighbour, and attributes the latency and energy of its own
-work onto the travelling :class:`~repro.core.request.Response`.
+Each component of the hierarchy (DRAM buffer cache, optional SRAM write
+buffer, device) is wrapped in a :class:`StorageLayer` — ``submit`` /
+``advance`` / ``finalize`` / ``frontier`` — that handles the part of a
+request it can serve, forwards the remainder to its ``downstream``
+neighbour, and attributes the latency and energy of its own work onto the
+travelling :class:`~repro.core.request.Response`.  :class:`LayerStack` is
+the hierarchy itself: it builds its layers from the components, drives
+requests through them, and owns crash recovery, which spans components.
 
-The composition is behaviour-preserving by construction: every layer
-performs the exact arithmetic, in the exact order, that the hand-wired
-dispatch performed, so simulation results are bit-identical to the
-pre-refactor path (pinned by ``tests/test_layerstack_equivalence.py``).
+Every layer performs the exact arithmetic, in the exact order, that the
+original hand-wired dispatch performed, so simulation results are
+bit-identical to it (pinned by ``tests/test_layerstack_equivalence.py``).
 
 Layer names double as attribution keys: ``dram``, ``sram``, ``device``,
 plus the pseudo-layer ``cleaning`` for flash-reclamation costs a device
@@ -37,14 +36,14 @@ from repro.core.request import (
     Response,
 )
 from repro.devices.base import StorageDevice
-from repro.errors import SimulationError, UnrecoverableDeviceError
+from repro.errors import UnrecoverableDeviceError
 from repro.faults.recovery import ReliabilityMeter, recovery_scan_s
+from repro.faults.retry import RetryPolicy
 
 if TYPE_CHECKING:
     from repro.cache.buffer_cache import BufferCache
     from repro.cache.sram_buffer import SramWriteBuffer
     from repro.faults.injector import FaultInjector
-    from repro.faults.retry import RetryPolicy
     from repro.traces.compiled import CompiledOps
     from repro.traces.record import BlockOp
 
@@ -57,6 +56,9 @@ _READ = RequestKind.READ
 _WRITE = RequestKind.WRITE
 _DELETE = RequestKind.DELETE
 _FLUSH = RequestKind.FLUSH
+#: The request kind of each compiled op code (``repro.traces.trace``'s
+#: ``READ, WRITE, DELETE = 0, 1, 2``).
+_KINDS = (_READ, _WRITE, _DELETE)
 
 # Sub-requests (cache misses, buffer drains, evictions) live only for the
 # duration of the downstream submit; recycling their shells through the
@@ -69,10 +71,11 @@ class StorageLayer(ABC):
     """One stage of the storage hierarchy.
 
     A layer serves what it can of each request and forwards the rest to
-    ``downstream`` (linked by the :class:`LayerStack`).  All five protocol
-    methods are mandatory; ``frontier`` reports how far the layer's own
-    clock has advanced so the stack can compute the hierarchy-wide latest
-    time without knowing any layer's internals.
+    ``downstream`` (linked by the :class:`LayerStack`, whose chain always
+    ends in a :class:`DeviceLayer`, the one layer with no downstream).
+    All four protocol methods are mandatory; ``frontier`` reports how far
+    the layer's own clock has advanced so the stack can compute the
+    hierarchy-wide latest time without knowing any layer's internals.
     """
 
     name: str
@@ -81,14 +84,6 @@ class StorageLayer(ABC):
     def __init__(self, name: str) -> None:
         self.name = name
         self.downstream = None
-
-    def _down(self) -> "StorageLayer":
-        if self.downstream is None:
-            raise SimulationError(
-                f"layer {self.name!r} has no downstream; a LayerStack must "
-                "end in a device layer"
-            )
-        return self.downstream
 
     @abstractmethod
     def submit(self, request: Request, response: Response | None = None) -> Response:
@@ -103,16 +98,8 @@ class StorageLayer(ABC):
         """Move the layer's accounting clock forward to ``until``."""
 
     @abstractmethod
-    def crash(self, at: float) -> Any:
-        """Lose power at ``at``; returns layer-specific loss/recovery data."""
-
-    @abstractmethod
     def finalize(self, until: float) -> None:
         """Flush layer state that must not outlive the simulation."""
-
-    @abstractmethod
-    def snapshot(self) -> dict[str, float]:
-        """Frozen counters for reports (hit rates, flush counts, ...)."""
 
     @abstractmethod
     def frontier(self) -> float:
@@ -125,7 +112,7 @@ class StorageLayer(ABC):
         knows whether accepting data is free (flash, spinning disk) or
         would defeat a power policy (sleeping disk).
         """
-        return self._down().accepts_immediate_flush()
+        return self.downstream.accepts_immediate_flush()
 
 
 class DramLayer(StorageLayer):
@@ -201,7 +188,7 @@ class DramLayer(StorageLayer):
             return self.downstream.submit(request, response)
 
         # FLUSH requests originate below the cache; pass through verbatim.
-        return self._down().submit(request, response)
+        return self.downstream.submit(request, response)
 
     def _flush_down(
         self, blocks: list[int], now: float, response: Response
@@ -210,20 +197,12 @@ class DramLayer(StorageLayer):
             _FLUSH, now, blocks,
             len(blocks) * self.block_bytes, FLUSH_FILE_ID,
         )
-        self._down().submit(sub, response)
+        self.downstream.submit(sub, response)
         _release(sub)
         return response.completed_at
 
     def advance(self, until: float) -> None:
         self.cache.advance(until)
-
-    def crash(self, at: float) -> tuple[int, int]:
-        """Drop every resident block (DRAM is volatile).
-
-        Returns ``(resident, dirty)`` counts; dirty blocks of a write-back
-        cache are lost for good.
-        """
-        return self.cache.drop_all()
 
     def finalize(self, until: float) -> None:
         """Write-back dirty blocks must reach the device (DRAM is volatile)."""
@@ -234,15 +213,7 @@ class DramLayer(StorageLayer):
                     RequestKind.FLUSH, until, dirty,
                     len(dirty) * self.block_bytes, FLUSH_FILE_ID,
                 )
-                self._down().submit(request, Response(request, until))
-
-    def snapshot(self) -> dict[str, float]:
-        return {
-            "hits": self.cache.hits,
-            "misses": self.cache.misses,
-            "hit_rate": self.cache.hit_rate,
-            "dirty_blocks": self.cache.dirty_blocks,
-        }
+                self.downstream.submit(request, Response(request, until))
 
     def frontier(self) -> float:
         return self.cache.clock
@@ -311,7 +282,7 @@ class SramLayer(StorageLayer):
                 # Write-behind: while the device is awake anyway, drain
                 # right away (keeps a spinning disk's idle timer fresh); to
                 # a sleeping disk, hold the data and defer the spin-up.
-                if self._down().accepts_immediate_flush():
+                if self.downstream.accepts_immediate_flush():
                     # The drained data is overwhelmingly the write that
                     # just landed, so charge seeks as if it were its file's.
                     self._background_flush(response, file_id=request.file_id)
@@ -323,18 +294,18 @@ class SramLayer(StorageLayer):
                 _WRITE, now, request.blocks, request.size,
                 request.file_id,
             )
-            self._down().submit(sub, response)
+            self.downstream.submit(sub, response)
             _release(sub)
             self._background_flush(response)
             return response
 
         if kind is _DELETE:
             buffer.invalidate(request.blocks)
-            return self._down().submit(request, response)
+            return self.downstream.submit(request, response)
 
         # FLUSH: a batch already on its way to the device; forward verbatim
         # (a flush must not be re-absorbed by the buffer that emitted it).
-        return self._down().submit(request, response)
+        return self.downstream.submit(request, response)
 
     def _background_flush(self, response: Response, file_id: int = FLUSH_FILE_ID) -> None:
         """Drain the buffer behind a device access that already happened:
@@ -356,22 +327,8 @@ class SramLayer(StorageLayer):
     def advance(self, until: float) -> None:
         self.buffer.advance(until)
 
-    def crash(self, at: float) -> list[int]:
-        """Survive the outage (battery) and hand back the buffered blocks
-        for the recovery replay."""
-        return self.buffer.crash_replay()
-
     def finalize(self, until: float) -> None:
         """SRAM contents may stay buffered: the battery holds them."""
-
-    def snapshot(self) -> dict[str, float]:
-        return {
-            "dirty_count": self.buffer.dirty_count,
-            "absorbed_writes": self.buffer.absorbed_writes,
-            "sync_flushes": self.buffer.sync_flushes,
-            "background_flushes": self.buffer.background_flushes,
-            "replays": self.buffer.replays,
-        }
 
     def frontier(self) -> float:
         return self.buffer.clock
@@ -390,15 +347,13 @@ class DeviceLayer(StorageLayer):
     def __init__(
         self,
         device: StorageDevice,
-        block_bytes: int,
         response_includes_queueing: bool = False,
         injector: "FaultInjector | None" = None,
-        retry: "RetryPolicy | None" = None,
+        retry: RetryPolicy | None = None,
         reliability: ReliabilityMeter | None = None,
     ) -> None:
         super().__init__("device")
         self.device = device
-        self.block_bytes = block_bytes
         self.response_includes_queueing = response_includes_queueing
         self.faults = injector
         self.retry = retry
@@ -569,29 +524,8 @@ class DeviceLayer(StorageLayer):
         if until > self.device.clock:
             self.device.advance(until)
 
-    def crash(self, at: float) -> None:
-        """Cut power: any in-flight operation is torn and truncated."""
-        self.device.power_cycle(at)
-
-    def recover(self, at: float, scan_s: float) -> float:
-        """Run the post-crash recovery scan; returns its completion time."""
-        return self.device.recover(at, scan_s)
-
-    def replay(self, at: float, blocks: list[int]) -> float:
-        """Replay battery-backed blocks during recovery.
-
-        Bypasses fault injection: recovery code paths verify each write,
-        so a transient fault costs nothing extra here.
-        """
-        return self.device.write(
-            at, len(blocks) * self.block_bytes, blocks, FLUSH_FILE_ID
-        )
-
     def finalize(self, until: float) -> None:
         """Nothing buffered here: the device is the non-volatile bottom."""
-
-    def snapshot(self) -> dict[str, float]:
-        return self.device.stats()
 
     def frontier(self) -> float:
         device = self.device
@@ -599,49 +533,61 @@ class DeviceLayer(StorageLayer):
 
 
 class LayerStack:
-    """A composed chain of storage layers ending in a device.
+    """The storage hierarchy: a DRAM buffer cache, an optional SRAM write
+    buffer and a device, chained as layers.
 
-    The stack owns the request lifecycle: it emits ``on_submit``, advances
-    every layer to the request's issue time, dispatches to the top layer,
-    and emits ``on_complete`` with the finished response.  Crash/recovery
-    is orchestrated here too, because it spans layers: the device tears,
-    DRAM drops, SRAM replays.
+    ``dram`` and ``sram`` are the components themselves, or None when
+    absent or disabled.  The stack owns the request lifecycle: it fires
+    ``on_submit``, advances every layer to the request's issue time,
+    dispatches to the top layer, and fires ``on_complete`` with the
+    finished response.  Crash recovery is here too, because it spans
+    components: the device tears, DRAM drops, SRAM replays.
     """
 
     def __init__(
         self,
-        layers: list[StorageLayer],
+        device: StorageDevice,
+        dram: "BufferCache | None",
+        sram: "SramWriteBuffer | None",
         block_bytes: int,
+        *,
+        response_includes_queueing: bool = False,
         injector: "FaultInjector | None" = None,
-        reliability: ReliabilityMeter | None = None,
-        hooks: HookBus | None = None,
     ) -> None:
-        if not layers or not isinstance(layers[-1], DeviceLayer):
-            raise SimulationError("a LayerStack must end in a DeviceLayer")
-        self.layers = list(layers)
-        for upper, lower in zip(self.layers, self.layers[1:]):
-            upper.downstream = lower
+        self.device = device
+        self.dram = dram if dram is not None and dram.enabled else None
+        self.sram = sram if sram is not None and sram.enabled else None
         self.block_bytes = block_bytes
         self.faults = injector
-        self.reliability = reliability
-        self.hooks = hooks if hooks is not None else HookBus()
-        self.head = self.layers[0]
-        self.device_layer: DeviceLayer = self.layers[-1]  # type: ignore[assignment]
-        self._by_name = {layer.name: layer for layer in self.layers}
+        self.hooks = HookBus()
+        retry = None
+        self.reliability: ReliabilityMeter | None = None
+        if injector is not None:
+            plan = injector.plan
+            retry = RetryPolicy(plan.max_retries, plan.retry_backoff_s)
+            self.reliability = ReliabilityMeter()
+
+        layers: list[StorageLayer] = []
+        if self.dram is not None:
+            layers.append(DramLayer(self.dram, block_bytes))
+        if self.sram is not None:
+            layers.append(SramLayer(self.sram, block_bytes))
+        layers.append(
+            DeviceLayer(
+                device,
+                response_includes_queueing=response_includes_queueing,
+                injector=injector,
+                retry=retry,
+                reliability=self.reliability,
+            )
+        )
+        for upper, lower in zip(layers, layers[1:]):
+            upper.downstream = lower
+        self.layers = layers
         # Bound per-layer advance methods: advance runs once per request,
         # so the stack pays for method resolution once, here.
-        self._advances = tuple(layer.advance for layer in self.layers)
-        self._head_submit = self.head.submit
-
-    # -- lookup ------------------------------------------------------------------
-
-    def layer(self, name: str) -> StorageLayer | None:
-        """The layer registered under ``name``, or None."""
-        return self._by_name.get(name)
-
-    @property
-    def device(self) -> StorageDevice:
-        return self.device_layer.device
+        self._advances = tuple(layer.advance for layer in layers)
+        self._head_submit = layers[0].submit
 
     # -- request lifecycle ---------------------------------------------------------
 
@@ -666,9 +612,10 @@ class LayerStack:
 
         Semantically identical to calling :meth:`submit` once per
         operation — same hook ordering, same arithmetic, bit-identical
-        results — but the loop reads flat parallel arrays, recycles one
-        pooled Request/Response pair across all operations, and compiles
-        hook emission to direct calls (or nothing) up front.
+        results — but the loop reads the window's columns as lists made
+        once per call, recycles one pooled Request/Response pair across
+        all operations, and compiles hook emission to direct calls (or
+        nothing) up front.
 
         Two sharp edges, both irrelevant to the simulator's use:
         subscribers added to the bus *during* the batch are not observed
@@ -678,37 +625,35 @@ class LayerStack:
         subscribes before the batch starts and copies what it needs out of
         the Response inside its handler.)
         """
-        n_ops = compiled.n_ops
-        if stop is None:
-            stop = n_ops
-        kinds = compiled.kinds
-        times = compiled.times
-        blocks = compiled.blocks
-        sizes = compiled.sizes
-        file_ids = compiled.file_ids
+        window = slice(start, stop)
         hooks = self.hooks
-        emit_submit = hooks.compiled_submit()
-        emit_complete = hooks.compiled_complete()
+        fire_submit = hooks.compiled_submit()
+        fire_complete = hooks.compiled_complete()
         advances = self._advances
         head_submit = self._head_submit
         request = REQUEST_POOL.acquire(_READ, 0.0, (), 0, 0)
         response = Response(request, 0.0)
         reset = response.reset
-        for index in range(start, stop):
-            time = times[index]
-            request.kind = kinds[index]
+        for kind, time, blocks, size, file_id in zip(
+            map(_KINDS.__getitem__, compiled.op_codes[window].tolist()),
+            compiled.time[window].tolist(),
+            compiled.blocks[window],
+            compiled.size[window].tolist(),
+            compiled.file_id[window].tolist(),
+        ):
+            request.kind = kind
             request.time = time
-            request.blocks = blocks[index]
-            request.size = sizes[index]
-            request.file_id = file_ids[index]
-            if emit_submit is not None:
-                emit_submit(request)
+            request.blocks = blocks
+            request.size = size
+            request.file_id = file_id
+            if fire_submit is not None:
+                fire_submit(request)
             for advance in advances:
                 advance(time)
             reset(request, time)
             head_submit(request, response)
-            if emit_complete is not None:
-                emit_complete(response)
+            if fire_complete is not None:
+                fire_complete(response)
         REQUEST_POOL.release(request)
 
     # -- time/energy bookkeeping ---------------------------------------------------
@@ -728,7 +673,11 @@ class LayerStack:
         return latest
 
     def finalize(self, until: float) -> None:
-        """Flush volatile dirty state and close energy accounting."""
+        """Flush volatile dirty state and close energy accounting.
+
+        Dirty blocks in a write-back DRAM cache must reach the device (DRAM
+        is volatile); SRAM contents may stay buffered (battery-backed).
+        """
         for layer in self.layers:
             layer.finalize(self.latest_time())
         end = max(until, self.latest_time())
@@ -737,29 +686,25 @@ class LayerStack:
     def reset_accounting(self) -> None:
         """Zero all energy meters and counters (warm-start boundary)."""
         self.device.reset_accounting()
-        dram = self.layer("dram")
-        if dram is not None:
-            dram.cache.reset_accounting()  # type: ignore[attr-defined]
-        sram = self.layer("sram")
-        if sram is not None:
-            sram.buffer.reset_accounting()  # type: ignore[attr-defined]
+        if self.dram is not None:
+            self.dram.reset_accounting()
+        if self.sram is not None:
+            self.sram.reset_accounting()
         if self.reliability is not None:
             self.reliability.reset()
 
     def energy_breakdown(self) -> dict[str, dict[str, float]]:
         """Per-component, per-bucket energy in Joules."""
         breakdown = {"device": self.device.energy.breakdown()}
-        dram = self.layer("dram")
-        if dram is not None:
-            breakdown["dram"] = dram.cache.energy.breakdown()  # type: ignore[attr-defined]
-        sram = self.layer("sram")
-        if sram is not None:
-            breakdown["sram"] = sram.buffer.energy.breakdown()  # type: ignore[attr-defined]
+        if self.dram is not None:
+            breakdown["dram"] = self.dram.energy.breakdown()
+        if self.sram is not None:
+            breakdown["sram"] = self.sram.energy.breakdown()
         return breakdown
 
     @property
     def total_energy_j(self) -> float:
-        """Total energy across all layers, Joules."""
+        """Total energy across all components, Joules."""
         return sum(
             sum(buckets.values()) for buckets in self.energy_breakdown().values()
         )
@@ -782,10 +727,6 @@ class LayerStack:
                 energies[name] = sum(components[name].values())
         return energies
 
-    def snapshot(self) -> dict[str, dict[str, float]]:
-        """Per-layer counter snapshots, by layer name."""
-        return {layer.name: layer.snapshot() for layer in self.layers}
-
     # -- crash / recovery ------------------------------------------------------------
 
     def crash(self, at: float) -> None:
@@ -804,21 +745,24 @@ class LayerStack:
         if device.busy_until > at + 1e-12:
             meter.torn_writes += 1
         self.advance(at)
-        self.device_layer.crash(at)
+        device.power_cycle(at)
 
-        dram = self.layer("dram")
-        if dram is not None:
-            resident, dirty = dram.crash(at)
+        if self.dram is not None:
+            resident, dirty = self.dram.drop_all()
             meter.dropped_cache_blocks += resident
             meter.lost_dirty_blocks += dirty
 
         energy_before = device.energy.total_j
-        now = self.device_layer.recover(at, recovery_scan_s(device, self.faults.plan))
-        sram = self.layer("sram")
-        if sram is not None and sram.buffer.dirty_count:  # type: ignore[attr-defined]
-            blocks = sram.crash(at)
+        now = device.recover(at, recovery_scan_s(device, self.faults.plan))
+        sram = self.sram
+        if sram is not None and sram.dirty_count:
+            blocks = sram.crash_replay()
             meter.replayed_blocks += len(blocks)
-            now = self.device_layer.replay(now, blocks)
+            # The replay bypasses fault injection: recovery code paths
+            # verify each write, so a transient fault costs nothing extra.
+            now = device.write(
+                now, len(blocks) * self.block_bytes, blocks, FLUSH_FILE_ID
+            )
         meter.recovery_time_s += now - at
         meter.recovery_energy_j += device.energy.total_j - energy_before
         self.hooks.emit_crash(at, now)

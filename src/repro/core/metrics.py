@@ -9,8 +9,9 @@ worst-case discussion clearly wants).
 
 :class:`MetricsCollector` is the simulator's ``on_complete`` subscriber on
 the :class:`~repro.core.hooks.HookBus`: it feeds the accumulators and sums
-each response's per-layer ``(latency, energy)`` attribution, which is what
-becomes ``SimulationResult.layer_breakdown``.
+each response's per-layer latency attribution, which becomes the latency
+column of ``SimulationResult.layer_breakdown`` (its energy column comes
+from the components' meters).
 """
 
 from __future__ import annotations
@@ -121,39 +122,24 @@ class MetricsCollector:
     never pollute the response statistics, exactly as before.
     """
 
-    __slots__ = (
-        "read", "write", "overall", "n_deletes",
-        "_cells", "_cell_order", "measuring",
-    )
+    __slots__ = ("read", "write", "overall", "n_deletes", "_latency", "measuring")
 
     def __init__(self, measuring: bool = True) -> None:
         self.read = ResponseAccumulator()
         self.write = ResponseAccumulator()
         self.overall = ResponseAccumulator()
         self.n_deletes = 0
-        # Per-layer [latency_s, energy_j] pairs indexed by interned layer
-        # id (None until first touched), with `_cell_order` preserving the
-        # run-wide first-touch order the old name-keyed dict had.
-        self._cells: list[list[float] | None] = []
-        self._cell_order: list[int] = []
+        # Summed latency per interned layer id, in the run-wide order the
+        # layers were first touched.
+        self._latency: dict[int, float] = {}
         self.measuring = measuring
 
     @property
     def layer_latency_s(self) -> dict[str, float]:
         """Summed foreground latency attributed to each layer, seconds."""
-        cells = self._cells
         return {
-            LAYER_NAMES[layer_id]: cells[layer_id][0]
-            for layer_id in self._cell_order
-        }
-
-    @property
-    def layer_energy_j(self) -> dict[str, float]:
-        """Summed per-request active energy attributed to each layer, Joules."""
-        cells = self._cells
-        return {
-            LAYER_NAMES[layer_id]: cells[layer_id][1]
-            for layer_id in self._cell_order
+            LAYER_NAMES[layer_id]: total
+            for layer_id, total in self._latency.items()
         }
 
     def observe(self, response: "Response") -> None:
@@ -175,19 +161,13 @@ class MetricsCollector:
         else:
             self.write.add(value)
         self.overall.add(value)
-        cells = self._cells
+        latency = self._latency
         lat = response._lat
-        en = response._en
         for layer_id in response._touched:
-            if layer_id >= len(cells):
-                cells.extend([None] * (layer_id + 1 - len(cells)))
-            cell = cells[layer_id]
-            if cell is None:
-                cells[layer_id] = [lat[layer_id], en[layer_id]]
-                self._cell_order.append(layer_id)
+            if layer_id in latency:
+                latency[layer_id] += lat[layer_id]
             else:
-                cell[0] += lat[layer_id]
-                cell[1] += en[layer_id]
+                latency[layer_id] = lat[layer_id]
 
     def reset(self) -> None:
         """Warm-start boundary: discard the prefix and start measuring."""
@@ -195,8 +175,7 @@ class MetricsCollector:
         self.write.reset()
         self.overall.reset()
         self.n_deletes = 0
-        self._cells = []
-        self._cell_order = []
+        self._latency = {}
         self.measuring = True
 
 

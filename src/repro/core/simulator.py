@@ -7,11 +7,12 @@ preprocessed into disk-level operations, the first 10% of the trace warms
 the caches (its statistics and energy are discarded), and the remainder is
 measured.
 
-The engine itself is one thin loop (``Simulator._execute``): every
-cross-cutting concern rides the hierarchy's hook bus.  Scheduled power
-losses fire from an ``on_submit`` subscriber (each loss strictly precedes
-the request that would overtake it), and all statistics flow through a
-:class:`~repro.core.metrics.MetricsCollector` subscribed to
+The engine itself is one thin loop (``Simulator._execute``) over the
+:class:`~repro.core.layers.LayerStack` that ``build_hierarchy`` assembles,
+and every cross-cutting concern rides the stack's hook bus.  Scheduled
+power losses fire from an ``on_submit`` subscriber (each loss strictly
+precedes the request that would overtake it), and all statistics flow
+through a :class:`~repro.core.metrics.MetricsCollector` subscribed to
 ``on_complete``.
 
 Two execution paths share that loop, differ only in how a range of
@@ -19,7 +20,7 @@ operations is driven, and produce bit-identical results (pinned by
 ``tests/test_fastpath.py`` and the golden equivalence fixture):
 
 * the **batched fast path** (``kernel="batched"``, the default) compiles
-  the trace once into flat arrays
+  the trace once into columns
   (:func:`~repro.traces.compiled.compile_trace`, cached on the trace) and
   drives them through :meth:`~repro.core.layers.LayerStack.run_batch`,
   which recycles one pooled Request/Response pair across every
@@ -33,8 +34,8 @@ operations is driven, and produce bit-identical results (pinned by
 from __future__ import annotations
 
 from repro.core.config import SimulationConfig
-from repro.core.hierarchy import StorageHierarchy, build_hierarchy
-from repro.core.layers import CLEANING_LAYER
+from repro.core.hierarchy import build_hierarchy
+from repro.core.layers import CLEANING_LAYER, LayerStack
 from repro.core.metrics import MetricsCollector
 from repro.core.results import SimulationResult
 from repro.devices.flashcard import FlashCard
@@ -127,20 +128,20 @@ class Simulator:
             mapper = FileMapper(trace.block_size)
             ops = mapper.translate_all(trace)
             blocks = mapper.high_water_blocks
-        hierarchy = build_hierarchy(
+        stack = build_hierarchy(
             config, trace.block_size, max(1, blocks), injector=injector,
         )
-        return self._execute(trace, ops, hierarchy, injector, obs)
+        return self._execute(trace, ops, stack, injector, obs)
 
     def _execute(
         self,
         trace: Trace,
         ops,
-        hierarchy: StorageHierarchy,
+        stack: LayerStack,
         injector: FaultInjector | None = None,
         obs=None,
     ) -> SimulationResult:
-        """Drive ``ops`` through ``hierarchy`` and measure the run.
+        """Drive ``ops`` through ``stack`` and measure the run.
 
         ``ops`` is either the compiled trace, driven range by range
         through :meth:`~repro.core.layers.LayerStack.run_batch`, or the
@@ -148,14 +149,14 @@ class Simulator:
         power losses, observability and the measurement window are the
         same for both.
         """
-        stack = hierarchy.stack
-        if isinstance(ops, CompiledOps):
-            n_ops, times = ops.n_ops, ops.times
+        compiled = isinstance(ops, CompiledOps)
+        if compiled:
+            n_ops = ops.n_ops
 
             def drive(lo: int, hi: int) -> None:
                 stack.run_batch(ops, lo, hi)
         else:
-            n_ops, times = len(ops), [op.time for op in ops]
+            n_ops = len(ops)
 
             def drive(lo: int, hi: int) -> None:
                 submit = stack.submit
@@ -164,24 +165,24 @@ class Simulator:
         warm_count = int(n_ops * self.config.warm_fraction)
 
         collector = MetricsCollector(measuring=warm_count == 0)
-        hierarchy.hooks.on_complete(collector.observe)
+        stack.hooks.on_complete(collector.observe)
         if injector is not None:
             # Fire every scheduled power loss that precedes a request.  The
-            # subscription lives here, not in the hierarchy, so that direct
-            # hierarchy use (tests, tools) never fires losses implicitly.
-            hierarchy.hooks.on_submit(
+            # subscription lives here, not in the stack, so that direct
+            # stack use (tests, tools) never fires losses implicitly.
+            stack.hooks.on_submit(
                 lambda request: stack.fire_pending_power_losses(request.time)
             )
         if obs is not None:
             # Attach the tracer/metrics session after the collector so its
             # on_complete handler observes the same recycled Response, and
             # before run_batch so the compiled emitters include it.
-            obs.begin_run(hierarchy, trace.name)
+            obs.begin_run(stack, trace.name)
 
         if warm_count > 0:
             drive(0, min(warm_count, n_ops))
             if warm_count < n_ops:
-                hierarchy.reset_accounting()
+                stack.reset_accounting()
                 collector.reset()
             if obs is not None:
                 obs.warm_boundary()
@@ -192,16 +193,19 @@ class Simulator:
             # Power losses scheduled after the last request still happen.
             stack.fire_pending_power_losses(float("inf"))
 
-        end_time = max(trace.duration, hierarchy.latest_time())
-        hierarchy.finalize(end_time)
+        end_time = max(trace.duration, stack.latest_time())
+        stack.finalize(end_time)
         if warm_count < n_ops:
-            measured_start = times[warm_count]
+            # float(): a NumPy scalar must not reach the result's fields.
+            measured_start = (
+                float(ops.time[warm_count]) if compiled else ops[warm_count].time
+            )
         else:
             # The whole trace was warm-up: the measurement window is empty,
             # so its duration must be zero (not end-to-end wall time).
             measured_start = end_time
         duration = max(0.0, end_time - measured_start)
-        result = self._result(trace, hierarchy, collector, duration)
+        result = self._result(trace, stack, collector, duration)
         if obs is not None:
             obs.end_run(result)
         return result
@@ -209,21 +213,21 @@ class Simulator:
     def _result(
         self,
         trace: Trace,
-        hierarchy: StorageHierarchy,
+        stack: LayerStack,
         collector: MetricsCollector,
         duration: float,
     ) -> SimulationResult:
-        device = hierarchy.device
+        device = stack.device
         wear = device.wear(duration) if isinstance(device, FlashCard) else None
-        dram_hit_rate = hierarchy.dram.hit_rate if hierarchy.dram is not None else None
+        dram_hit_rate = stack.dram.hit_rate if stack.dram is not None else None
 
         return SimulationResult(
             trace_name=trace.name,
             device_name=device.name,
             config=self.config,
             duration_s=duration,
-            energy_j=hierarchy.total_energy_j,
-            energy_breakdown=hierarchy.energy_breakdown(),
+            energy_j=stack.total_energy_j,
+            energy_breakdown=stack.energy_breakdown(),
             read_response=collector.read.snapshot(),
             write_response=collector.write.snapshot(),
             overall_response=collector.overall.snapshot(),
@@ -233,13 +237,13 @@ class Simulator:
             device_stats=device.stats(),
             dram_hit_rate=dram_hit_rate,
             wear=wear,
-            reliability=hierarchy.reliability_snapshot(),
-            layer_breakdown=_layer_breakdown(hierarchy, collector),
+            reliability=stack.reliability_snapshot(),
+            layer_breakdown=_layer_breakdown(stack, collector),
         )
 
 
 def _layer_breakdown(
-    hierarchy: StorageHierarchy, collector: MetricsCollector
+    stack: LayerStack, collector: MetricsCollector
 ) -> dict[str, dict[str, float]]:
     """Per-layer ``{latency_s, energy_j}`` over the measurement window.
 
@@ -247,13 +251,14 @@ def _layer_breakdown(
     the layers' energy meters (so standby/idle energy between requests is
     included and the components sum to the run total).
     """
-    energies = hierarchy.stack.layer_energy()
-    names = [layer.name for layer in hierarchy.stack.layers]
-    if CLEANING_LAYER in energies or CLEANING_LAYER in collector.layer_latency_s:
+    energies = stack.layer_energy()
+    latencies = collector.layer_latency_s
+    names = [layer.name for layer in stack.layers]
+    if CLEANING_LAYER in energies or CLEANING_LAYER in latencies:
         names.append(CLEANING_LAYER)
     return {
         name: {
-            "latency_s": collector.layer_latency_s.get(name, 0.0),
+            "latency_s": latencies.get(name, 0.0),
             "energy_j": energies.get(name, 0.0),
         }
         for name in names

@@ -97,10 +97,6 @@ def classify(trace: "Trace", compiled: "CompiledOps",
 
 
 def _classify(compiled: "CompiledOps", capacity_blocks: int) -> DramPlan:
-    from repro.core.request import RequestKind
-
-    read_kind = RequestKind.READ
-    delete_kind = RequestKind.DELETE
     n_ops = compiled.n_ops
     hit_counts = np.zeros(n_ops, dtype=np.int32)
     miss_counts = np.zeros(n_ops, dtype=np.int32)
@@ -114,13 +110,11 @@ def _classify(compiled: "CompiledOps", capacity_blocks: int) -> DramPlan:
     popitem = order.popitem
     pop = order.pop
     append_miss = miss_list.append
-    kinds = compiled.kinds
-    all_blocks = compiled.blocks
 
-    for i in range(n_ops):
-        kind = kinds[i]
-        blocks = all_blocks[i]
-        if kind is read_kind:
+    for i, (code, blocks) in enumerate(
+        zip(compiled.op_codes.tolist(), compiled.blocks)
+    ):
+        if code == READ:
             hits = 0
             misses = 0
             for block in blocks:
@@ -139,7 +133,7 @@ def _classify(compiled: "CompiledOps", capacity_blocks: int) -> DramPlan:
                     while len(order) >= capacity_blocks:
                         popitem(last=False)
                     order[block] = None
-        elif kind is delete_kind:
+        elif code == DELETE:
             for block in blocks:
                 pop(block, None)
         else:  # WRITE: install(blocks)

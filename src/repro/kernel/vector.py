@@ -44,6 +44,7 @@ from repro.traces.trace import DELETE, READ, WRITE
 
 if TYPE_CHECKING:
     from repro.core.config import SimulationConfig
+    from repro.core.layers import LayerStack
     from repro.traces.compiled import CompiledOps
     from repro.traces.trace import Trace
 
@@ -164,7 +165,7 @@ def _response_stats(values: np.ndarray) -> ResponseStats:
 def _assemble(
     trace: "Trace",
     config: "SimulationConfig",
-    hierarchy,
+    hierarchy: "LayerStack",
     compiled: "CompiledOps",
     wait: np.ndarray,
     plan,

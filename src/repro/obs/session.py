@@ -1,12 +1,13 @@
 """The ObservabilitySession: tracer + metrics wired onto one simulation.
 
 A session owns one :class:`~repro.obs.events.EventTracer` and one
-:class:`~repro.obs.metrics.MetricsRegistry` and attaches them to a
-:class:`~repro.core.hierarchy.StorageHierarchy` for the duration of a run:
+:class:`~repro.obs.metrics.MetricsRegistry` and attaches them to the
+storage hierarchy (a :class:`~repro.core.layers.LayerStack`) for the
+duration of a run:
 
 * ``begin_run`` subscribes the session's ``on_complete``/``on_crash``
-  handlers to the hierarchy's hook bus, points the device's ``obs_sink``
-  at the tracer, and binds gauges to the live cache/buffer/device state;
+  handlers to the stack's hook bus, points the device's ``obs_sink`` at
+  the tracer, and binds gauges to the live cache/buffer/device state;
 * ``warm_boundary`` discards everything recorded during the warm-start
   prefix (the tracer rolls back to the run marker, the registry resets),
   mirroring the simulator's own accounting reset;
@@ -43,7 +44,7 @@ from repro.obs.metrics import (
 )
 
 if TYPE_CHECKING:
-    from repro.core.hierarchy import StorageHierarchy
+    from repro.core.layers import LayerStack
     from repro.core.results import SimulationResult
 
 _READ = RequestKind.READ
@@ -90,7 +91,7 @@ class ObservabilitySession:
         self.registry = MetricsRegistry(sample_interval_ops, max_samples)
         self.runs: list[dict[str, Any]] = []
         self._run_index = -1
-        self._hierarchy: StorageHierarchy | None = None
+        self._stack: LayerStack | None = None
         self._mark = 0
         self._label = ""
         self._layer_sums: dict[str, float] = {}
@@ -117,12 +118,12 @@ class ObservabilitySession:
 
     # -- run lifecycle -----------------------------------------------------------
 
-    def begin_run(self, hierarchy: "StorageHierarchy", label: str) -> int:
-        """Attach to ``hierarchy``; returns the new run's index."""
-        if self._hierarchy is not None:
+    def begin_run(self, stack: "LayerStack", label: str) -> int:
+        """Attach to ``stack``; returns the new run's index."""
+        if self._stack is not None:
             raise RuntimeError("a run is already active on this session")
         self._run_index += 1
-        self._hierarchy = hierarchy
+        self._stack = stack
         self._label = label
         self._layer_sums = {}
         self._last_hits = -1
@@ -130,13 +131,13 @@ class ObservabilitySession:
 
         registry = self.registry
         registry.reset()
-        self._bind_gauges(hierarchy)
+        self._bind_gauges(stack)
 
-        hierarchy.hooks.on_complete(self._on_complete)
-        hierarchy.hooks.on_crash(self._on_crash)
-        hierarchy.device.set_obs_sink(self._device_event)
+        stack.hooks.on_complete(self._on_complete)
+        stack.hooks.on_crash(self._on_crash)
+        stack.device.set_obs_sink(self._device_event)
 
-        device = hierarchy.device
+        device = stack.device
         self.tracer.emit(
             "run", 0.0, 0.0, f"{label}|{device.name}", float(self._run_index)
         )
@@ -146,28 +147,28 @@ class ObservabilitySession:
     def warm_boundary(self) -> None:
         """Discard everything recorded during the warm-start prefix."""
         self.tracer.rollback(self._mark)
-        hierarchy = self._hierarchy
+        stack = self._stack
         self.registry.reset()
-        if hierarchy is not None:
-            self._bind_gauges(hierarchy)
+        if stack is not None:
+            self._bind_gauges(stack)
         self._layer_sums = {}
         self._last_hits = -1
         self._last_misses = -1
 
     def end_run(self, result: "SimulationResult | None" = None) -> dict[str, Any]:
-        """Detach from the hierarchy and snapshot the run's metrics."""
-        hierarchy = self._hierarchy
-        if hierarchy is None:
+        """Detach from the stack and snapshot the run's metrics."""
+        stack = self._stack
+        if stack is None:
             raise RuntimeError("no active run to end")
-        self._hierarchy = None
+        self._stack = None
 
-        hierarchy.hooks.off_complete(self._on_complete)
-        hierarchy.hooks.off_crash(self._on_crash)
-        device = hierarchy.device
+        stack.hooks.off_complete(self._on_complete)
+        stack.hooks.off_crash(self._on_crash)
+        device = stack.device
         device.set_obs_sink(None)
 
         self._fill_wear_histogram(device)
-        self.registry.force_sample(hierarchy.latest_time())
+        self.registry.force_sample(stack.latest_time())
 
         summary: dict[str, Any] = {
             "run": self._run_index,
@@ -241,7 +242,7 @@ class ObservabilitySession:
         else:
             self._writes.inc()
         self._resp_hist.observe(dur)
-        dram = self._hierarchy.dram if self._hierarchy is not None else None
+        dram = self._stack.dram if self._stack is not None else None
         if dram is not None:
             hits = dram.hits
             misses = dram.misses
@@ -265,8 +266,8 @@ class ObservabilitySession:
 
     # -- instrument binding ------------------------------------------------------
 
-    def _bind_gauges(self, hierarchy: "StorageHierarchy") -> None:
-        """(Re)bind gauges to the live objects of ``hierarchy``.
+    def _bind_gauges(self, stack: "LayerStack") -> None:
+        """(Re)bind gauges to the live objects of ``stack``.
 
         Gauges from a previous run are unbound first so a sample can never
         read a dead hierarchy's state.
@@ -278,12 +279,12 @@ class ObservabilitySession:
                 instrument.fn = None
 
         registry = self.registry
-        device = hierarchy.device
+        device = stack.device
         registry.gauge(
             "device_queue_s", "in-flight work queued on the device, seconds"
         ).fn = lambda: max(0.0, device.busy_until - device.clock)
 
-        dram = hierarchy.dram
+        dram = stack.dram
         if dram is not None:
             registry.gauge(
                 "dram_resident_blocks", "blocks resident in the DRAM cache"
@@ -292,7 +293,7 @@ class ObservabilitySession:
                 "dram_hit_rate", "DRAM cache hit rate so far"
             ).fn = lambda: dram.hit_rate
 
-        sram = hierarchy.sram
+        sram = stack.sram
         if sram is not None:
             registry.gauge(
                 "sram_occupancy_blocks", "dirty blocks buffered in SRAM"
@@ -314,7 +315,7 @@ class ObservabilitySession:
                 "dirty_sectors", "flash-disk sectors awaiting background erase"
             ).fn = lambda: sector_map.dirty_sectors
 
-        meter = hierarchy.reliability
+        meter = stack.reliability
         if meter is not None:
             for name, read in meter.live_counters().items():
                 registry.gauge(

@@ -1,11 +1,12 @@
-"""Traces compiled to flat parallel arrays for the batched request path.
+"""Traces compiled to per-operation columns for the simulation kernels.
 
 :func:`compile_trace` performs the paper's file-to-disk translation
 (section 4.1) once per :class:`Trace` instance, in NumPy over the trace's
-columns, and stores the result both as NumPy arrays (which the vector
-kernels in :mod:`repro.kernel` read as they are) and as parallel lists
-(request kind, issue time, block tuple, in-stack size, file id) that
-:meth:`~repro.core.layers.LayerStack.run_batch` iterates directly.
+columns.  The result is read-only NumPy arrays (op code, issue time,
+in-stack size, file id, block count), which the vector kernels in
+:mod:`repro.kernel` read as they are, plus one device-block tuple per
+operation; :meth:`~repro.core.layers.LayerStack.run_batch` turns the
+window it drives into lists once per call.
 
 The mapping is exactly :class:`~repro.traces.filemap.FileMapper`'s, which
 the per-op reference kernel still runs record by record:
@@ -47,21 +48,20 @@ _CACHE_ATTR = "_compiled_ops"
 
 
 class CompiledOps:
-    """One trace, flattened: parallel per-operation lists and arrays.
+    """One trace, flattened: per-operation NumPy arrays and block tuples.
 
-    ``kinds[i]`` is a :class:`~repro.core.request.RequestKind` member,
-    ``sizes[i]`` the in-stack transfer size (the block footprint, which
-    for every kind is exactly what ``Request.from_op`` computes), and
-    ``blocks[i]`` the device block tuple (for a deletion, the blocks it
-    frees, ascending).  ``dataset_blocks`` is the mapper's high-water
-    mark, which sizes the simulated device.  ``op_codes``, ``time``,
-    ``size``, ``file_id`` and ``n_blocks`` are the same data as read-only
-    NumPy arrays.
+    ``op_codes[i]`` is the trace's op code (``READ, WRITE, DELETE = 0, 1,
+    2``), ``time[i]`` the issue time, ``size[i]`` the in-stack transfer
+    size (the block footprint, which for every kind is exactly what
+    ``Request.from_op`` computes), ``file_id[i]`` the file and
+    ``n_blocks[i]`` the block count, all read-only arrays; ``blocks[i]``
+    is the device block tuple (for a deletion, the blocks it frees,
+    ascending).  ``dataset_blocks`` is the mapper's high-water mark,
+    which sizes the simulated device.
     """
 
     __slots__ = (
-        "kinds", "times", "blocks", "sizes", "file_ids",
-        "n_ops", "dataset_blocks", "block_bytes",
+        "blocks", "n_ops", "dataset_blocks", "block_bytes",
         "op_codes", "time", "size", "file_id", "n_blocks",
     )
 
@@ -75,9 +75,6 @@ class CompiledOps:
         dataset_blocks: int,
         block_bytes: int,
     ) -> None:
-        from repro.core.request import RequestKind
-
-        kind_of = (RequestKind.READ, RequestKind.WRITE, RequestKind.DELETE)
         size = n_blocks * block_bytes
         for array in (n_blocks, size):
             array.flags.writeable = False
@@ -86,11 +83,7 @@ class CompiledOps:
         self.size = size
         self.file_id = file_id
         self.n_blocks = n_blocks
-        self.kinds = list(map(kind_of.__getitem__, op_codes.tolist()))
-        self.times = time.tolist()
         self.blocks = blocks
-        self.sizes = size.tolist()
-        self.file_ids = file_id.tolist()
         self.n_ops = len(blocks)
         self.dataset_blocks = dataset_blocks
         self.block_bytes = block_bytes

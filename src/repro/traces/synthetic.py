@@ -72,6 +72,8 @@ class SyntheticWorkload:
         redirected away from currently-erased files.  An erase that would
         leave no file is skipped (its draws stay made).
         """
+        if n_ops < 0:
+            raise TraceError(f"n_ops must be >= 0, got {n_ops}")
         rng = random.Random(seed)
         random_ = rng.random
         randrange = rng.randrange

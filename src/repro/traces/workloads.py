@@ -164,9 +164,11 @@ class WorkloadSpec:
     def generate(self, seed: int = 0, n_ops: int | None = None) -> Trace:
         """Generate a trace with ``n_ops`` operations (default: enough to
         span the workload's nominal duration)."""
-        columns = _draw_columns(
-            self, random.Random(seed), self.n_operations if n_ops is None else n_ops
-        )
+        if n_ops is None:
+            n_ops = self.n_operations
+        elif n_ops < 0:
+            raise TraceError(f"n_ops must be >= 0, got {n_ops}")
+        columns = _draw_columns(self, random.Random(seed), n_ops)
         return Trace.from_columns(
             self.name, *columns, block_size=self.block_size,
             metadata={"generator": "WorkloadSpec", "seed": seed},

@@ -150,6 +150,13 @@ def test_configuration_error_prints_one_line_and_exits_2(argv, named, capsys):
     _assert_one_error_line(capsys, named)
 
 
+def test_negative_op_count_prints_one_line_and_exits_2(tmp_path, capsys):
+    output = tmp_path / "x"
+    assert main(["generate", "--ops", "-5", "-o", str(output)]) == 2
+    _assert_one_error_line(capsys, "n_ops must be >= 0, got -5")
+    assert not output.exists()
+
+
 def test_malformed_trace_prints_one_line_and_exits_2(tmp_path, capsys):
     source = tmp_path / "bad.blk"
     source.write_text("garbage line\n")

@@ -8,7 +8,7 @@ from repro.errors import TraceError
 from repro.traces.compiled import compile_trace
 from repro.traces.filemap import FileMapper, dataset_blocks, map_trace
 from repro.traces.record import Operation, TraceRecord
-from repro.traces.trace import Trace
+from repro.traces.trace import OPERATIONS, Trace
 from repro.units import KB
 
 
@@ -147,13 +147,14 @@ def test_compiled_trace_matches_file_mapper(trace):
     compiled = compile_trace(trace)
     # repr: the blocks must be Python ints, not NumPy scalars.
     assert repr(compiled.blocks) == repr([op.blocks for op in ops])
-    assert [kind.value for kind in compiled.kinds] == [op.op.value for op in ops]
-    assert compiled.sizes == [op.size for op in ops]
-    assert compiled.times == [op.time for op in ops]
-    assert compiled.file_ids == [op.file_id for op in ops]
+    assert [OPERATIONS[code] for code in compiled.op_codes.tolist()] == [
+        op.op for op in ops
+    ]
+    assert compiled.size.tolist() == [op.size for op in ops]
+    assert compiled.time.tolist() == [op.time for op in ops]
+    assert compiled.file_id.tolist() == [op.file_id for op in ops]
     assert compiled.dataset_blocks == mapper.high_water_blocks
     assert compiled.n_blocks.tolist() == [len(op.blocks) for op in ops]
-    assert compiled.size.tolist() == compiled.sizes
 
 
 def test_compile_empty_and_delete_only_traces():

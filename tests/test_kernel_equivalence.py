@@ -1,6 +1,6 @@
 """The vector kernel is an *engine*, not a behaviour.
 
-Three contracts pinned here:
+Four contracts pinned here:
 
 1. **Vector vs reference, within declared tolerance** — across the
    paper's workloads, one device per class, a Hypothesis sweep of
@@ -9,11 +9,15 @@ Three contracts pinned here:
    zero mismatches.  The tests also assert the vector path actually ran
    (``extra["kernel"] == "vector"``, no silent fallback) — a sweep that
    quietly compared batched against batched would prove nothing.
-2. **Reference path vs golden, bit-for-bit** — ``kernel="reference"``
+2. **Vector vs batched across the registry** — every simulation that
+   every registered experiment runs on the vector path at the golden
+   corpus's point agrees with the batched path within the same gate, and
+   no fewer simulations than today take the vector path.
+3. **Reference path vs golden, bit-for-bit** — ``kernel="reference"``
    must still reproduce ``tests/golden/equivalence_golden.json``
-   (``float.hex()`` equality).  The State/Model device split and the
-   kernel dispatch layer both sit on this path; neither may move a bit.
-3. **Cross-kernel cache identity** — a unit's kernel is part of its
+   (``float.hex()`` equality).  The devices, the layer stack and the
+   kernel dispatch all sit on this path; none may move a bit.
+4. **Cross-kernel cache identity** — a unit's kernel is part of its
    cache key, so a vector result can never replay for a batched (or
    default) request, and vice versa.
 """
@@ -29,8 +33,10 @@ from hypothesis import strategies as st
 
 from repro.contract import compare_results
 from repro.core.config import SimulationConfig
-from repro.core.simulator import simulate
+from repro.core.simulator import Simulator, simulate
 from repro.engine import ResultCache, WorkUnit, cache_key, execute
+from repro.experiments.registry import all_experiments
+from repro.experiments.runner import run_experiment
 from repro.kernel.vector import unsupported_reason
 from repro.traces.synthetic import SyntheticWorkload
 from repro.traces.workloads import workload_by_name
@@ -144,6 +150,45 @@ def test_vector_falls_back_outside_envelope():
     batched = simulate(trace, config)
     assert result.energy_j == batched.energy_j
     assert result.duration_s == batched.duration_s
+
+
+#: The golden corpus's point (``tests/test_golden_experiments.py``).
+REGISTRY_SCALE = 0.02
+REGISTRY_SEED = 3
+#: Simulations of the whole registry that take the vector path there
+#: (131 of 159); fewer means a configuration started falling back.
+REGISTRY_VECTOR_SIMULATIONS = 131
+
+
+def test_vector_matches_batched_across_the_registry(monkeypatch):
+    """Every vector simulation of every registered experiment agrees with
+    the batched path on the same trace and configuration."""
+    runs = []
+    run = Simulator.run
+
+    def recording_run(simulator, trace, **kwargs):
+        result = run(simulator, trace, **kwargs)
+        runs.append((simulator.config, trace, result))
+        return result
+
+    monkeypatch.setattr(Simulator, "run", recording_run)
+    for experiment_id in sorted(all_experiments()):
+        run_experiment(experiment_id, scale=REGISTRY_SCALE, seed=REGISTRY_SEED,
+                       kernel="vector")
+    monkeypatch.undo()
+
+    vector = [case for case in runs if case[2].extra.get("kernel") == "vector"]
+    assert len(vector) >= REGISTRY_VECTOR_SIMULATIONS, (
+        f"only {len(vector)} of {len(runs)} simulations took the vector path"
+    )
+    problems = [
+        f"{trace.name} on {config.device}: {problem}"
+        for config, trace, result in vector
+        for problem in compare_results(
+            Simulator(config).run(trace, kernel="batched"), result
+        ).problems()
+    ]
+    assert problems == []
 
 
 @pytest.fixture(scope="module")

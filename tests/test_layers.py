@@ -31,7 +31,7 @@ def test_latest_time_includes_dram_clock():
     )
     # Only the cache clock moves: the device frontier stays at zero, so the
     # pre-refactor device-only latest_time() would report 0.0 here.
-    hierarchy.stack.layer("dram").cache.advance(123.0)
+    hierarchy.dram.advance(123.0)
     assert hierarchy.latest_time() == 123.0
 
 
@@ -39,7 +39,7 @@ def test_latest_time_includes_sram_clock():
     hierarchy = _hierarchy(
         SimulationConfig(device="cu140-datasheet", dram_bytes=0, sram_bytes=32 * KB)
     )
-    hierarchy.stack.layer("sram").buffer.advance(77.5)
+    hierarchy.sram.advance(77.5)
     assert hierarchy.latest_time() == 77.5
 
 
@@ -139,7 +139,7 @@ def test_power_losses_fire_before_the_later_request():
     plan = FaultPlan(seed=1, power_loss_times=(mid_loss, late_loss))
     assert plan.enabled
     injector = FaultInjector(plan)
-    hierarchy = build_hierarchy(
+    stack = build_hierarchy(
         SimulationConfig(
             device="intel-datasheet", dram_bytes=256 * KB, fault_plan=plan
         ),
@@ -147,16 +147,15 @@ def test_power_losses_fire_before_the_later_request():
         max(1, mapper.high_water_blocks),
         injector=injector,
     )
-    stack = hierarchy.stack
 
     events: list[tuple[str, float]] = []
     # Same wiring as the simulator: the loss-firing subscriber runs first,
     # so a crash always lands before the submit that triggered the check.
-    hierarchy.hooks.on_submit(
+    stack.hooks.on_submit(
         lambda request: stack.fire_pending_power_losses(request.time)
     )
-    hierarchy.hooks.on_submit(lambda request: events.append(("submit", request.time)))
-    hierarchy.hooks.on_crash(lambda at, recovered_at: events.append(("crash", at)))
+    stack.hooks.on_submit(lambda request: events.append(("submit", request.time)))
+    stack.hooks.on_crash(lambda at, recovered_at: events.append(("crash", at)))
 
     for op in ops:
         stack.submit(op)
@@ -175,7 +174,7 @@ def test_power_losses_fire_before_the_later_request():
     assert later_submits and crash_index < min(later_submits)
     # The post-trace loss fired after every submitted request.
     assert events[-1] == ("crash", late_loss)
-    assert hierarchy.reliability_snapshot().power_losses == 2
+    assert stack.reliability_snapshot().power_losses == 2
 
 
 def test_simulator_fires_post_trace_power_losses():

@@ -159,12 +159,12 @@ def test_flash_card_conservation_under_random_workloads(seed, utilization):
     live: set[int] = set(range(preloaded))
     for op in ops:
         if op.op is Operation.READ:
-            hierarchy.read(op)
+            hierarchy.submit(op)
         elif op.op is Operation.WRITE:
-            hierarchy.write(op)
+            hierarchy.submit(op)
             live.update(op.blocks)
         else:
-            hierarchy.delete(op)
+            hierarchy.submit(op)
             live.difference_update(op.blocks)
     card.check_invariants()
     assert card.live_blocks == len(live)

@@ -107,6 +107,12 @@ def test_misaligned_total_rejected():
         SyntheticWorkload(total_bytes=100 * KB, file_bytes=32 * KB)
 
 
+def test_negative_op_count_rejected():
+    with pytest.raises(TraceError, match=r"n_ops must be >= 0, got -5"):
+        SyntheticWorkload().generate(-5)
+    assert len(SyntheticWorkload().generate(0)) == 0
+
+
 # -- the column generator against the per-record loop it replaced ----------
 
 

@@ -14,7 +14,7 @@ from repro.traces.compiled import compile_trace
 from repro.traces.record import Operation, TraceRecord
 from repro.traces.stats import compute_statistics
 from repro.traces.synthetic import SyntheticWorkload
-from repro.traces.trace import Trace
+from repro.traces.trace import OPERATIONS, Trace
 from repro.traces.workloads import (
     GAP_CHUNK,
     DosWorkload,
@@ -199,6 +199,12 @@ class TestGeneratorMechanics:
 def test_gap_mixture_fields_validated(changes, named):
     with pytest.raises(TraceError, match=named):
         dataclasses.replace(MacWorkload(), **changes)
+
+
+def test_negative_op_count_rejected():
+    with pytest.raises(TraceError, match=r"n_ops must be >= 0, got -5"):
+        MacWorkload().generate(seed=1, n_ops=-5)
+    assert len(MacWorkload().generate(seed=1, n_ops=0)) == 0
 
 
 def test_pure_burst_mixture_never_solves_the_mid_mean():
@@ -603,8 +609,10 @@ def test_compiled_trace_digests(name, seed, n_ops):
         trace = workload_by_name(name).generate(seed=seed, n_ops=n_ops)
     compiled = compile_trace(trace)
     digest = hashlib.sha256()
-    for kind, blocks, size in zip(compiled.kinds, compiled.blocks, compiled.sizes):
-        digest.update(repr((kind.value, blocks, size)).encode())
+    for code, blocks, size in zip(
+        compiled.op_codes.tolist(), compiled.blocks, compiled.size.tolist()
+    ):
+        digest.update(repr((OPERATIONS[code].value, blocks, size)).encode())
     digest.update(repr(compiled.dataset_blocks).encode())
     assert digest.hexdigest() == COMPILE_DIGESTS[name, seed, n_ops]
 
