@@ -31,7 +31,7 @@ def main() -> None:
     trace = workload_by_name("mac").generate(seed=1, n_ops=6_000)
     print(f"workload: {len(trace)} ops over {trace.duration:.0f} s\n")
 
-    session = ObservabilitySession(sample_interval_ops=64)
+    session = ObservabilitySession()
     for label, device in ALTERNATIVES:
         result = simulate(trace, SimulationConfig(device=device), obs=session)
         run = session.runs[-1]

@@ -337,6 +337,7 @@ def cmd_analyze(args) -> int:
     from repro.traces.stats import compute_statistics
 
     trace = load_trace(args.trace)
+    hit_rate = lru_hit_rate(trace, args.cache_kb * KB // trace.block_size)
     stats = compute_statistics(trace)
     print(f"trace          {trace.name}: {len(trace)} records, "
           f"{stats.duration_s:.0f} s")
@@ -358,9 +359,7 @@ def cmd_analyze(args) -> int:
         print(f"write reuse    each written block rewritten "
               f"{writes.rewrite_factor:.1f}x on average; 90% of write "
               f"traffic on {writes.hot_fraction_for_90pct:.1%} of written blocks")
-    cache_blocks = args.cache_kb * KB // trace.block_size
-    print(f"LRU hit rate   {lru_hit_rate(trace, cache_blocks):.1%} at "
-          f"{args.cache_kb} KB")
+    print(f"LRU hit rate   {hit_rate:.1%} at {args.cache_kb} KB")
     return 0
 
 
@@ -424,6 +423,8 @@ def cmd_fit(args) -> int:
 
     trace = _load_workload(args.trace, args.ops, args.seed)
     model = fit_trace(trace, name=args.name, source=args.trace)
+    if not args.no_verify:
+        model.extension_ops(args.length)  # a bad --length writes no model
     model.save(args.output)
     print(f"fitted {model.spec.name!r} from {args.trace} "
           f"({model.reference.n_records} records)")

@@ -12,10 +12,17 @@ Both modes are implemented; write-back exists for ablation A4.  DRAM energy
 has a standby component proportional to size (refresh never stops), which
 is what makes "spend money on more DRAM vs. more flash" a real trade-off in
 the paper's Figure 4.
+
+Eviction is least-recently-used.  The paper does not name its replacement
+policy; LRU is the natural one for a 1994 buffer cache (what the Macintosh
+and DOS caches of the era approximated), and it is what the vector
+kernel's DRAM classification (:mod:`repro.kernel.dram`) replays.  The
+resident blocks are one ``OrderedDict`` kept in recency order.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from collections.abc import Iterable, Sequence
 
 from repro.devices.power import EnergyMeter
@@ -31,7 +38,6 @@ class BufferCache:
         capacity_bytes: cache size; 0 disables the cache entirely.
         block_bytes: cache-block size (the trace's file-system block size).
         spec: DRAM part parameters (timing and power).
-        policy: eviction policy (default LRU).
         write_back: hold dirty blocks instead of writing through.
     """
 
@@ -40,21 +46,19 @@ class BufferCache:
         capacity_bytes: int,
         block_bytes: int,
         spec: MemorySpec,
-        policy=None,
         write_back: bool = False,
     ) -> None:
         if capacity_bytes < 0:
             raise ConfigurationError("capacity_bytes must be >= 0")
         if block_bytes <= 0:
             raise ConfigurationError("block_bytes must be positive")
-        from repro.cache.policies import LruPolicy
-
         self.capacity_bytes = capacity_bytes
         self.block_bytes = block_bytes
         self.capacity_blocks = capacity_bytes // block_bytes
         self.spec = spec
-        self.policy = policy if policy is not None else LruPolicy()
         self.write_back = write_back
+        #: resident blocks, least recently used first
+        self.resident: OrderedDict[int, None] = OrderedDict()
         self.energy = EnergyMeter(f"dram-{capacity_bytes}B")
         self.clock = 0.0
         self.hits = 0
@@ -94,11 +98,12 @@ class BufferCache:
         """Partition ``blocks`` into (hits, misses), touching the hits."""
         if not self.enabled:
             return [], list(blocks)
+        resident = self.resident
         hit_list: list[int] = []
         miss_list: list[int] = []
         for block in blocks:
-            if block in self.policy:
-                self.policy.touch(block)
+            if block in resident:
+                resident.move_to_end(block)
                 hit_list.append(block)
             else:
                 miss_list.append(block)
@@ -111,17 +116,18 @@ class BufferCache:
         caller must write to the device (write-back mode only)."""
         if not self.enabled:
             return []
+        resident = self.resident
         evicted_dirty: list[int] = []
         for block in blocks:
-            if block in self.policy:
-                self.policy.touch(block)
+            if block in resident:
+                resident.move_to_end(block)
             else:
-                while len(self.policy) >= self.capacity_blocks:
-                    victim = self.policy.evict()
+                while len(resident) >= self.capacity_blocks:
+                    victim, _ = resident.popitem(last=False)
                     if victim in self._dirty:
                         self._dirty.discard(victim)
                         evicted_dirty.append(victim)
-                self.policy.insert(block)
+                resident[block] = None
             if dirty and self.write_back:
                 self._dirty.add(block)
         return evicted_dirty
@@ -131,7 +137,7 @@ class BufferCache:
         if not self.enabled:
             return
         for block in blocks:
-            self.policy.remove(block)
+            self.resident.pop(block, None)
             self._dirty.discard(block)
 
     def drain_dirty(self) -> list[int]:
@@ -147,10 +153,9 @@ class BufferCache:
         blocks are gone for good — the "occasional data loss" the paper's
         section 4.2 warns a write-back cache trades for fewer erasures.
         """
-        resident = len(self.policy)
+        resident = len(self.resident)
         dirty = len(self._dirty)
-        while len(self.policy):
-            self.policy.evict()
+        self.resident.clear()
         self._dirty.clear()
         return resident, dirty
 
@@ -162,7 +167,7 @@ class BufferCache:
     @property
     def resident_blocks(self) -> int:
         """Number of blocks currently resident (occupancy gauge)."""
-        return len(self.policy)
+        return len(self.resident)
 
     @property
     def hit_rate(self) -> float:

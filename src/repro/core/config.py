@@ -2,6 +2,11 @@
 (flash size, flash segment size, flash storage utilization, cleaning policy,
 disk spin-down policy, DRAM size) plus the SRAM write-buffer size of
 section 5.5 and the ablation switches from DESIGN.md.
+
+The rest is fixed by the paper's setup rather than configured: the DRAM
+cache is LRU, the memory parts are the NEC DRAM and SRAM, the FlashCache
+card is the Intel Series 2 datasheet part, and a flash disk erases
+asynchronously exactly when its spec supports it (the SDP5A).
 """
 
 from __future__ import annotations
@@ -40,12 +45,8 @@ class SimulationConfig:
             ``cost-benefit``, ``envy``).
         background_cleaning: clean flash-card segments asynchronously
             (True, the Flash File System behaviour) or only on demand.
-        async_erase: flash-disk decoupled erasure; ``None`` follows the
-            device spec (SDP5A enables it).
         write_back: use a write-back DRAM cache instead of write-through
             (ablation A4).
-        eviction_policy: DRAM eviction policy name (``lru``/``fifo``/
-            ``random``).
         warm_fraction: leading fraction of the trace used only to warm the
             caches (statistics excluded), paper section 4.2.
     """
@@ -60,14 +61,10 @@ class SimulationConfig:
     segment_bytes: int | None = None
     cleaning_policy: str = "greedy"
     background_cleaning: bool = True
-    async_erase: bool | None = None
     write_back: bool = False
-    eviction_policy: str = "lru"
     #: put a flash-card block cache of this size in front of a magnetic
     #: disk (the FlashCache extension, paper citation [15]); 0 disables.
     flash_cache_bytes: int = 0
-    #: flash-card spec used for the FlashCache card
-    flash_cache_spec: str = "intel-datasheet"
     #: include time spent queued behind an earlier, still-busy operation in
     #: reported response times.  The paper models operations independently
     #: ("all operations ... take the average or 'typical' time", section
@@ -75,8 +72,6 @@ class SimulationConfig:
     #: serialized timeline either way.
     response_includes_queueing: bool = False
     warm_fraction: float = 0.1
-    dram_spec: str = "nec-dram"
-    sram_spec: str = "nec-sram"
     #: fault-injection plan (transient I/O errors, bad-block growth, power
     #: losses); ``None`` — and any plan with all rates zero and no power-loss
     #: schedule — leaves every existing code path bit-identical.
@@ -115,9 +110,7 @@ class SimulationConfig:
             "segment_bytes": self.segment_bytes,
             "cleaning_policy": self.cleaning_policy,
             "background_cleaning": self.background_cleaning,
-            "async_erase": self.async_erase,
             "write_back": self.write_back,
-            "eviction_policy": self.eviction_policy,
             "flash_cache_bytes": self.flash_cache_bytes,
             "response_includes_queueing": self.response_includes_queueing,
             "warm_fraction": self.warm_fraction,

@@ -25,7 +25,6 @@ import math
 from dataclasses import replace
 
 from repro.cache.buffer_cache import BufferCache
-from repro.cache.policies import eviction_policy
 from repro.cache.sram_buffer import SramWriteBuffer
 from repro.core.config import SimulationConfig
 from repro.core.layers import LayerStack
@@ -87,14 +86,13 @@ def _build_dram(config: SimulationConfig, block_bytes: int) -> BufferCache | Non
     return BufferCache(
         config.dram_bytes,
         block_bytes,
-        memory_spec(config.dram_spec),
-        policy=eviction_policy(config.eviction_policy),
+        memory_spec("nec-dram"),
         write_back=config.write_back,
     )
 
 
 def _build_sram(config: SimulationConfig, block_bytes: int) -> SramWriteBuffer:
-    return SramWriteBuffer(config.sram_bytes, block_bytes, memory_spec(config.sram_spec))
+    return SramWriteBuffer(config.sram_bytes, block_bytes, memory_spec("nec-sram"))
 
 
 def _build_disk(config: SimulationConfig, spec: DiskSpec) -> MagneticDisk:
@@ -114,11 +112,7 @@ def _wrap_flash_cache(
     """Front ``disk`` with a flash-card block cache (extension X1)."""
     from repro.devices.flashcache import FlashCacheDevice
 
-    card_spec = device_spec(config.flash_cache_spec)
-    if not isinstance(card_spec, FlashCardSpec):
-        raise ConfigurationError(
-            f"flash_cache_spec must name a flash card, got {card_spec.name!r}"
-        )
+    card_spec = device_spec("intel-datasheet")
     segment = card_spec.segment_bytes
     capacity = max(4 * segment, (config.flash_cache_bytes // segment) * segment)
     flash = FlashCard(
@@ -154,7 +148,6 @@ def _build_flash_disk(
         spec,
         capacity_bytes=capacity,
         block_bytes=block_bytes,
-        async_erase=config.async_erase,
         injector=injector,
     )
     capacity_blocks = capacity // block_bytes

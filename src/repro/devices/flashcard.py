@@ -66,8 +66,6 @@ class FlashCard(StorageDevice):
         background_cleaning: clean asynchronously to keep a segment erased
             (the Flash File System behaviour); ``False`` cleans only on
             demand when a write finds no erased space.
-        reserve_segments: how many erased segments background cleaning tries
-            to keep in stock (the paper keeps one).
         injector: optional fault injector; when present, segment erases may
             fail permanently (probability scaling with wear) and the card
             degrades by remapping onto spares, then by shrinking capacity.
@@ -82,7 +80,6 @@ class FlashCard(StorageDevice):
         block_bytes: int = 1024,
         policy: CleaningPolicy | None = None,
         background_cleaning: bool = True,
-        reserve_segments: int = 1,
         injector=None,
         spare_segments: int = 0,
     ) -> None:
@@ -115,7 +112,9 @@ class FlashCard(StorageDevice):
         self.spares_remaining = max(0, spare_segments)
         self.policy = policy if policy is not None else GreedyPolicy()
         self.background_cleaning = background_cleaning
-        self.reserve_segments = max(1, reserve_segments)
+        #: erased segments background cleaning keeps in stock: "at least
+        #: one segment erased at all times" (paper section 4.2)
+        self.reserve_segments = 1
         self._injector = injector
 
         # Per-block timing, fixed by the spec and block size for the card's

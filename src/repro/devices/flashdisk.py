@@ -45,8 +45,6 @@ class FlashDisk(StorageDevice):
         capacity_bytes: medium size (defaults to the spec's capacity).
         block_bytes: the file-system block size the simulator addresses the
             device with; must be a multiple of the 512-byte sector.
-        async_erase: enable the SDP5A decoupled-erase mode (defaults to the
-            spec's capability flag).
         injector: optional fault injector; background erases may then fail
             permanently, retiring sectors (the device tracks no per-sector
             wear, so failures arrive at the plan's flat base rate).
@@ -57,7 +55,6 @@ class FlashDisk(StorageDevice):
         spec: FlashDiskSpec,
         capacity_bytes: int | None = None,
         block_bytes: int = 512,
-        async_erase: bool | None = None,
         injector=None,
     ) -> None:
         super().__init__(spec.name)
@@ -70,9 +67,8 @@ class FlashDisk(StorageDevice):
             )
         self.block_bytes = block_bytes
         self.sectors_per_block = block_bytes // spec.sector_bytes
-        self.async_erase = (
-            spec.supports_async_erase if async_erase is None else async_erase
-        )
+        #: decoupled erasure, the SDP5A mode; the spec decides it
+        self.async_erase = spec.supports_async_erase
         n_sectors = self.capacity_bytes // spec.sector_bytes
         self.sector_map = SectorMap(n_sectors)
         self._injector = injector

@@ -502,9 +502,9 @@ def classify_dram(
         hit_counts = hits.reshape(g, length).astype(np.int64)
         miss_counts = misses.reshape(g, length).astype(np.int64)
 
-    dram_spec = memory_spec("nec-dram")
-    latency = dram_spec.access_latency_s
-    bandwidth = dram_spec.bandwidth_bps
+    dram_part = memory_spec("nec-dram")
+    latency = dram_part.access_latency_s
+    bandwidth = dram_part.bandwidth_bps
     bb = tables.block_bytes
     has_dram = (dram_blocks > 0).reshape(-1, 1)
     is_read = batch.kind == READ
@@ -565,23 +565,23 @@ def _memory_energy(
     standby_window = end_time - clock_reset
 
     energy = np.zeros(len(rows), dtype=np.float64)
-    dram_spec = memory_spec("nec-dram")
+    dram_part = memory_spec("nec-dram")
     has_dram = dram_bytes > 0
     dram_wait = np.where(measured, wait, 0.0).sum(axis=1)
     energy += np.where(
         has_dram,
-        dram_spec.standby_power_w_per_byte * dram_bytes * standby_window
-        + dram_spec.active_power_w * dram_wait,
+        dram_part.standby_power_w_per_byte * dram_bytes * standby_window
+        + dram_part.active_power_w * dram_wait,
         0.0,
     )
-    sram_spec = memory_spec("nec-sram")
+    sram_part = memory_spec("nec-sram")
     has_sram = sram_bytes > 0
     if sram_wait_sum is None:
         sram_wait_sum = np.zeros(len(rows), dtype=np.float64)
     energy += np.where(
         has_sram,
-        sram_spec.standby_power_w_per_byte * sram_bytes * standby_window
-        + sram_spec.active_power_w * sram_wait_sum,
+        sram_part.standby_power_w_per_byte * sram_bytes * standby_window
+        + sram_part.active_power_w * sram_wait_sum,
         0.0,
     )
     return energy
@@ -647,7 +647,7 @@ def run_disks_fast(
         np.float64
     )
     dev_read = is_read & (read_bytes > 0)
-    sram_spec = memory_spec("nec-sram")
+    sram_part = memory_spec("nec-sram")
     sram_cap = (sram_bytes // bb).reshape(-1, 1)
     absorbed = is_write & (nb <= sram_cap) & (sram_cap > 0)
     bypass = is_write & ~absorbed
@@ -656,7 +656,7 @@ def run_disks_fast(
     arrival = np.where(absorbed, t, t + w)
     sw = np.where(
         absorbed,
-        sram_spec.access_latency_s + size / sram_spec.bandwidth_bps,
+        sram_part.access_latency_s + size / sram_part.bandwidth_bps,
         0.0,
     )
     acc_size = np.where(is_read, read_bytes, size)
@@ -889,7 +889,7 @@ def run_cards_fast(
         "overall_ms": np.zeros(len(rows)),
         "wear_max": np.zeros(len(rows)),
     }
-    dram_spec = memory_spec("nec-dram")
+    dram_part = memory_spec("nec-dram")
 
     for r, row in enumerate(rows.tolist()):
         n = int(batch.n_ops[row])
@@ -947,10 +947,10 @@ def run_cards_fast(
         dram_e = 0.0
         if has_dram:
             dram_e = (
-                dram_spec.standby_power_w_per_byte
+                dram_part.standby_power_w_per_byte
                 * float(dram_bytes[r])
                 * standby_window
-                + dram_spec.active_power_w * float(w[warm:].sum())
+                + dram_part.active_power_w * float(w[warm:].sum())
             )
 
         read_resp = resp[kinds_m == READ]

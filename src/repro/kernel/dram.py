@@ -7,8 +7,8 @@ on the block sequence and the cache capacity — never on the device.  One
 sequential pass therefore serves *every* device row of a sweep; the result
 is cached on the trace keyed by capacity, exactly like the compiled ops.
 
-The pass replays :class:`~repro.cache.buffer_cache.BufferCache` +
-:class:`~repro.cache.policies.LruPolicy` semantics on one ``OrderedDict``:
+The pass replays :class:`~repro.cache.buffer_cache.BufferCache`'s LRU
+semantics on one ``OrderedDict``, as the cache itself keeps them:
 
 * READ: partition blocks into hits (touched) and misses, then install the
   misses (evicting LRU victims);
@@ -97,26 +97,26 @@ def classify(trace: "Trace", compiled: "CompiledOps",
 
 
 def _classify(compiled: "CompiledOps", capacity_blocks: int) -> DramPlan:
-    n_ops = compiled.n_ops
-    hit_counts = np.zeros(n_ops, dtype=np.int32)
-    miss_counts = np.zeros(n_ops, dtype=np.int32)
+    hit_counts: list[int] = []
+    miss_counts: list[int] = []
     miss_list: list[int] = []
-    miss_off = np.zeros(n_ops + 1, dtype=np.int64)
+    miss_off: list[int] = [0]
 
-    # One OrderedDict stands in for LruPolicy: membership = resident,
+    # The same OrderedDict BufferCache keeps: membership = resident,
     # move_to_end = touch, popitem(last=False) = evict.
     order: OrderedDict[int, None] = OrderedDict()
     move_to_end = order.move_to_end
     popitem = order.popitem
     pop = order.pop
     append_miss = miss_list.append
+    append_hits = hit_counts.append
+    append_misses = miss_counts.append
+    append_off = miss_off.append
 
-    for i, (code, blocks) in enumerate(
-        zip(compiled.op_codes.tolist(), compiled.blocks)
-    ):
+    for code, blocks in zip(compiled.op_codes.tolist(), compiled.blocks):
+        hits = 0
+        misses = 0
         if code == READ:
-            hits = 0
-            misses = 0
             for block in blocks:
                 if block in order:
                     move_to_end(block)
@@ -124,8 +124,6 @@ def _classify(compiled: "CompiledOps", capacity_blocks: int) -> DramPlan:
                 else:
                     misses += 1
                     append_miss(block)
-            hit_counts[i] = hits
-            miss_counts[i] = misses
             if misses:
                 # install(misses): each is new; evict down to capacity.
                 start = len(miss_list) - misses
@@ -144,12 +142,14 @@ def _classify(compiled: "CompiledOps", capacity_blocks: int) -> DramPlan:
                     while len(order) >= capacity_blocks:
                         popitem(last=False)
                     order[block] = None
-        miss_off[i + 1] = len(miss_list)
+        append_hits(hits)
+        append_misses(misses)
+        append_off(len(miss_list))
 
     return DramPlan(
         capacity_blocks,
-        hit_counts,
-        miss_counts,
+        np.array(hit_counts, dtype=np.int32),
+        np.array(miss_counts, dtype=np.int32),
         np.asarray(miss_list, dtype=np.int64),
-        miss_off,
+        np.array(miss_off, dtype=np.int64),
     )

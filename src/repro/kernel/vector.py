@@ -65,8 +65,6 @@ def unsupported_reason(config: "SimulationConfig", obs=None) -> str | None:
         return "fault injection configured"
     if config.write_back:
         return "write-back DRAM cache"
-    if config.eviction_policy != "lru":
-        return f"eviction policy {config.eviction_policy!r}"
     if config.flash_cache_bytes:
         return "flash-backed disk cache"
     if config.response_includes_queueing:
@@ -75,12 +73,7 @@ def unsupported_reason(config: "SimulationConfig", obs=None) -> str | None:
     if isinstance(spec, DiskSpec):
         pass  # fixed/no spin-down timeout, both supported
     elif isinstance(spec, FlashDiskSpec):
-        async_erase = (
-            spec.supports_async_erase
-            if config.async_erase is None
-            else config.async_erase
-        )
-        if async_erase:
+        if spec.supports_async_erase:
             return "decoupled (async) flash-disk erasure"
         if config.sram_on_flash and config.sram_bytes:
             return "SRAM buffer on flash"

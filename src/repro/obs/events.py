@@ -14,9 +14,7 @@ a counter track.
 
 Storage is a bounded ring: events are fixed-shape tuples appended to a
 :class:`collections.deque`; when the buffer is full the oldest event is
-dropped (and counted).  A tracer that is ``enabled=False`` subscribes to
-nothing and costs nothing — the hook bus compiles its emitters without
-it, so the batched fast path is untouched.
+dropped (and counted).
 
 Event tuple shape (one tuple per event, no per-event dicts)::
 
@@ -97,13 +95,12 @@ class EventTracer:
     after the run.
     """
 
-    __slots__ = ("capacity", "enabled", "emitted", "dropped", "_events")
+    __slots__ = ("capacity", "emitted", "dropped", "_events")
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY, enabled: bool = True) -> None:
+    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         if capacity < 1:
             raise ValueError(f"tracer capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self.enabled = enabled
         self.emitted = 0      # events ever emitted (including dropped)
         self.dropped = 0      # events evicted by the ring bound
         self._events: deque[Event] = deque()

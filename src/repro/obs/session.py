@@ -37,11 +37,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.core.request import LAYER_NAMES, RequestKind
 from repro.obs.events import DEFAULT_CAPACITY, EventTracer
-from repro.obs.metrics import (
-    DEFAULT_MAX_SAMPLES,
-    MetricsRegistry,
-    exponential_bounds,
-)
+from repro.obs.metrics import MetricsRegistry, exponential_bounds
 
 if TYPE_CHECKING:
     from repro.core.layers import LayerStack
@@ -81,14 +77,9 @@ class ObservabilitySession:
     per simulation.
     """
 
-    def __init__(
-        self,
-        trace_capacity: int = DEFAULT_CAPACITY,
-        sample_interval_ops: int = 64,
-        max_samples: int = DEFAULT_MAX_SAMPLES,
-    ) -> None:
+    def __init__(self, trace_capacity: int = DEFAULT_CAPACITY) -> None:
         self.tracer = EventTracer(trace_capacity)
-        self.registry = MetricsRegistry(sample_interval_ops, max_samples)
+        self.registry = MetricsRegistry()
         self.runs: list[dict[str, Any]] = []
         self._run_index = -1
         self._stack: LayerStack | None = None

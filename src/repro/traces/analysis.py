@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
+from repro.errors import ConfigurationError
 from repro.traces.record import Operation
 from repro.traces.trace import Trace
 from repro.units import KB
@@ -102,6 +103,10 @@ def reuse_distances(trace: Trace, max_tracked: int = 100_000) -> list[int]:
 
 def lru_hit_rate(trace: Trace, cache_blocks: int) -> float:
     """Predicted LRU hit rate at ``cache_blocks`` capacity (block touches)."""
+    if cache_blocks < 0:
+        raise ConfigurationError(
+            f"cache capacity must be >= 0 blocks, got {cache_blocks}"
+        )
     touches = 0
     hits = 0
     distances = reuse_distances(trace)

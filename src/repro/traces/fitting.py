@@ -45,7 +45,7 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from repro.contract import FITTED_TOLERANCES, Report, check_conformance
-from repro.errors import TraceError
+from repro.errors import ConfigurationError, TraceError
 from repro.traces.record import Operation
 from repro.traces.stats import TraceStatistics, compute_statistics
 from repro.traces.trace import Trace
@@ -104,13 +104,26 @@ class FittedWorkload:
         """Generate an extension ``length`` times the source's record
         count and check it against the source's Table 3 row within
         :data:`FITTED_TOLERANCES`."""
-        n_ops = max(2, int(round(self.reference.n_records * length)))
-        extension = self.generate(seed=seed, n_ops=n_ops)
+        extension = self.generate(seed=seed, n_ops=self.extension_ops(length))
         return check_conformance(
             self.reference,
             compute_statistics(extension),
             tolerances=FITTED_TOLERANCES,
         )
+
+    def extension_ops(self, length: float) -> int:
+        """Record count of an extension ``length`` times the source's.
+
+        Raises :class:`ConfigurationError` unless ``length`` is > 0 and
+        the count is finite (which rules out NaN and infinite lengths).
+        """
+        n_ops = self.reference.n_records * length
+        if not (length > 0 and math.isfinite(n_ops)):
+            raise ConfigurationError(
+                f"extension length must be > 0 and give a finite record "
+                f"count, got {length!r}"
+            )
+        return max(2, int(round(n_ops)))
 
     # -- serialisation -----------------------------------------------------
 

@@ -1,10 +1,17 @@
-"""DRAM buffer cache behaviour."""
+"""DRAM buffer cache behaviour, and the vector kernel's replay of it."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache.buffer_cache import BufferCache
 from repro.devices.specs import NEC_DRAM
 from repro.errors import ConfigurationError
+from repro.kernel.dram import classify
+from repro.traces.compiled import compile_trace
+from repro.traces.synthetic import SyntheticWorkload
+from repro.traces.trace import DELETE, READ
+from repro.traces.workloads import workload_by_name
 from repro.units import KB
 
 
@@ -117,3 +124,38 @@ class TestEnergyAndTiming:
     def test_negative_capacity_rejected(self):
         with pytest.raises(ConfigurationError):
             BufferCache(-1, KB, NEC_DRAM)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    workload=st.sampled_from(("mac", "dos", "hp", "synth")),
+    seed=st.integers(min_value=0, max_value=2**16),
+    n_ops=st.integers(min_value=50, max_value=400),
+)
+def test_vector_classification_replays_the_cache(workload, seed, n_ops):
+    """``kernel.dram.classify`` agrees with a BufferCache driven the way
+    ``DramLayer.submit`` drives it, op by op, at every capacity of 1-64
+    blocks."""
+    if workload == "synth":
+        trace = SyntheticWorkload().generate(n_ops=n_ops, seed=seed)
+    else:
+        trace = workload_by_name(workload).generate(seed=seed, n_ops=n_ops)
+    compiled = compile_trace(trace)
+    ops = list(zip(compiled.op_codes.tolist(), compiled.blocks))
+    for capacity in range(1, 65):
+        plan = classify(trace, compiled, capacity)
+        cache = BufferCache(capacity * trace.block_size, trace.block_size, NEC_DRAM)
+        for i, (code, blocks) in enumerate(ops):
+            hits: list[int] = []
+            misses: list[int] = []
+            if code == READ:
+                hits, misses = cache.lookup(blocks)
+                cache.install(misses)
+            elif code == DELETE:
+                cache.invalidate(blocks)
+            else:
+                cache.install(blocks)
+            assert (plan.hit_counts[i], plan.miss_counts[i]) == (
+                len(hits), len(misses)
+            ), (capacity, i)
+            assert plan.miss_blocks(i) == misses, (capacity, i)

@@ -1,94 +1,48 @@
-"""DRAM cache eviction policies."""
+"""The DRAM buffer cache's replacement policy: least recently used.
 
-import pytest
+``BufferCache.resident`` holds the resident blocks least recently used
+first; these cases pin that order through the cache's own operations.
+"""
 
-from repro.cache.policies import FifoPolicy, LruPolicy, RandomPolicy, eviction_policy
-from repro.errors import ConfigurationError
+from repro.cache.buffer_cache import BufferCache
+from repro.devices.specs import NEC_DRAM
+from repro.units import KB
+
+
+def make_cache(capacity_blocks):
+    return BufferCache(capacity_blocks * KB, KB, NEC_DRAM)
 
 
 class TestLru:
     def test_evicts_least_recent(self):
-        policy = LruPolicy()
-        for block in (1, 2, 3):
-            policy.insert(block)
-        policy.touch(1)
-        assert policy.evict() == 2
+        cache = make_cache(3)
+        cache.install([1, 2, 3])
+        cache.lookup([1])
+        cache.install([4])  # evicts 2
+        assert list(cache.resident) == [3, 1, 4]
 
     def test_insert_refreshes_recency(self):
-        policy = LruPolicy()
-        policy.insert(1)
-        policy.insert(2)
-        policy.insert(1)
-        assert policy.evict() == 2
+        cache = make_cache(2)
+        cache.install([1, 2])
+        cache.install([1])
+        cache.install([3])  # evicts 2
+        assert list(cache.resident) == [1, 3]
 
     def test_remove(self):
-        policy = LruPolicy()
-        policy.insert(1)
-        policy.insert(2)
-        policy.remove(1)
-        assert 1 not in policy
-        assert len(policy) == 1
+        cache = make_cache(2)
+        cache.install([1, 2])
+        cache.invalidate([1])
+        assert 1 not in cache.resident
+        assert cache.resident_blocks == 1
 
     def test_remove_missing_is_noop(self):
-        policy = LruPolicy()
-        policy.remove(42)
+        cache = make_cache(2)
+        cache.install([1, 2])
+        cache.invalidate([42])
+        assert list(cache.resident) == [1, 2]
 
     def test_contains(self):
-        policy = LruPolicy()
-        policy.insert(5)
-        assert 5 in policy
-        assert 6 not in policy
-
-
-class TestFifo:
-    def test_evicts_in_insertion_order(self):
-        policy = FifoPolicy()
-        for block in (1, 2, 3):
-            policy.insert(block)
-        policy.touch(1)  # FIFO ignores touches
-        assert policy.evict() == 1
-
-    def test_reinsert_keeps_original_position(self):
-        policy = FifoPolicy()
-        policy.insert(1)
-        policy.insert(2)
-        policy.insert(1)
-        assert policy.evict() == 1
-
-
-class TestRandom:
-    def test_eviction_is_member(self):
-        policy = RandomPolicy(seed=3)
-        for block in range(10):
-            policy.insert(block)
-        victim = policy.evict()
-        assert 0 <= victim < 10
-        assert victim not in policy
-
-    def test_deterministic_with_seed(self):
-        def victims(seed):
-            policy = RandomPolicy(seed=seed)
-            for block in range(10):
-                policy.insert(block)
-            return [policy.evict() for _ in range(5)]
-
-        assert victims(7) == victims(7)
-
-    def test_remove_then_len(self):
-        policy = RandomPolicy()
-        for block in range(5):
-            policy.insert(block)
-        policy.remove(2)
-        assert len(policy) == 4
-        assert 2 not in policy
-
-
-def test_factory():
-    assert isinstance(eviction_policy("lru"), LruPolicy)
-    assert isinstance(eviction_policy("fifo"), FifoPolicy)
-    assert isinstance(eviction_policy("random"), RandomPolicy)
-
-
-def test_factory_unknown():
-    with pytest.raises(ConfigurationError):
-        eviction_policy("clock")
+        cache = make_cache(2)
+        cache.install([5])
+        assert 5 in cache.resident
+        assert 6 not in cache.resident

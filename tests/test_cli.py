@@ -179,6 +179,24 @@ def test_non_finite_trace_time_prints_one_line_and_exits_2(
     _assert_one_error_line(capsys, f"{path}:2: record time must be finite")
 
 
+@pytest.mark.parametrize("length", ["0", "-1", "nan", "inf", "1e308"])
+def test_fit_rejects_a_bad_length_before_writing(tmp_path, capsys, length):
+    model = tmp_path / "m.json"
+    argv = ["fit", "mac", "--ops", "50", "--length", length, "-o", str(model)]
+    assert main(argv) == 2
+    _assert_one_error_line(capsys, "extension length")
+    assert not model.exists()
+
+
+def test_analyze_rejects_a_negative_cache(tmp_path, capsys):
+    path = tmp_path / "t.txt"
+    assert main(["generate", "--workload", "mac", "--ops", "50",
+                 "-o", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["analyze", "--cache-kb", "-5", str(path)]) == 2
+    _assert_one_error_line(capsys, "cache capacity")
+
+
 def test_bad_fitted_model_prints_one_line_and_exits_2(tmp_path, capsys):
     from repro.traces.fitting import FittedWorkload
     from repro.traces.stats import compute_statistics

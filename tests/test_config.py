@@ -1,5 +1,7 @@
 """Simulation configuration validation."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.core.config import SimulationConfig
@@ -81,6 +83,13 @@ def test_describe_is_complete():
     for key in ("device", "dram_bytes", "sram_bytes", "flash_utilization",
                 "cleaning_policy", "write_back", "warm_fraction"):
         assert key in described
+
+
+def test_describe_records_every_field():
+    """Two runs that differ in any setting must differ in their record."""
+    assert list(SimulationConfig().describe()) == [
+        field.name for field in fields(SimulationConfig)
+    ]
 
 
 def test_frozen():

@@ -35,8 +35,7 @@ FAULTS = FaultPlan(
 
 CASES = {
     "sdp5-coupled-sram": SimulationConfig(
-        device="sdp5-datasheet", async_erase=False, sram_on_flash=True,
-        sram_bytes=32 * KB,
+        device="sdp5-datasheet", sram_on_flash=True, sram_bytes=32 * KB,
     ),
     "cu140-flashcache": SimulationConfig(
         device="cu140-datasheet", flash_cache_bytes=4 * MB

@@ -11,6 +11,7 @@ any ``--jobs`` level.
 
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
@@ -20,7 +21,7 @@ import pytest
 
 from repro.engine import ResultCache, execute
 from repro.engine.unit import decompose
-from repro.errors import TraceError
+from repro.errors import ConfigurationError, TraceError
 from repro.traces.fitting import FittedWorkload, fit_trace
 from repro.traces.io import save_trace
 from repro.traces.stats import compute_statistics
@@ -192,6 +193,18 @@ def test_fit_rejects_degenerate_trace():
     )
     with pytest.raises(TraceError, match="need >= 2 records"):
         fit_trace(tiny)
+
+
+@pytest.mark.parametrize("length", [0.0, -1.0, math.nan, math.inf, 1e308])
+def test_verify_rejects_a_length_without_a_finite_positive_extension(length):
+    with pytest.raises(ConfigurationError, match="extension length"):
+        _fitted("mac").verify(length=length)
+
+
+def test_extension_ops_scales_the_source_length():
+    model = _fitted("mac")
+    assert model.extension_ops(2.0) == 2 * model.reference.n_records
+    assert model.extension_ops(1e-9) == 2  # at least two records
 
 
 # -- engine invariance: fitted_replay is --jobs-independent ----------------

@@ -36,16 +36,6 @@ def test_flash_cache_ignored_for_flash_devices():
     assert not isinstance(hierarchy.device, FlashCacheDevice)
 
 
-def test_cache_spec_must_be_a_card():
-    config = SimulationConfig(
-        device="cu140-datasheet",
-        flash_cache_bytes=2 * MB,
-        flash_cache_spec="sdp5-datasheet",
-    )
-    with pytest.raises(ConfigurationError):
-        build_hierarchy(config, KB, dataset_blocks=1024)
-
-
 def test_negative_cache_rejected():
     with pytest.raises(ConfigurationError):
         SimulationConfig(flash_cache_bytes=-1)

@@ -60,11 +60,11 @@ def _trace(workload: str, n_ops: int, seed: int):
 def _envelope_config(device: str, **kwargs) -> SimulationConfig:
     """A config inside the vector envelope for ``device``.
 
-    The SDP5A datasheet advertises decoupled erasure, which only the
-    event path models; the envelope covers its coupled mode.
+    The SDP5A erases asynchronously, which only the event path models;
+    the flash-disk family runs as its coupled sibling, the SDP5.
     """
     if device == "sdp5a-datasheet":
-        kwargs.setdefault("async_erase", False)
+        device = "sdp5-datasheet"
     return SimulationConfig(device=device, **kwargs)
 
 
@@ -116,7 +116,6 @@ _envelope_configs = st.builds(
     warm_fraction=st.floats(min_value=0.0, max_value=0.99),
     segment_bytes=st.sampled_from((None, 64 * KB, 128 * KB)),
     background_cleaning=st.booleans(),
-    async_erase=st.just(False),
 )
 
 

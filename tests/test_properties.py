@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.buffer_cache import BufferCache
-from repro.cache.policies import LruPolicy
 from repro.core.metrics import ResponseAccumulator
 from repro.devices.flashcard import FlashCard
 from repro.devices.power import EnergyMeter
@@ -162,29 +161,23 @@ def test_lru_cache_capacity_respected(blocks, capacity):
     cache = BufferCache(capacity * KB, KB, NEC_DRAM)
     for block in blocks:
         cache.install([block])
-        assert len(cache.policy) <= capacity
+        assert cache.resident_blocks <= capacity
 
 
 @given(blocks=st.lists(st.integers(min_value=0, max_value=10), max_size=80))
 def test_lru_semantics_match_reference(blocks):
-    """The LRU policy agrees with an ordered-list reference model."""
+    """The cache's LRU order agrees with an ordered-list reference model."""
     capacity = 4
-    policy = LruPolicy()
+    cache = BufferCache(capacity * KB, KB, NEC_DRAM)
     reference: list[int] = []
     for block in blocks:
-        if block in policy:
-            policy.touch(block)
+        cache.install([block])
+        if block in reference:
             reference.remove(block)
-            reference.append(block)
-        else:
-            while len(policy) >= capacity:
-                victim = policy.evict()
-                assert victim == reference.pop(0)
-            policy.insert(block)
-            reference.append(block)
-    assert sorted(reference) == sorted(
-        block for block in range(11) if block in policy
-    )
+        elif len(reference) >= capacity:
+            reference.pop(0)
+        reference.append(block)
+        assert list(cache.resident) == reference
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.traces.analysis import (
     burstiness,
     lru_hit_rate,
@@ -86,6 +87,12 @@ class TestReuseDistances:
         ])
         assert lru_hit_rate(trace, cache_blocks=2) == pytest.approx(1 / 3)
         assert lru_hit_rate(trace, cache_blocks=1) == 0.0
+
+    def test_lru_hit_rate_rejects_negative_capacity(self):
+        trace = make_trace([(0, R, 1, 0, 1)])
+        assert lru_hit_rate(trace, cache_blocks=0) == 0.0
+        with pytest.raises(ConfigurationError, match="cache capacity"):
+            lru_hit_rate(trace, cache_blocks=-1)
 
     def test_hit_rate_monotone_in_capacity(self, small_mac_trace):
         small = lru_hit_rate(small_mac_trace, 64)
