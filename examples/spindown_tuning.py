@@ -11,7 +11,7 @@ Run:  python examples/spindown_tuning.py
 from repro import SimulationConfig, Simulator, workload_by_name
 from repro.core.hierarchy import build_hierarchy
 from repro.devices.spindown import AdaptiveTimeoutPolicy
-from repro.traces.filemap import FileMapper
+from repro.traces.compiled import compile_trace
 
 THRESHOLDS = (1.0, 2.0, 5.0, 10.0, 30.0, None)
 
@@ -19,9 +19,8 @@ THRESHOLDS = (1.0, 2.0, 5.0, 10.0, 30.0, None)
 def simulate_adaptive(trace):
     """Run the CU140 under the adaptive spin-down policy."""
     config = SimulationConfig(device="cu140-datasheet")
-    mapper = FileMapper(trace.block_size)
-    ops = mapper.translate_all(trace)
-    hierarchy = build_hierarchy(config, trace.block_size, mapper.high_water_blocks)
+    ops = compile_trace(trace)
+    hierarchy = build_hierarchy(config, trace.block_size, ops.dataset_blocks)
     hierarchy.device.policy = AdaptiveTimeoutPolicy(initial_s=5.0)
     simulator = Simulator(config)
     return simulator._execute(trace, ops, hierarchy)

@@ -4,7 +4,7 @@ Three parts of the reproduction answer through a fast stand-in for a
 slower ground truth, and each is trusted only because it is checked field
 by field against that ground truth:
 
-* the NumPy **vector kernel** against the batched/reference simulator
+* the NumPy **vector kernel** against the batched event path
   (:func:`compare_results`);
 * the **fleet fast path** (``repro fleet --fast``) against the reference
   population (:func:`compare_summaries`);
@@ -170,7 +170,7 @@ def compare(
 
 
 # ---------------------------------------------------------------------------
-# Gate 1: the vector kernel against the batched/reference simulator
+# Gate 1: the vector kernel against the batched event path
 #
 # The vector kernel reorders floating-point reductions (``cumsum`` /
 # ``maximum.accumulate`` recurrences instead of sequential accumulation,
@@ -264,7 +264,7 @@ def compare_results(
     reference: "SimulationResult", candidate: "SimulationResult"
 ) -> Report:
     """Check ``candidate`` (typically the vector kernel's result) against
-    ``reference`` (the batched or per-op result) field by field."""
+    ``reference`` (the batched result) field by field."""
     ref = result_fields(reference)
     cand = result_fields(candidate)
     # An energy bucket the kernel never charged is 0 J; a whole missing

@@ -8,13 +8,12 @@ being special-cased inside the simulator loop:
 * ``on_complete(response)`` fires after the stack finished it;
 * ``on_crash(at, recovered_at)`` fires after a power loss was recovered.
 
-Emission is allocation-free and O(subscribers); a bus with no subscribers
-costs one truth test per event.  The batched request path goes one step
-further: it asks the bus to *compile* each event once per batch —
-``None`` when nobody listens (the emit disappears from the loop), the
-bound subscriber itself when exactly one listens (the common case: the
-metrics collector), and a closure over a frozen subscriber tuple
-otherwise.
+Emission is allocation-free and O(subscribers).  The request path
+(:meth:`~repro.core.layers.LayerStack.run_batch`) asks the bus to
+*compile* ``on_submit`` and ``on_complete`` once per batch — ``None`` when
+nobody listens (the emit disappears from the loop), the bound subscriber
+itself when exactly one listens (the common case: the metrics collector),
+and a closure over a frozen subscriber tuple otherwise.
 """
 
 from __future__ import annotations
@@ -31,8 +30,7 @@ CrashHook = Callable[[float, float], None]
 class HookBus:
     """Subscribe/emit for the three request-path events.
 
-    The subscriber lists are public on purpose: the stack's hot loop
-    iterates them directly, skipping the emit call when a list is empty.
+    Each event keeps its subscribers in a list, in subscription order.
     """
 
     __slots__ = ("submit_hooks", "complete_hooks", "crash_hooks")
@@ -80,7 +78,7 @@ class HookBus:
         for hook in self.crash_hooks:
             hook(at, recovered_at)
 
-    # -- compiled emission (batched fast path) ---------------------------------------
+    # -- compiled emission (the request path) --------------------------------------
 
     @staticmethod
     def _compile(hooks: list) -> Callable | None:

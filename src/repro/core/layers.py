@@ -45,7 +45,6 @@ if TYPE_CHECKING:
     from repro.cache.sram_buffer import SramWriteBuffer
     from repro.faults.injector import FaultInjector
     from repro.traces.compiled import CompiledOps
-    from repro.traces.record import BlockOp
 
 #: attribution key for flash-reclamation work (cleaning stalls, erases)
 CLEANING_LAYER = "cleaning"
@@ -86,7 +85,7 @@ class StorageLayer(ABC):
         self.downstream = None
 
     @abstractmethod
-    def submit(self, request: Request, response: Response | None = None) -> Response:
+    def submit(self, request: Request, response: Response) -> Response:
         """Process ``request``, forwarding downstream as needed.
 
         Foreground requests move ``response.completed_at`` to the time the
@@ -134,9 +133,7 @@ class DramLayer(StorageLayer):
         self._access_time = cache.access_time
         self._active_w = cache.spec.active_power_w
 
-    def submit(self, request: Request, response: Response | None = None) -> Response:
-        if response is None:
-            response = Response(request, request.time)
+    def submit(self, request: Request, response: Response) -> Response:
         kind = request.kind
 
         if kind is _READ:
@@ -230,9 +227,7 @@ class SramLayer(StorageLayer):
         self._access_time = buffer.access_time
         self._active_w = buffer.spec.active_power_w
 
-    def submit(self, request: Request, response: Response | None = None) -> Response:
-        if response is None:
-            response = Response(request, request.time)
+    def submit(self, request: Request, response: Response) -> Response:
         kind = request.kind
         buffer = self.buffer
 
@@ -366,9 +361,7 @@ class DeviceLayer(StorageLayer):
 
     # -- submit ------------------------------------------------------------------
 
-    def submit(self, request: Request, response: Response | None = None) -> Response:
-        if response is None:
-            response = Response(request, request.time)
+    def submit(self, request: Request, response: Response) -> Response:
         device = self.device
         kind = request.kind
 
@@ -537,11 +530,12 @@ class LayerStack:
     buffer and a device, chained as layers.
 
     ``dram`` and ``sram`` are the components themselves, or None when
-    absent or disabled.  The stack owns the request lifecycle: it fires
-    ``on_submit``, advances every layer to the request's issue time,
-    dispatches to the top layer, and fires ``on_complete`` with the
-    finished response.  Crash recovery is here too, because it spans
-    components: the device tears, DRAM drops, SRAM replays.
+    absent or disabled.  The stack owns the request lifecycle
+    (:meth:`run_batch`): it fires ``on_submit``, advances every layer to
+    the request's issue time, dispatches to the top layer, and fires
+    ``on_complete`` with the finished response.  Crash recovery is here
+    too, because it spans components: the device tears, DRAM drops, SRAM
+    replays.
     """
 
     def __init__(
@@ -591,31 +585,17 @@ class LayerStack:
 
     # -- request lifecycle ---------------------------------------------------------
 
-    def submit(self, op: "BlockOp") -> Response:
-        """Run one preprocessed trace operation through the stack."""
-        request = Request.from_op(op, self.block_bytes)
-        hooks = self.hooks
-        for hook in hooks.submit_hooks:
-            hook(request)
-        time = request.time
-        for advance in self._advances:
-            advance(time)
-        response = self._head_submit(request)
-        for hook in hooks.complete_hooks:
-            hook(response)
-        return response
-
     def run_batch(
         self, compiled: "CompiledOps", start: int = 0, stop: int | None = None
     ) -> None:
         """Run compiled operations ``[start, stop)`` through the stack.
 
-        Semantically identical to calling :meth:`submit` once per
-        operation — same hook ordering, same arithmetic, bit-identical
-        results — but the loop reads the window's columns as lists made
-        once per call, recycles one pooled Request/Response pair across
-        all operations, and compiles hook emission to direct calls (or
-        nothing) up front.
+        For each operation, in order: fire ``on_submit`` with the request,
+        advance every layer to its issue time, submit it to the top layer,
+        and fire ``on_complete`` with the finished response.  The loop
+        reads the window's columns as lists made once per call, recycles
+        one pooled Request/Response pair across all operations, and
+        compiles hook emission to direct calls (or nothing) up front.
 
         Two sharp edges, both irrelevant to the simulator's use:
         subscribers added to the bus *during* the batch are not observed

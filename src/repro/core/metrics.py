@@ -129,7 +129,7 @@ class MetricsCollector:
         self.write = ResponseAccumulator()
         self.overall = ResponseAccumulator()
         self.n_deletes = 0
-        # Summed latency per interned layer id, in the run-wide order the
+        # Summed latency per layer id, in the run-wide order the
         # layers were first touched.
         self._latency: dict[int, float] = {}
         self.measuring = measuring
@@ -145,7 +145,7 @@ class MetricsCollector:
     def observe(self, response: "Response") -> None:
         """The ``on_complete`` subscriber: record one finished response.
 
-        Reads the response's interned-id attribution arrays directly (the
+        Reads the response's layer-id attribution arrays directly (the
         collector and the Response are two halves of the same hot path),
         so no name-keyed dict is materialised per operation.
         """

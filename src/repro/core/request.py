@@ -11,10 +11,10 @@ where its time and energy went.
 These objects live on the simulator's hottest path, so the module is
 built for zero steady-state allocation:
 
-* layer names are **interned** to small integers once (at layer
-  construction), and a Response stores its attribution in flat parallel
-  arrays indexed by layer id instead of a per-request dict — the
-  name-keyed ``attribution`` mapping is rebuilt on demand;
+* the four attribution keys have fixed small integer ids, and a Response
+  stores its attribution in flat parallel arrays indexed by layer id
+  instead of a per-request dict — the name-keyed ``attribution`` mapping
+  is rebuilt on demand;
 * Requests come from a :class:`RequestPool` free-list and Responses are
   recycled via :meth:`Response.reset`, so the batched driver
   (:meth:`~repro.core.layers.LayerStack.run_batch`) allocates nothing
@@ -28,49 +28,21 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Sequence
-from typing import TYPE_CHECKING
-
-from repro.traces.record import Operation
-
-if TYPE_CHECKING:
-    from repro.traces.record import BlockOp
 
 #: pseudo file id used for batched buffer flushes (forces one average seek)
 FLUSH_FILE_ID = -1
 
-# -- layer-name interning -------------------------------------------------------------
+# -- attribution layers --------------------------------------------------------------
 #
-# Attribution is hot: two to four charges per simulated operation.  Interning
-# maps each layer name to a stable small integer so Responses can accumulate
-# into list slots instead of hashing strings into a dict.  Ids are process
-# global and never recycled; the reverse table `LAYER_NAMES` turns them back
-# into names for reporting.
+# Attribution is hot: two to four charges per simulated operation.  Each
+# attribution key has a fixed small integer id, so Responses accumulate into
+# list slots instead of hashing strings into a dict; `LAYER_NAMES` turns the
+# ids back into names for reporting.
 
-LAYER_IDS: dict[str, int] = {}
-LAYER_NAMES: list[str] = []
-
-
-def intern_layer(name: str) -> int:
-    """Return the stable integer id for attribution key ``name``.
-
-    The first call for a name assigns the next free id; later calls are a
-    single dict lookup.  Layers intern their name once at construction and
-    attribute through :meth:`Response.attribute_id` afterwards.
-    """
-    layer_id = LAYER_IDS.get(name)
-    if layer_id is None:
-        layer_id = len(LAYER_NAMES)
-        LAYER_IDS[name] = layer_id
-        LAYER_NAMES.append(name)
-    return layer_id
-
-
-# The built-in hierarchy layers, interned eagerly so every Response starts
-# with slots for them and the common case never grows its arrays.
-DRAM_LAYER_ID = intern_layer("dram")
-SRAM_LAYER_ID = intern_layer("sram")
-DEVICE_LAYER_ID = intern_layer("device")
-CLEANING_LAYER_ID = intern_layer("cleaning")
+#: The attribution keys, indexed by layer id: the three hierarchy layers and
+#: the flash-reclamation pseudo-layer.
+LAYER_NAMES = ("dram", "sram", "device", "cleaning")
+DRAM_LAYER_ID, SRAM_LAYER_ID, DEVICE_LAYER_ID, CLEANING_LAYER_ID = range(4)
 
 
 class RequestKind(enum.Enum):
@@ -97,8 +69,8 @@ class Request:
             layer carry the time at which the parent layer finished its
             own part of the work.
         blocks: device block numbers touched, in transfer order.
-        size: transfer length in bytes (the file-level size for writes,
-            ``len(blocks) * block_bytes`` for everything else).
+        size: transfer length in bytes, the block footprint
+            ``len(blocks) * block_bytes``.
         file_id: originating file (drives the same-file no-seek rule).
         background: the request rides behind a device access that already
             happened — it costs device time and energy but must not delay
@@ -122,20 +94,6 @@ class Request:
         self.size = size
         self.file_id = file_id
         self.background = background
-
-    @classmethod
-    def from_op(cls, op: "BlockOp", block_bytes: int) -> "Request":
-        """The top-of-stack request for one preprocessed trace operation."""
-        if op.op is Operation.READ:
-            # Reads are served block-granular everywhere below the file
-            # system, so the in-stack size is the block footprint.
-            return cls(
-                RequestKind.READ, op.time, op.blocks,
-                len(op.blocks) * block_bytes, op.file_id,
-            )
-        if op.op is Operation.WRITE:
-            return cls(RequestKind.WRITE, op.time, op.blocks, op.size, op.file_id)
-        return cls(RequestKind.DELETE, op.time, op.blocks, op.size, op.file_id)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         flag = " bg" if self.background else ""
@@ -205,8 +163,8 @@ class Response:
     idle energy accrues to the layers between requests and appears only in
     the run-level breakdown.
 
-    Internally the attribution lives in flat arrays indexed by interned
-    layer id (``_lat`` / ``_en``), with ``_touched`` recording first-touch
+    Internally the attribution lives in flat arrays indexed by layer id
+    (``_lat`` / ``_en``), with ``_touched`` recording first-touch
     order so the name-keyed view iterates exactly like the dict it
     replaced.  The batched driver recycles one Response across a whole
     trace via :meth:`reset`.
@@ -218,9 +176,8 @@ class Response:
         self.request = request
         self.issued_at = issued_at
         self.completed_at = issued_at
-        size = len(LAYER_NAMES)
-        self._lat = [0.0] * size
-        self._en = [0.0] * size
+        self._lat = [0.0] * len(LAYER_NAMES)
+        self._en = [0.0] * len(LAYER_NAMES)
         self._touched: list[int] = []
 
     @property
@@ -243,21 +200,12 @@ class Response:
             del touched[:]
 
     def attribute_id(self, layer_id: int, latency_s: float, energy_j: float) -> None:
-        """Charge ``latency_s``/``energy_j`` to the interned ``layer_id``."""
-        lat = self._lat
-        if layer_id >= len(lat):
-            grow = layer_id + 1 - len(lat)
-            lat.extend([0.0] * grow)
-            self._en.extend([0.0] * grow)
+        """Charge ``latency_s``/``energy_j`` to layer ``layer_id``."""
         touched = self._touched
         if layer_id not in touched:
             touched.append(layer_id)
-        lat[layer_id] += latency_s
+        self._lat[layer_id] += latency_s
         self._en[layer_id] += energy_j
-
-    def attribute(self, layer: str, latency_s: float, energy_j: float) -> None:
-        """Charge ``latency_s``/``energy_j`` of this request to ``layer``."""
-        self.attribute_id(intern_layer(layer), latency_s, energy_j)
 
     @property
     def attribution(self) -> dict[str, tuple[float, float]]:
@@ -281,10 +229,6 @@ class Response:
         """Sum of the per-layer active-energy components."""
         en = self._en
         return sum(en[layer_id] for layer_id in self._touched)
-
-    def breakdown(self) -> dict[str, tuple[float, float]]:
-        """Frozen ``{layer: (latency_s, energy_j)}`` view."""
-        return self.attribution
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

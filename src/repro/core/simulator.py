@@ -15,20 +15,13 @@ precedes the request that would overtake it), and all statistics flow
 through a :class:`~repro.core.metrics.MetricsCollector` subscribed to
 ``on_complete``.
 
-Two execution paths share that loop, differ only in how a range of
-operations is driven, and produce bit-identical results (pinned by
-``tests/test_fastpath.py`` and the golden equivalence fixture):
-
-* the **batched fast path** (``kernel="batched"``, the default) compiles
-  the trace once into columns
-  (:func:`~repro.traces.compiled.compile_trace`, cached on the trace) and
-  drives them through :meth:`~repro.core.layers.LayerStack.run_batch`,
-  which recycles one pooled Request/Response pair across every
-  operation;
-* the **per-op slow path** (``kernel="reference"``) builds a
-  :class:`~repro.traces.record.BlockOp` and a fresh Request/Response per
-  operation via ``LayerStack.submit`` — the reference semantics, kept as
-  the equivalence oracle.
+Every event-driven simulation runs that loop over the trace's compiled
+form (:func:`~repro.traces.compiled.compile_trace`, cached on the trace):
+:meth:`~repro.core.layers.LayerStack.run_batch` drives a range of the
+compiled columns through the stack, recycling one pooled Request/Response
+pair across every operation.  The vector kernel
+(:mod:`repro.kernel.vector`) is the other engine behind ``Simulator.run``;
+configurations outside its envelope come back to this loop.
 """
 
 from __future__ import annotations
@@ -45,7 +38,6 @@ from repro.kernel import runtime as kernel_runtime
 from repro.kernel import validate_kernel
 from repro.obs import runtime as obs_runtime
 from repro.traces.compiled import CompiledOps, compile_trace
-from repro.traces.filemap import FileMapper
 from repro.traces.trace import Trace
 
 
@@ -64,11 +56,10 @@ class Simulator:
     ) -> SimulationResult:
         """Simulate ``trace`` and return the measured statistics.
 
-        ``kernel`` selects the simulation engine by name (``reference``,
-        ``batched``, or ``vector``); when omitted, the process-global
-        selection from :mod:`repro.kernel.runtime` applies, and when that
-        is unset too the batched path runs without recording a kernel in
-        ``result.extra``.  ``reference`` and ``batched`` are bit-identical.
+        ``kernel`` selects the simulation engine by name (``batched`` or
+        ``vector``); when omitted, the process-global selection from
+        :mod:`repro.kernel.runtime` applies, and when that is unset too the
+        batched path runs without recording a kernel in ``result.extra``.
         The ``vector`` kernel answers within the documented floating-point
         tolerance (:func:`repro.contract.compare_results`); configurations
         outside its envelope fall back to ``batched`` and record why in
@@ -101,67 +92,44 @@ class Simulator:
             reason = unsupported_reason(self.config, obs)
             if reason is None:
                 return simulate_vector(trace, self.config)
-            result = self._run_classic(trace, batched=True, obs=obs)
+            result = self._run_batched(trace, obs)
             result.extra["kernel"] = "batched"
             result.extra["kernel_requested"] = "vector"
             result.extra["kernel_fallback_reason"] = reason
             return result
+        result = self._run_batched(trace, obs)
         if kernel is not None:
-            result = self._run_classic(trace, batched=kernel == "batched", obs=obs)
             result.extra["kernel"] = kernel
-            return result
-        return self._run_classic(trace, batched=True, obs=obs)
+        return result
 
-    def _run_classic(
-        self, trace: Trace, *, batched: bool, obs
-    ) -> SimulationResult:
+    def _run_batched(self, trace: Trace, obs) -> SimulationResult:
         config = self.config
         plan = config.fault_plan
         # A plan with every rate zero and no power-loss schedule is treated
         # exactly like no plan at all: no injector, no extra stats keys, and
         # bit-identical results (the documented strict no-op guarantee).
         injector = FaultInjector(plan) if plan is not None and plan.enabled else None
-        if batched:
-            ops = compile_trace(trace)
-            blocks = ops.dataset_blocks
-        else:
-            mapper = FileMapper(trace.block_size)
-            ops = mapper.translate_all(trace)
-            blocks = mapper.high_water_blocks
+        ops = compile_trace(trace)
         stack = build_hierarchy(
-            config, trace.block_size, max(1, blocks), injector=injector,
+            config, trace.block_size, max(1, ops.dataset_blocks),
+            injector=injector,
         )
         return self._execute(trace, ops, stack, injector, obs)
 
     def _execute(
         self,
         trace: Trace,
-        ops,
+        ops: CompiledOps,
         stack: LayerStack,
         injector: FaultInjector | None = None,
         obs=None,
     ) -> SimulationResult:
-        """Drive ``ops`` through ``stack`` and measure the run.
+        """Drive the compiled ``ops`` through ``stack`` and measure the run.
 
-        ``ops`` is either the compiled trace, driven range by range
-        through :meth:`~repro.core.layers.LayerStack.run_batch`, or the
-        file mapper's ``BlockOp`` list, submitted one by one.  Warm-up,
-        power losses, observability and the measurement window are the
-        same for both.
+        The warm-up range and the measured range each go through one
+        :meth:`~repro.core.layers.LayerStack.run_batch` call.
         """
-        compiled = isinstance(ops, CompiledOps)
-        if compiled:
-            n_ops = ops.n_ops
-
-            def drive(lo: int, hi: int) -> None:
-                stack.run_batch(ops, lo, hi)
-        else:
-            n_ops = len(ops)
-
-            def drive(lo: int, hi: int) -> None:
-                submit = stack.submit
-                for op in ops[lo:hi]:
-                    submit(op)
+        n_ops = ops.n_ops
         warm_count = int(n_ops * self.config.warm_fraction)
 
         collector = MetricsCollector(measuring=warm_count == 0)
@@ -180,14 +148,14 @@ class Simulator:
             obs.begin_run(stack, trace.name)
 
         if warm_count > 0:
-            drive(0, min(warm_count, n_ops))
+            stack.run_batch(ops, 0, min(warm_count, n_ops))
             if warm_count < n_ops:
                 stack.reset_accounting()
                 collector.reset()
             if obs is not None:
                 obs.warm_boundary()
         if warm_count < n_ops:
-            drive(warm_count, n_ops)
+            stack.run_batch(ops, warm_count, n_ops)
 
         if injector is not None:
             # Power losses scheduled after the last request still happen.
@@ -197,9 +165,7 @@ class Simulator:
         stack.finalize(end_time)
         if warm_count < n_ops:
             # float(): a NumPy scalar must not reach the result's fields.
-            measured_start = (
-                float(ops.time[warm_count]) if compiled else ops[warm_count].time
-            )
+            measured_start = float(ops.time[warm_count])
         else:
             # The whole trace was warm-up: the measurement window is empty,
             # so its duration must be zero (not end-to-end wall time).

@@ -60,7 +60,9 @@ class AdaptiveTimeoutPolicy(SpinDownPolicy):
     If a spin-up happens soon after a spin-down (the spin-down was a
     mistake), the threshold grows; after long sleeps it shrinks toward the
     minimum.  This is the flavour of adaptive policy the disk spin-down
-    literature of the period explored; it is included for ablation A3.
+    literature of the period explored.  No ``SimulationConfig`` names it;
+    ``examples/spindown_tuning.py`` installs it on a disk to compare it
+    with fixed thresholds.
     """
 
     def __init__(

@@ -3,8 +3,9 @@
 The paper fixes the threshold at 5 s, "a good compromise between energy
 consumption and response time" (citing Douglis et al. and Li et al.).
 This sweep shows the compromise: short thresholds save idle energy but pay
-spin-up delays and energy; long thresholds burn idle watts.  An adaptive
-multiplicative policy is included for comparison.
+spin-up delays and energy; long thresholds burn idle watts.  The sweep
+covers fixed thresholds only; ``examples/spindown_tuning.py`` compares
+them with the adaptive policy of :mod:`repro.devices.spindown`.
 """
 
 from __future__ import annotations

@@ -1,18 +1,15 @@
 """Simulation kernels: interchangeable engines behind ``simulate``.
 
-Three kernels run the same trace/config pair:
+Two kernels run the same trace/config pair:
 
-``reference``
-    The original per-operation event path: every op is parsed, mapped,
-    and submitted one record at a time.  Semantic ground truth; slowest.
 ``batched``
-    The compiled-ops fast path: ops are pre-compiled once per trace and
-    replayed through the layer stack.  Hex-exact with ``reference`` and
-    the default.
+    The event path and the default: the trace is compiled once into
+    per-operation columns and driven through the layer stack.  Semantic
+    ground truth.
 ``vector``
     The NumPy array path (:mod:`repro.kernel.vector`): device timing is
     solved in closed form where the physics allow and in lean scalar loops
-    where they don't.  Equal to ``reference`` within the documented
+    where they don't.  Equal to ``batched`` within the documented
     floating-point tolerance (:func:`repro.contract.compare_results`);
     falls back to ``batched`` outside its envelope.
 
@@ -22,17 +19,19 @@ Three kernels run the same trace/config pair:
 
 from __future__ import annotations
 
+from repro.errors import ConfigurationError
 from repro.kernel.runtime import active, install, uninstall, using_kernel
 
 #: Registered kernel names, in increasing order of specialisation.
-KERNELS = ("reference", "batched", "vector")
+KERNELS = ("batched", "vector")
 
 
 def validate_kernel(name: str) -> str:
-    """Return ``name`` if it names a kernel, else raise ``ValueError``."""
+    """Return ``name`` if it names a kernel, else raise
+    :class:`~repro.errors.ConfigurationError`."""
     if name not in KERNELS:
         options = ", ".join(KERNELS)
-        raise ValueError(f"unknown kernel {name!r} (choose from: {options})")
+        raise ConfigurationError(f"unknown kernel {name!r} (choose from: {options})")
     return name
 
 

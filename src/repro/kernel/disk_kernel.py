@@ -16,7 +16,7 @@ The spin-down state machine breaks that closed form, so the kernel scans
 for the first operation whose processing would cross the idle deadline
 (strictly: ``effective_time > last_completion + timeout``, matching
 ``MagneticDisk.advance``) and hands control to a scalar *episode* that
-replicates the reference per-op path expression-for-expression — partial
+replicates the event path's per-op code expression-for-expression — partial
 spin-downs waited out, spin-ups, sync flushes, buffered-read hits — until
 the disk is spinning with an empty buffer again, then resumes the vector
 scan.  The scan's trigger test is conservative: a false positive merely

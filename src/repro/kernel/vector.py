@@ -2,7 +2,7 @@
 
 :func:`simulate_vector` is the array-native counterpart of
 ``Simulator.run(trace, kernel="batched")``.  It compiles the trace, builds the
-*same* hierarchy the reference would (so device sizing, preload, and spec
+*same* hierarchy the event path would (so device sizing, preload, and spec
 resolution stay in one place), then hands the compiled trace's arrays to
 the device-appropriate kernel:
 
@@ -18,7 +18,7 @@ as ``Simulator._result`` would, modulo the floating-point reassociation
 the kernel gate of :mod:`repro.contract` declares.
 
 Not every configuration vectorizes.  :func:`unsupported_reason` describes
-the envelope; callers fall back to the batched reference path (annotating
+the envelope; callers fall back to the batched event path (annotating
 the result) whenever it returns a reason.
 """
 
@@ -56,8 +56,8 @@ def unsupported_reason(config: "SimulationConfig", obs=None) -> str | None:
     write-through LRU DRAM, optional SRAM in front of a magnetic disk with
     a fixed (or no) spin-down timeout, coupled-mode flash disks, and
     greedy-cleaned flash cards.  Everything else — faults, observability
-    sessions, write-back caches, adaptive policies — falls back to the
-    reference event path, which remains the semantic ground truth.
+    sessions, write-back caches, non-greedy cleaners — falls back to the
+    batched event path, which remains the semantic ground truth.
     """
     if obs is not None:
         return "observability session active"

@@ -202,7 +202,7 @@ class ObservabilitySession:
     def _on_complete(self, response) -> None:
         """``on_complete`` subscriber: one request span + its layer slices.
 
-        Reads the recycled Response's interned-id arrays immediately (the
+        Reads the recycled Response's layer-id arrays immediately (the
         batched driver reuses the object), accumulating per-layer latency
         in the collector's exact fold order.
         """

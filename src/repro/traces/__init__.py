@@ -12,13 +12,6 @@ from repro.traces.io import load_trace, save_trace
 from repro.contract import check_conformance
 from repro.traces.fitting import FittedWorkload, fit_trace
 from repro.traces.ingest import CsvSpec, detect_format, import_trace
-from repro.traces.transform import (
-    concat,
-    filter_ops,
-    interleave,
-    scale_time,
-    time_slice,
-)
 from repro.traces.synthetic import SyntheticWorkload
 from repro.traces.workloads import (
     DosWorkload,
@@ -45,15 +38,10 @@ __all__ = [
     "WorkloadSpec",
     "check_conformance",
     "compute_statistics",
-    "concat",
-    "filter_ops",
     "fit_trace",
     "import_trace",
     "detect_format",
-    "interleave",
     "load_trace",
     "save_trace",
-    "scale_time",
-    "time_slice",
     "workload_by_name",
 ]

@@ -9,7 +9,7 @@ operation; :meth:`~repro.core.layers.LayerStack.run_batch` turns the
 window it drives into lists once per call.
 
 The mapping is exactly :class:`~repro.traces.filemap.FileMapper`'s, which
-the per-op reference kernel still runs record by record:
+the tests keep as a record-by-record oracle:
 
 * A file's *generation* is the number of times it has been deleted so
   far.  Each (file, generation, block index) is bound to a device block on
@@ -52,8 +52,7 @@ class CompiledOps:
 
     ``op_codes[i]`` is the trace's op code (``READ, WRITE, DELETE = 0, 1,
     2``), ``time[i]`` the issue time, ``size[i]`` the in-stack transfer
-    size (the block footprint, which for every kind is exactly what
-    ``Request.from_op`` computes), ``file_id[i]`` the file and
+    size (the block footprint), ``file_id[i]`` the file and
     ``n_blocks[i]`` the block count, all read-only arrays; ``blocks[i]``
     is the device block tuple (for a deletion, the blocks it frees,
     ascending).  ``dataset_blocks`` is the mapper's high-water mark,

@@ -5,10 +5,9 @@ accesses into disk-level operations, by associating a unique disk location
 with each file" (section 4.1).  :class:`FileMapper` performs that
 association: every (file, block-within-file) pair is bound to a device block
 number on first touch, deletions release the binding, and released blocks
-are recycled for later allocations.  It maps one record at a time for the
-per-op reference kernel and is the oracle for
-:func:`~repro.traces.compiled.compile_trace`, which computes the same
-mapping over a whole trace's columns in NumPy.
+are recycled for later allocations.  It maps one record at a time and is
+the oracle for :func:`~repro.traces.compiled.compile_trace`, which
+computes the same mapping over a whole trace's columns in NumPy.
 
 Allocation is lazy and per-block rather than per-file because the traces do
 not announce file sizes up front; a file's blocks are allocated in access

@@ -10,9 +10,10 @@ build the trace with :meth:`Trace.from_columns`, which runs every
 blocks in NumPy, and a pickled trace is its columns alone.
 
 :class:`TraceRecord` objects are a lazy view over the columns, kept for
-the text export, the ingest and fitting code and the per-op reference
-kernel: ``records``, iteration and indexing build them, with Python
-``float`` and ``int`` fields, on first use and cache them.
+the text export, the ingest and fitting code and
+:class:`~repro.traces.filemap.FileMapper`: ``records``, iteration and
+indexing build them, with Python ``float`` and ``int`` fields, on first
+use and cache them.
 """
 
 from __future__ import annotations

@@ -150,6 +150,33 @@ def test_configuration_error_prints_one_line_and_exits_2(argv, named, capsys):
     _assert_one_error_line(capsys, named)
 
 
+def test_unknown_kernel_is_an_argument_error(capsys):
+    argv = ["simulate", "--workload", "mac", "--ops", "100",
+            "--kernel", "reference"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'reference'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kernel", ["reference", "turbo"])
+def test_resuming_a_manifest_with_an_unknown_kernel_exits_2(
+    kernel, tmp_path, capsys
+):
+    manifest = tmp_path / "m.jsonl"
+    assert main(["run", "table2", "--scale", "1.0", "--jobs", "1",
+                 "--kernel", "batched", "--cache-dir", str(tmp_path / "c"),
+                 "--manifest", str(manifest), "--quiet"]) == 0
+    capsys.readouterr()
+    text = manifest.read_text()
+    assert '"kernel": "batched"' in text
+    manifest.write_text(text.replace('"kernel": "batched"', f'"kernel": "{kernel}"'))
+    assert main(["run", "--resume", str(manifest), "--jobs", "1", "--quiet"]) == 2
+    _assert_one_error_line(
+        capsys, f"unknown kernel {kernel!r} (choose from: batched, vector)"
+    )
+
+
 def test_negative_op_count_prints_one_line_and_exits_2(tmp_path, capsys):
     output = tmp_path / "x"
     assert main(["generate", "--ops", "-5", "-o", str(output)]) == 2

@@ -21,6 +21,7 @@ from repro.faults.retry import RetryPolicy
 from repro.flash.wear import erase_failure_probability
 from repro.traces.record import BlockOp, Operation
 from repro.units import KB
+from tests.single_op import submit
 
 
 # -- plan validation ----------------------------------------------------------
@@ -148,8 +149,8 @@ def test_transient_write_faults_cost_time_and_are_counted():
     faulty = _hierarchy(plan=plan)
     clean = _hierarchy()
     op = BlockOp(time=0.0, op=Operation.WRITE, file_id=1, blocks=(0, 1), size=2 * KB)
-    slow = faulty.submit(op).response_s
-    fast = clean.submit(op).response_s
+    slow = submit(faulty, op).response_s
+    fast = submit(clean, op).response_s
     meter = faulty.reliability
     assert meter.write_retries > 0
     assert meter.retry_delay_s > 0.0
@@ -161,7 +162,7 @@ def test_fail_fast_raises_unrecoverable():
     hierarchy = _hierarchy(plan=plan)
     op = BlockOp(time=0.0, op=Operation.WRITE, file_id=1, blocks=(0,), size=KB)
     with pytest.raises(UnrecoverableDeviceError):
-        hierarchy.submit(op)
+        submit(hierarchy, op)
 
 
 # -- bad-block growth ---------------------------------------------------------
@@ -181,7 +182,7 @@ def _worn_card(plan: FaultPlan) -> FlashCard:
             blocks=tuple(range(16)),
             size=16 * KB,
         )
-        now += max(0.5, hierarchy.submit(op).response_s) + 0.5
+        now += max(0.5, submit(hierarchy, op).response_s) + 0.5
     return card
 
 
@@ -217,7 +218,7 @@ def test_flash_disk_retires_sectors():
             blocks=tuple(range(8)),
             size=8 * KB,
         )
-        now += max(0.2, hierarchy.submit(op).response_s) + 1.0
+        now += max(0.2, submit(hierarchy, op).response_s) + 1.0
     hierarchy.advance(now + 60.0)  # let background erasure run
     assert disk.sector_map.retired_sectors > 0
     assert "retired_sectors" in disk.stats()
@@ -230,9 +231,9 @@ def test_crash_drops_dram_and_counts_losses():
     plan = FaultPlan(seed=0, power_loss_times=(10.0,))
     hierarchy = _hierarchy(plan=plan, dram_bytes=64 * KB)
     op = BlockOp(time=0.0, op=Operation.WRITE, file_id=1, blocks=(0, 1), size=2 * KB)
-    hierarchy.submit(op)
+    submit(hierarchy, op)
     read = BlockOp(time=1.0, op=Operation.READ, file_id=1, blocks=(0, 1), size=2 * KB)
-    hierarchy.submit(read)
+    submit(hierarchy, read)
     hierarchy.crash(10.0)
     meter = hierarchy.reliability
     assert meter.power_losses == 1
@@ -241,8 +242,9 @@ def test_crash_drops_dram_and_counts_losses():
     assert meter.recovery_energy_j > 0.0
     # The dropped blocks really are gone: the next read misses.
     hits_before = hierarchy.dram.hits
-    hierarchy.submit(
-        BlockOp(time=20.0, op=Operation.READ, file_id=1, blocks=(0, 1), size=2 * KB)
+    submit(
+        hierarchy,
+        BlockOp(time=20.0, op=Operation.READ, file_id=1, blocks=(0, 1), size=2 * KB),
     )
     assert hierarchy.dram.hits == hits_before
 
@@ -254,7 +256,7 @@ def test_crash_replays_sram_dirty_blocks():
     )
     # Let the disk spin down, then write: the SRAM holds the blocks.
     op = BlockOp(time=60.0, op=Operation.WRITE, file_id=1, blocks=(0, 1), size=2 * KB)
-    hierarchy.submit(op)
+    submit(hierarchy, op)
     assert hierarchy.sram.dirty_count == 2
     writes_before = hierarchy.device.writes
     hierarchy.crash(100.0)
@@ -271,13 +273,13 @@ def test_crash_counts_torn_write():
     op = BlockOp(
         time=0.0, op=Operation.WRITE, file_id=1, blocks=tuple(range(64)), size=64 * KB
     )
-    hierarchy.submit(op)
+    submit(hierarchy, op)
     assert hierarchy.device.busy_until > 0.001
     hierarchy.crash(0.001)
     assert hierarchy.reliability.torn_writes == 1
     # The device carries on afterwards: a later write still completes.
     late = BlockOp(time=5.0, op=Operation.WRITE, file_id=1, blocks=(0,), size=KB)
-    assert hierarchy.submit(late).response_s >= 0.0
+    assert submit(hierarchy, late).response_s >= 0.0
 
 
 def test_write_back_crash_loses_dirty_blocks():
@@ -291,7 +293,7 @@ def test_write_back_crash_loses_dirty_blocks():
     injector = FaultInjector(config.fault_plan)
     hierarchy = build_hierarchy(config, KB, 64, injector=injector)
     op = BlockOp(time=0.0, op=Operation.WRITE, file_id=1, blocks=(0, 1, 2), size=3 * KB)
-    hierarchy.submit(op)
+    submit(hierarchy, op)
     assert hierarchy.dram.dirty_blocks == 3
     hierarchy.crash(10.0)
     assert hierarchy.reliability.lost_dirty_blocks == 3

@@ -10,6 +10,7 @@ from repro.devices.flashcard import FlashCard
 from repro.devices.flashdisk import FlashDisk
 from repro.traces.record import BlockOp, Operation
 from repro.units import KB
+from tests.single_op import submit
 
 
 def op(time, kind, blocks, file_id=1, block_bytes=KB):
@@ -58,36 +59,36 @@ class TestAssembly:
 class TestReadPath:
     def test_cache_hit_never_touches_device(self):
         hierarchy = build("cu140-datasheet")
-        hierarchy.submit(op(0.0, Operation.WRITE, [1]))
+        submit(hierarchy, op(0.0, Operation.WRITE, [1]))
         reads_before = hierarchy.device.reads
-        response = hierarchy.submit(op(10.0, Operation.READ, [1])).response_s
+        response = submit(hierarchy, op(10.0, Operation.READ, [1])).response_s
         assert hierarchy.device.reads == reads_before
         assert response < 0.001  # DRAM speed
 
     def test_cache_miss_reads_device(self):
         hierarchy = build("cu140-datasheet")
-        hierarchy.submit(op(0.0, Operation.READ, [7]))
+        submit(hierarchy, op(0.0, Operation.READ, [7]))
         assert hierarchy.device.reads >= 1
 
     def test_miss_installs_block(self):
         hierarchy = build("cu140-datasheet")
-        hierarchy.submit(op(0.0, Operation.READ, [7]))
-        second = hierarchy.submit(op(10.0, Operation.READ, [7])).response_s
+        submit(hierarchy, op(0.0, Operation.READ, [7]))
+        second = submit(hierarchy, op(10.0, Operation.READ, [7])).response_s
         assert second < 0.001
 
     def test_no_dram_always_hits_device(self):
         hierarchy = build("cu140-datasheet", dram_bytes=0)
-        hierarchy.submit(op(0.0, Operation.READ, [7]))
-        hierarchy.submit(op(10.0, Operation.READ, [7]))
+        submit(hierarchy, op(0.0, Operation.READ, [7]))
+        submit(hierarchy, op(10.0, Operation.READ, [7]))
         assert hierarchy.device.reads == 2
 
     def test_read_served_from_sram_when_buffered(self):
         hierarchy = build("cu140-datasheet", dram_bytes=0)
         # Let the disk sleep, then write (absorbed by SRAM).
         hierarchy.advance(100.0)
-        hierarchy.submit(op(100.0, Operation.WRITE, [3]))
+        submit(hierarchy, op(100.0, Operation.WRITE, [3]))
         reads_before = hierarchy.device.reads
-        response = hierarchy.submit(op(101.0, Operation.READ, [3])).response_s
+        response = submit(hierarchy, op(101.0, Operation.READ, [3])).response_s
         assert hierarchy.device.reads == reads_before  # no spin-up
         assert response < 0.001
 
@@ -97,21 +98,21 @@ class TestWritePath:
         hierarchy = build("cu140-datasheet")
         hierarchy.advance(100.0)  # disk spins down
         assert hierarchy.device.state is SpindleState.SLEEPING
-        response = hierarchy.submit(op(100.0, Operation.WRITE, [1])).response_s
+        response = submit(hierarchy, op(100.0, Operation.WRITE, [1])).response_s
         assert response < 0.001
         assert hierarchy.device.state is SpindleState.SLEEPING  # still asleep
         assert hierarchy.sram.dirty_count == 1
 
     def test_write_passes_through_while_spinning(self):
         hierarchy = build("cu140-datasheet")
-        hierarchy.submit(op(0.0, Operation.WRITE, [1]))  # disk starts spinning
+        submit(hierarchy, op(0.0, Operation.WRITE, [1]))  # disk starts spinning
         assert hierarchy.sram.dirty_count == 0  # drained immediately
 
     def test_large_write_bypasses_sram(self):
         hierarchy = build("cu140-datasheet")
         hierarchy.advance(100.0)
         big = list(range(64))  # 64 KB > the 32 KB buffer
-        response = hierarchy.submit(op(100.0, Operation.WRITE, big)).response_s
+        response = submit(hierarchy, op(100.0, Operation.WRITE, big)).response_s
         assert hierarchy.device.writes >= 1
         assert response > 1.0  # paid the spin-up
 
@@ -121,7 +122,7 @@ class TestWritePath:
         clock = 100.0
         worst = 0.0
         for index in range(40):  # 40 x 1 KB > 32 KB buffer
-            response = hierarchy.submit(op(clock, Operation.WRITE, [index])).response_s
+            response = submit(hierarchy, op(clock, Operation.WRITE, [index])).response_s
             worst = max(worst, response)
             clock += 0.001
         assert worst > 1.0  # one write waited for spin-up + flush
@@ -130,27 +131,27 @@ class TestWritePath:
     def test_no_sram_writes_go_to_device(self):
         hierarchy = build("cu140-datasheet", sram_bytes=0)
         assert hierarchy.sram is None
-        hierarchy.submit(op(0.0, Operation.WRITE, [1]))
+        submit(hierarchy, op(0.0, Operation.WRITE, [1]))
         assert hierarchy.device.writes == 1
 
     def test_stale_sram_copy_invalidated_on_bypass(self):
         hierarchy = build("cu140-datasheet", dram_bytes=0)
         hierarchy.advance(100.0)
-        hierarchy.submit(op(100.0, Operation.WRITE, [1]))  # buffered
+        submit(hierarchy, op(100.0, Operation.WRITE, [1]))  # buffered
         big = [1] + list(range(100, 163))
-        hierarchy.submit(op(101.0, Operation.WRITE, big))  # bypass, newer data
+        submit(hierarchy, op(101.0, Operation.WRITE, big))  # bypass, newer data
         assert not hierarchy.sram.contains(1)
 
 
 class TestWriteBack:
     def test_write_back_defers_device_writes(self):
         hierarchy = build("cu140-datasheet", write_back=True, sram_bytes=0)
-        hierarchy.submit(op(0.0, Operation.WRITE, [1]))
+        submit(hierarchy, op(0.0, Operation.WRITE, [1]))
         assert hierarchy.device.writes == 0
 
     def test_finalize_flushes_dirty(self):
         hierarchy = build("cu140-datasheet", write_back=True, sram_bytes=0)
-        hierarchy.submit(op(0.0, Operation.WRITE, [1]))
+        submit(hierarchy, op(0.0, Operation.WRITE, [1]))
         hierarchy.finalize(10.0)
         assert hierarchy.device.writes == 1
 
@@ -159,18 +160,18 @@ class TestDelete:
     def test_delete_invalidates_everywhere(self):
         hierarchy = build("cu140-datasheet")
         hierarchy.advance(100.0)
-        hierarchy.submit(op(100.0, Operation.WRITE, [5]))
-        hierarchy.submit(op(101.0, Operation.DELETE, [5]))
+        submit(hierarchy, op(100.0, Operation.WRITE, [5]))
+        submit(hierarchy, op(101.0, Operation.DELETE, [5]))
         assert not hierarchy.sram.contains(5)
-        response = hierarchy.submit(op(102.0, Operation.READ, [5])).response_s
+        response = submit(hierarchy, op(102.0, Operation.READ, [5])).response_s
         assert hierarchy.device.reads >= 1  # not served from caches
 
 
 class TestQueueReporting:
     def test_queue_wait_excluded_by_default(self):
         hierarchy = build("sdp5-datasheet", dram_bytes=0)
-        first = hierarchy.submit(op(0.0, Operation.WRITE, list(range(32)))).response_s
-        second = hierarchy.submit(op(0.0, Operation.READ, [100])).response_s
+        first = submit(hierarchy, op(0.0, Operation.WRITE, list(range(32)))).response_s
+        second = submit(hierarchy, op(0.0, Operation.READ, [100])).response_s
         # The read arrived during the long write but reports service only.
         assert second < first
 
@@ -179,15 +180,15 @@ class TestQueueReporting:
             device="sdp5-datasheet", dram_bytes=0, response_includes_queueing=True
         )
         hierarchy = build_hierarchy(config, KB, dataset_blocks=4096)
-        first = hierarchy.submit(op(0.0, Operation.WRITE, list(range(32)))).response_s
-        second = hierarchy.submit(op(0.0, Operation.READ, [100])).response_s
+        first = submit(hierarchy, op(0.0, Operation.WRITE, list(range(32)))).response_s
+        second = submit(hierarchy, op(0.0, Operation.READ, [100])).response_s
         assert second > first * 0.9  # includes the wait behind the write
 
 
 class TestEnergyAggregation:
     def test_breakdown_has_all_components(self):
         hierarchy = build("cu140-datasheet")
-        hierarchy.submit(op(0.0, Operation.WRITE, [1]))
+        submit(hierarchy, op(0.0, Operation.WRITE, [1]))
         hierarchy.finalize(10.0)
         breakdown = hierarchy.energy_breakdown()
         assert "device" in breakdown
@@ -199,7 +200,7 @@ class TestEnergyAggregation:
 
     def test_reset_accounting_zeroes_everything(self):
         hierarchy = build("cu140-datasheet")
-        hierarchy.submit(op(0.0, Operation.WRITE, [1]))
+        submit(hierarchy, op(0.0, Operation.WRITE, [1]))
         hierarchy.finalize(10.0)
         hierarchy.reset_accounting()
         assert hierarchy.total_energy_j == 0.0

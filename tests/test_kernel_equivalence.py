@@ -1,9 +1,10 @@
 """The vector kernel is an *engine*, not a behaviour.
 
-Four contracts pinned here:
+Three contracts pinned here:
 
-1. **Vector vs reference, within declared tolerance** — across the
-   paper's workloads, one device per class, a Hypothesis sweep of
+1. **Vector vs the event path, within declared tolerance** — the event
+   path (``kernel="batched"``) is the reference.  Across the paper's
+   workloads, one device per class, a Hypothesis sweep of
    seeds/lengths, and a Hypothesis sweep of configurations inside the
    vector envelope, :func:`repro.contract.compare_results` must report
    zero mismatches.  The tests also assert the vector path actually ran
@@ -13,19 +14,12 @@ Four contracts pinned here:
    every registered experiment runs on the vector path at the golden
    corpus's point agrees with the batched path within the same gate, and
    no fewer simulations than today take the vector path.
-3. **Reference path vs golden, bit-for-bit** — ``kernel="reference"``
-   must still reproduce ``tests/golden/equivalence_golden.json``
-   (``float.hex()`` equality).  The devices, the layer stack and the
-   kernel dispatch all sit on this path; none may move a bit.
-4. **Cross-kernel cache identity** — a unit's kernel is part of its
+3. **Cross-kernel cache identity** — a unit's kernel is part of its
    cache key, so a vector result can never replay for a batched (or
    default) request, and vice versa.
 """
 
 from __future__ import annotations
-
-import json
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -41,14 +35,7 @@ from repro.kernel.vector import unsupported_reason
 from repro.traces.synthetic import SyntheticWorkload
 from repro.traces.workloads import workload_by_name
 from repro.units import KB, MB
-from tests.golden.generate_equivalence_golden import (
-    DEVICES,
-    WORKLOADS,
-    hexify,
-    response_record,
-)
-
-GOLDEN = Path(__file__).parent / "golden" / "equivalence_golden.json"
+from tests.golden.generate_equivalence_golden import DEVICES, WORKLOADS
 
 
 def _trace(workload: str, n_ops: int, seed: int):
@@ -69,8 +56,8 @@ def _envelope_config(device: str, **kwargs) -> SimulationConfig:
 
 
 def _pair(trace, config):
-    """(reference result, vector result) — vector must not fall back."""
-    reference = simulate(trace, config, kernel="reference")
+    """(event-path result, vector result) — vector must not fall back."""
+    reference = simulate(trace, config, kernel="batched")
     vector = simulate(trace, config, kernel="vector")
     assert vector.extra.get("kernel") == "vector", (
         f"vector fell back: {vector.extra.get('kernel_fallback_reason')}"
@@ -190,45 +177,11 @@ def test_vector_matches_batched_across_the_registry(monkeypatch):
     assert problems == []
 
 
-@pytest.fixture(scope="module")
-def golden() -> dict:
-    return json.loads(GOLDEN.read_text())
-
-
-@pytest.mark.parametrize("workload", WORKLOADS)
-@pytest.mark.parametrize("device", DEVICES)
-def test_reference_kernel_is_bit_identical_to_golden(golden, workload, device):
-    """``kernel="reference"`` still reproduces the pinned fixture."""
-    expected = golden["cases"][f"{workload}/{device}"]
-    trace = _trace(workload, n_ops=golden["n_ops"], seed=golden["seed"])
-    result = simulate(trace, SimulationConfig(device=device),
-                      kernel="reference")
-    observed = {
-        "trace_name": result.trace_name,
-        "device_name": result.device_name,
-        "duration_s": hexify(result.duration_s),
-        "energy_j": hexify(result.energy_j),
-        "energy_breakdown": hexify(result.energy_breakdown),
-        "read": response_record(result.read_response),
-        "write": response_record(result.write_response),
-        "overall": response_record(result.overall_response),
-        "n_reads": result.n_reads,
-        "n_writes": result.n_writes,
-        "n_deletes": result.n_deletes,
-        "dram_hit_rate": hexify(result.dram_hit_rate),
-        "device_stats": hexify(result.device_stats),
-    }
-    for key, value in expected.items():
-        assert observed[key] == value, (
-            f"{workload}/{device}: {key!r} diverged from golden"
-        )
-
-
 class TestCrossKernelCache:
     def test_kernel_is_part_of_the_cache_key(self):
         keys = {
             kernel: cache_key(WorkUnit("table4", 0.05, kernel=kernel))
-            for kernel in (None, "reference", "batched", "vector")
+            for kernel in (None, "batched", "vector")
         }
         assert len(set(keys.values())) == len(keys)
 

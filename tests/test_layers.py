@@ -16,6 +16,7 @@ from repro.faults.plan import FaultPlan
 from repro.traces.filemap import FileMapper
 from repro.traces.synthetic import SyntheticWorkload
 from repro.units import KB, MB
+from tests.single_op import submit
 
 
 def _hierarchy(config: SimulationConfig, injector: FaultInjector | None = None):
@@ -117,7 +118,7 @@ def test_response_attribution_matches_response_time():
         max(1, mapper.high_water_blocks),
     )
     for op in ops:
-        response = hierarchy.submit(op)
+        response = submit(hierarchy, op)
         assert response.attributed_latency_s == pytest.approx(
             response.response_s, rel=1e-9, abs=1e-12
         )
@@ -158,7 +159,7 @@ def test_power_losses_fire_before_the_later_request():
     stack.hooks.on_crash(lambda at, recovered_at: events.append(("crash", at)))
 
     for op in ops:
-        stack.submit(op)
+        submit(stack, op)
     # Losses scheduled after the last request still happen (the drain).
     stack.fire_pending_power_losses(float("inf"))
 

@@ -87,22 +87,17 @@ def test_attribution_checks_pass_and_catch_missing_work(device):
     device=st.sampled_from(DEVICES),
     seed=st.integers(min_value=0, max_value=2**16),
     n_ops=st.integers(min_value=50, max_value=400),
-    kernel=st.sampled_from(("reference", "batched")),
 )
-def test_traced_events_sum_to_breakdown_property(
-    workload, device, seed, n_ops, kernel
-):
+def test_traced_events_sum_to_breakdown_property(workload, device, seed, n_ops):
     """No corner of the space may separate trace events from the report.
 
     Checked at the event level: re-summing the buffered layer events (the
     tracer's own fold, independent of the session's accumulator) must
-    reproduce the breakdown exactly on both request paths.
+    reproduce the breakdown exactly.
     """
     trace = _trace(workload, n_ops=n_ops, seed=seed)
     session = ObservabilitySession()
-    result = simulate(
-        trace, SimulationConfig(device=device), kernel=kernel, obs=session
-    )
+    result = simulate(trace, SimulationConfig(device=device), obs=session)
     from_events = session.tracer.layer_latency_totals(
         since_run=session.runs[-1]["run"]
     )

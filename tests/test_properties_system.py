@@ -13,6 +13,7 @@ from repro.traces.record import Operation
 from repro.traces.synthetic import SyntheticWorkload
 from repro.traces.workloads import WorkloadSpec
 from repro.units import KB, MB
+from tests.single_op import submit
 
 DEVICES = (
     "cu140-datasheet",
@@ -159,12 +160,12 @@ def test_flash_card_conservation_under_random_workloads(seed, utilization):
     live: set[int] = set(range(preloaded))
     for op in ops:
         if op.op is Operation.READ:
-            hierarchy.submit(op)
+            submit(hierarchy, op)
         elif op.op is Operation.WRITE:
-            hierarchy.submit(op)
+            submit(hierarchy, op)
             live.update(op.blocks)
         else:
-            hierarchy.submit(op)
+            submit(hierarchy, op)
             live.difference_update(op.blocks)
     card.check_invariants()
     assert card.live_blocks == len(live)

@@ -76,10 +76,15 @@ def test_energy_of_component(small_synth_trace):
     assert result.energy_of("nonexistent") == 0.0
 
 
-@pytest.mark.parametrize("kernel", [None, "reference", "batched", "vector"])
+@pytest.mark.parametrize("kernel", [None, "batched", "vector"])
 def test_empty_trace_rejected(kernel):
     with pytest.raises(TraceError, match="'empty' produced no block operations"):
         simulate(Trace("empty", [], block_size=KB), SimulationConfig(), kernel=kernel)
+
+
+def test_unknown_kernel_rejected(small_synth_trace):
+    with pytest.raises(ConfigurationError, match=r"choose from: batched, vector"):
+        simulate(small_synth_trace, SimulationConfig(), kernel="reference")
 
 
 def test_empty_trace_rejected_before_building_accounting():
