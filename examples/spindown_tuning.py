@@ -2,28 +2,14 @@
 
 The paper fixes the threshold at 5 s, citing earlier studies; this example
 shows the trade-off surface on your own workload mix — energy versus the
-spin-up delays users feel — and compares the adaptive policy from
-:mod:`repro.devices.spindown`.
+spin-up delays users feel.
 
 Run:  python examples/spindown_tuning.py
 """
 
 from repro import SimulationConfig, Simulator, workload_by_name
-from repro.core.hierarchy import build_hierarchy
-from repro.devices.spindown import AdaptiveTimeoutPolicy
-from repro.traces.compiled import compile_trace
 
 THRESHOLDS = (1.0, 2.0, 5.0, 10.0, 30.0, None)
-
-
-def simulate_adaptive(trace):
-    """Run the CU140 under the adaptive spin-down policy."""
-    config = SimulationConfig(device="cu140-datasheet")
-    ops = compile_trace(trace)
-    hierarchy = build_hierarchy(config, trace.block_size, ops.dataset_blocks)
-    hierarchy.device.policy = AdaptiveTimeoutPolicy(initial_s=5.0)
-    simulator = Simulator(config)
-    return simulator._execute(trace, ops, hierarchy)
 
 
 def main() -> None:
@@ -44,14 +30,6 @@ def main() -> None:
             f"{result.read_response.max_ms:12.1f} "
             f"{result.device_stats['spin_ups']:9.0f}"
         )
-
-    adaptive = simulate_adaptive(trace)
-    print(
-        f"{'adaptive':>12s} {adaptive.energy_j:9.1f} "
-        f"{adaptive.read_response.mean_ms:8.3f} "
-        f"{adaptive.read_response.max_ms:12.1f} "
-        f"{adaptive.device_stats['spin_ups']:9.0f}"
-    )
 
     print(
         "\nshort timeouts trade user-visible spin-up stalls for idle "

@@ -39,7 +39,6 @@ from repro.devices.specs import (
     device_spec,
     memory_spec,
 )
-from repro.devices.spindown import FixedTimeoutPolicy, NeverSpinDownPolicy
 from repro.errors import ConfigurationError
 from repro.faults.injector import FaultInjector
 from repro.flash.cleaner import cleaning_policy
@@ -57,7 +56,7 @@ def build_hierarchy(
     dram = _build_dram(config, block_bytes)
 
     if isinstance(spec, DiskSpec):
-        device = _build_disk(config, spec)
+        device = MagneticDisk(spec, config.spin_down_timeout_s)
         if config.flash_cache_bytes > 0:
             device = _wrap_flash_cache(config, device, block_bytes, injector)
         sram = _build_sram(config, block_bytes) if config.sram_bytes else None
@@ -70,14 +69,7 @@ def build_hierarchy(
     else:  # pragma: no cover - registry guarantees the three spec types
         raise ConfigurationError(f"unsupported device spec type: {type(spec)!r}")
 
-    return LayerStack(
-        device,
-        dram,
-        sram,
-        block_bytes,
-        response_includes_queueing=config.response_includes_queueing,
-        injector=injector,
-    )
+    return LayerStack(device, dram, sram, block_bytes, injector=injector)
 
 
 def _build_dram(config: SimulationConfig, block_bytes: int) -> BufferCache | None:
@@ -93,14 +85,6 @@ def _build_dram(config: SimulationConfig, block_bytes: int) -> BufferCache | Non
 
 def _build_sram(config: SimulationConfig, block_bytes: int) -> SramWriteBuffer:
     return SramWriteBuffer(config.sram_bytes, block_bytes, memory_spec("nec-sram"))
-
-
-def _build_disk(config: SimulationConfig, spec: DiskSpec) -> MagneticDisk:
-    if config.spin_down_timeout_s is None:
-        policy = NeverSpinDownPolicy()
-    else:
-        policy = FixedTimeoutPolicy(config.spin_down_timeout_s)
-    return MagneticDisk(spec, policy)
 
 
 def _wrap_flash_cache(
@@ -189,7 +173,6 @@ def _build_flash_card(
         capacity_bytes=capacity,
         block_bytes=block_bytes,
         policy=cleaning_policy(config.cleaning_policy),
-        background_cleaning=config.background_cleaning,
         injector=injector,
         spare_segments=injector.plan.spare_segments if injector else 0,
     )

@@ -335,21 +335,20 @@ class DeviceLayer(StorageLayer):
     Queue-wait subtraction happens here: the simulator is trace-driven, so
     a request arriving while the device is busy queues behind the
     in-flight operation, and the paper's methodology ("all operations take
-    the average or 'typical' time") excludes that wait from responses
-    unless the configuration asks for queueing-inclusive reporting.
+    the average or 'typical' time", section 4.2) excludes that wait from
+    responses.  Energy and device state still follow the serialized
+    timeline.
     """
 
     def __init__(
         self,
         device: StorageDevice,
-        response_includes_queueing: bool = False,
         injector: "FaultInjector | None" = None,
         retry: RetryPolicy | None = None,
         reliability: ReliabilityMeter | None = None,
     ) -> None:
         super().__init__("device")
         self.device = device
-        self.response_includes_queueing = response_includes_queueing
         self.faults = injector
         self.retry = retry
         self.reliability = reliability
@@ -404,10 +403,7 @@ class DeviceLayer(StorageLayer):
                     now, request.size, request.blocks, request.file_id
                 )
         else:
-            if self.response_includes_queueing:
-                queue_wait = 0.0
-            else:
-                queue_wait = max(0.0, device.busy_until - now)
+            queue_wait = max(0.0, device.busy_until - now)
             if kind is _READ:
                 if faults is None:
                     completion = device.read(
@@ -545,7 +541,6 @@ class LayerStack:
         sram: "SramWriteBuffer | None",
         block_bytes: int,
         *,
-        response_includes_queueing: bool = False,
         injector: "FaultInjector | None" = None,
     ) -> None:
         self.device = device
@@ -569,7 +564,6 @@ class LayerStack:
         layers.append(
             DeviceLayer(
                 device,
-                response_includes_queueing=response_includes_queueing,
                 injector=injector,
                 retry=retry,
                 reliability=self.reliability,
@@ -733,7 +727,7 @@ class LayerStack:
             meter.lost_dirty_blocks += dirty
 
         energy_before = device.energy.total_j
-        now = device.recover(at, recovery_scan_s(device, self.faults.plan))
+        now = device.recover(at, recovery_scan_s(device))
         sram = self.sram
         if sram is not None and sram.dirty_count:
             blocks = sram.crash_replay()

@@ -56,16 +56,6 @@ class SimulationResult:
     extra: dict[str, Any] = field(default_factory=dict)
 
     @property
-    def mean_read_ms(self) -> float:
-        """Mean read response in ms (Table 4 column)."""
-        return self.read_response.mean_ms
-
-    @property
-    def mean_write_ms(self) -> float:
-        """Mean write response in ms (Table 4 column)."""
-        return self.write_response.mean_ms
-
-    @property
     def mean_overall_ms(self) -> float:
         """Mean response over reads and writes together (Figure 4)."""
         return self.overall_response.mean_ms

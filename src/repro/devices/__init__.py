@@ -13,7 +13,6 @@ from repro.devices.power import EnergyMeter
 from repro.devices.disk import MagneticDisk
 from repro.devices.flashdisk import FlashDisk
 from repro.devices.flashcard import FlashCard
-from repro.devices.spindown import FixedTimeoutPolicy, NeverSpinDownPolicy, SpinDownPolicy
 from repro.devices.specs import (
     DEVICE_SPECS,
     DiskSpec,
@@ -28,15 +27,12 @@ __all__ = [
     "DEVICE_SPECS",
     "DiskSpec",
     "EnergyMeter",
-    "FixedTimeoutPolicy",
     "FlashCard",
     "FlashCardSpec",
     "FlashDisk",
     "FlashDiskSpec",
     "MagneticDisk",
     "MemorySpec",
-    "NeverSpinDownPolicy",
-    "SpinDownPolicy",
     "StorageDevice",
     "device_spec",
 ]

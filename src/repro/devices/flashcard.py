@@ -10,7 +10,8 @@ much data is erased (paper section 2).
 Cleaning follows the paper's simulator rules (section 4.2):
 
 * "the simulator attempts to keep at least one segment erased at all
-  times, unless erasures are done on an as-needed basis";
+  times" (the card always cleans in the background, as the Flash File
+  System does);
 * "One segment is filled completely before data blocks are written to a
   new segment";
 * "Erasures take place in parallel with reads and writes, being suspended
@@ -63,9 +64,6 @@ class FlashCard(StorageDevice):
         block_bytes: logical block size (the file-system block size).
         policy: victim-selection policy (default: greedy lowest-utilization,
             as in MFFS).
-        background_cleaning: clean asynchronously to keep a segment erased
-            (the Flash File System behaviour); ``False`` cleans only on
-            demand when a write finds no erased space.
         injector: optional fault injector; when present, segment erases may
             fail permanently (probability scaling with wear) and the card
             degrades by remapping onto spares, then by shrinking capacity.
@@ -79,13 +77,14 @@ class FlashCard(StorageDevice):
         capacity_bytes: int | None = None,
         block_bytes: int = 1024,
         policy: CleaningPolicy | None = None,
-        background_cleaning: bool = True,
         injector=None,
         spare_segments: int = 0,
     ) -> None:
         super().__init__(spec.name)
         self.spec = spec
-        self.capacity_bytes = capacity_bytes or spec.capacity_bytes
+        self.capacity_bytes = (
+            spec.capacity_bytes if capacity_bytes is None else capacity_bytes
+        )
         if self.capacity_bytes % spec.segment_bytes:
             raise ConfigurationError(
                 f"capacity {self.capacity_bytes} is not a multiple of the "
@@ -111,7 +110,6 @@ class FlashCard(StorageDevice):
         self._job: _CleaningJob | None = None
         self.spares_remaining = max(0, spare_segments)
         self.policy = policy if policy is not None else GreedyPolicy()
-        self.background_cleaning = background_cleaning
         #: erased segments background cleaning keeps in stock: "at least
         #: one segment erased at all times" (paper section 4.2)
         self.reserve_segments = 1
@@ -388,16 +386,15 @@ class FlashCard(StorageDevice):
         if until <= self.clock:
             return
         budget = until - self.clock
-        if self.background_cleaning:
-            while budget > 1e-12:
-                if self._job is None:
-                    if not self._needs_cleaning() or not self._start_job(self.clock):
-                        break
-                consumed, _ = self._job_step(self.clock, budget, "clean")
-                self.clock += consumed
-                budget -= consumed
-                if consumed <= 0:
+        while budget > 1e-12:
+            if self._job is None:
+                if not self._needs_cleaning() or not self._start_job(self.clock):
                     break
+            consumed, _ = self._job_step(self.clock, budget, "clean")
+            self.clock += consumed
+            budget -= consumed
+            if consumed <= 0:
+                break
         if budget > 0:
             self.energy.charge("idle", self.spec.idle_power_w, budget)
             self.clock = until
@@ -447,7 +444,7 @@ class FlashCard(StorageDevice):
         duration = self.block_write_s
         self.energy.charge(AccessKind.WRITE.value, self.spec.active_power_w, duration)
 
-        if self.background_cleaning and self._needs_cleaning():
+        if self._needs_cleaning():
             self._start_job(now)
         return now + duration
 

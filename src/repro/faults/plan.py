@@ -23,6 +23,7 @@ figure is bit-identical to a run without a plan.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -43,17 +44,15 @@ class FaultPlan:
         bad_block_rate: base probability that a segment erase fails
             permanently; scaled up by the segment's wear (see
             :func:`repro.flash.wear.erase_failure_probability`).
-        power_loss_times: trace times (seconds) at which the machine loses
-            power; each event tears in-flight writes, drops the volatile
-            DRAM cache, and replays the battery-backed SRAM buffer.
+        power_loss_times: finite, non-negative trace times (seconds) at
+            which the machine loses power; each event tears in-flight
+            writes, drops the volatile DRAM cache, and replays the
+            battery-backed SRAM buffer.
         max_retries: bounded retry budget per operation.
         retry_backoff_s: host-side delay before the first retry; doubles on
             every further attempt (exponential backoff).
         spare_segments: spare flash erase units available for bad-block
             remapping before capacity starts to shrink.
-        recovery_base_s: fixed cost of the post-crash recovery scan.
-        recovery_scan_s_per_mb: additional scan cost per megabyte of device
-            capacity (reading FTL/cleaner metadata back into memory).
         fail_fast: raise :class:`~repro.errors.UnrecoverableDeviceError`
             when an operation exhausts its retries instead of recording the
             loss and continuing.
@@ -67,8 +66,6 @@ class FaultPlan:
     max_retries: int = 3
     retry_backoff_s: float = 0.002
     spare_segments: int = 2
-    recovery_base_s: float = 0.05
-    recovery_scan_s_per_mb: float = 0.002
     fail_fast: bool = False
 
     def __post_init__(self) -> None:
@@ -76,16 +73,18 @@ class FaultPlan:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ConfigurationError(f"{name} must be in [0, 1], got {value}")
-        if self.max_retries < 0:
+        # ``not >= 0`` also rejects NaN, which every comparison fails.
+        if not self.max_retries >= 0:
             raise ConfigurationError("max_retries must be >= 0")
-        if self.retry_backoff_s < 0:
+        if not self.retry_backoff_s >= 0:
             raise ConfigurationError("retry_backoff_s must be >= 0")
-        if self.spare_segments < 0:
+        if not self.spare_segments >= 0:
             raise ConfigurationError("spare_segments must be >= 0")
-        if self.recovery_base_s < 0 or self.recovery_scan_s_per_mb < 0:
-            raise ConfigurationError("recovery costs must be >= 0")
-        if any(time < 0 for time in self.power_loss_times):
-            raise ConfigurationError("power_loss_times must be >= 0")
+        for time in self.power_loss_times:
+            if not (math.isfinite(time) and time >= 0):
+                raise ConfigurationError(
+                    f"power_loss_times must be finite and >= 0, got {time}"
+                )
         if list(self.power_loss_times) != sorted(self.power_loss_times):
             object.__setattr__(
                 self, "power_loss_times", tuple(sorted(self.power_loss_times))
@@ -100,11 +99,6 @@ class FaultPlan:
             or self.bad_block_rate
             or self.power_loss_times
         )
-
-    @classmethod
-    def disabled(cls) -> "FaultPlan":
-        """A plan that injects nothing (the strict no-op)."""
-        return cls()
 
     def describe(self) -> dict[str, Any]:
         """A flat mapping of the plan (for result records)."""

@@ -21,8 +21,13 @@ from collections.abc import Callable
 
 from repro.core.metrics import ReliabilityStats
 from repro.devices.base import StorageDevice
-from repro.faults.plan import FaultPlan
 from repro.units import MB
+
+#: Fixed cost of the post-crash recovery scan, in seconds.
+RECOVERY_BASE_S = 0.05
+#: Additional scan seconds per megabyte of device capacity (reading FTL and
+#: cleaner metadata back into memory).
+RECOVERY_SCAN_S_PER_MB = 0.002
 
 
 class ReliabilityMeter:
@@ -84,8 +89,8 @@ class ReliabilityMeter:
         )
 
 
-def recovery_scan_s(device: StorageDevice, plan: FaultPlan) -> float:
+def recovery_scan_s(device: StorageDevice) -> float:
     """Time to rebuild device metadata after a crash: a fixed base plus a
     per-megabyte scan over the medium."""
     capacity = getattr(device, "capacity_bytes", 0)
-    return plan.recovery_base_s + plan.recovery_scan_s_per_mb * (capacity / MB)
+    return RECOVERY_BASE_S + RECOVERY_SCAN_S_PER_MB * (capacity / MB)

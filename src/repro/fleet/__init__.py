@@ -1,7 +1,7 @@
 """repro.fleet — fleet-scale device populations over the engine.
 
 Simulate ``N`` heterogeneous mobile computers (per-device hash seeds
-pick each one's workload, storage device, cache sizes, spin-down policy,
+pick each one's workload, storage device, cache sizes, spin-down timeout,
 and trace) and aggregate energy, latency, and wear into exact population
 distributions.  Fleets decompose into ordinary engine work units, so
 caching, manifests, retries, chaos, and resume all apply per shard, and

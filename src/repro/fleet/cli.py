@@ -36,7 +36,7 @@ def add_parser(subparsers) -> None:
         "fleet",
         help="simulate a fleet-scale population of heterogeneous devices",
         description="Sample N mobile computers from a fixed product mix "
-        "(workload, storage device, cache sizes, spin-down policy — all "
+        "(workload, storage device, cache sizes, spin-down timeout — all "
         "derived from per-device hash seeds), simulate each one, and "
         "aggregate energy/latency/wear into exact population "
         "distributions.  The summary is byte-identical for any --jobs / "

@@ -2,7 +2,7 @@
 
 A fleet is ``N`` mobile computers drawn from a fixed product mix — each
 device gets its own workload (mac/dos/hp in paper-motivated proportions),
-storage device, DRAM/SRAM sizes, spin-down policy, flash utilization, and
+storage device, DRAM/SRAM sizes, spin-down timeout, flash utilization, and
 trace length.  Every per-device decision is driven by a seed derived as
 ``sha256("fleet:<seed>:device:<index>")``, so device ``i`` of fleet
 ``(seed, devices)`` is *the same device* no matter how the fleet is

@@ -13,14 +13,15 @@ Two kernels run the same trace/config pair:
     floating-point tolerance (:func:`repro.contract.compare_results`);
     falls back to ``batched`` outside its envelope.
 
-:mod:`repro.kernel.runtime` holds the process-wide kernel selection that
-``repro run --kernel``/``repro fleet --kernel`` install.
+:mod:`repro.kernel.runtime` holds the process-wide kernel selection:
+:func:`using_kernel` sets it for a ``with`` block (``repro run --kernel``
+and ``repro fleet --kernel`` go through it), and :func:`active` reads it.
 """
 
 from __future__ import annotations
 
 from repro.errors import ConfigurationError
-from repro.kernel.runtime import active, install, uninstall, using_kernel
+from repro.kernel.runtime import active, using_kernel
 
 #: Registered kernel names, in increasing order of specialisation.
 KERNELS = ("batched", "vector")
@@ -39,7 +40,5 @@ __all__ = [
     "KERNELS",
     "validate_kernel",
     "active",
-    "install",
-    "uninstall",
     "using_kernel",
 ]

@@ -55,19 +55,11 @@ class DiskKernel:
     """One magnetic-disk simulation driven from compiled arrays."""
 
     def __init__(self, device, sram, dram_plan, block_bytes: int) -> None:
-        from repro.devices.spindown import FixedTimeoutPolicy, NeverSpinDownPolicy
-
         spec = device.spec
         self.spec = spec
         self.block_bytes = block_bytes
         self.dram_plan = dram_plan
-        policy = device.policy
-        if isinstance(policy, FixedTimeoutPolicy):
-            self.timeout: float | None = policy.threshold_s
-        elif isinstance(policy, NeverSpinDownPolicy):
-            self.timeout = None
-        else:  # pragma: no cover - supports() rejects other policies
-            raise ValueError(f"unsupported spin-down policy: {policy!r}")
+        self.timeout: float | None = device.spin_down_timeout_s
         self.seek_s = spec.seek_s
         self.rotation_s = spec.rotation_s
         self.controller_s = spec.controller_s

@@ -47,7 +47,6 @@ class CardKernel:
         self.block_write_s = card.block_write_s
         self.block_copy_s = card.block_copy_s
         self.bps = card.blocks_per_segment
-        self.background = card.background_cleaning
         self.reserve = card.reserve_segments
 
         self.segments = card.segments
@@ -247,23 +246,20 @@ class CardKernel:
         # Fast path: no job running and none startable means the whole
         # span is idle (identical arithmetic to falling out of the loop
         # below on its first test).
-        if self.job_victim is None and (
-            not self.background or len(self.erased) > self.reserve
-        ):
+        if self.job_victim is None and len(self.erased) > self.reserve:
             self.e_idle += self.idle_w * (until - clock)
             self.clock = until
             return
         budget = until - clock
-        if self.background:
-            while budget > 1e-12:
-                if self.job_victim is None:
-                    if not self._needs_cleaning() or not self._start_job(clock):
-                        break
-                consumed, _ = self._job_step(clock, budget)
-                clock += consumed
-                budget -= consumed
-                if consumed <= 0:
+        while budget > 1e-12:
+            if self.job_victim is None:
+                if not self._needs_cleaning() or not self._start_job(clock):
                     break
+            consumed, _ = self._job_step(clock, budget)
+            clock += consumed
+            budget -= consumed
+            if consumed <= 0:
+                break
         if budget > 0:
             self.e_idle += self.idle_w * budget
         self.clock = until
@@ -330,7 +326,6 @@ class CardKernel:
         free_n = self.free_n
         block_write_s = self.block_write_s
         write_energy = active_w * block_write_s
-        background = self.background
         reserve = self.reserve
 
         # Hot accounting state lives in locals for the duration of the
@@ -421,9 +416,7 @@ class CardKernel:
                     a = t + w
                     start = a if a > busy else busy
                     if start > clock:
-                        if self.job_victim is None and (
-                            not background or len(erased) > reserve
-                        ):
+                        if self.job_victim is None and len(erased) > reserve:
                             e_idle += idle_w * (start - clock)
                         else:
                             if whead is not None:
@@ -463,9 +456,7 @@ class CardKernel:
                     dev_lat += completion - a
                 else:
                     if t > clock:
-                        if self.job_victim is None and (
-                            not background or len(erased) > reserve
-                        ):
+                        if self.job_victim is None and len(erased) > reserve:
                             e_idle += idle_w * (t - clock)
                             clock = t
                         else:
@@ -492,9 +483,7 @@ class CardKernel:
                 a = t + w
                 start = a if a > busy else busy
                 if start > clock:
-                    if self.job_victim is None and (
-                        not background or len(erased) > reserve
-                    ):
+                    if self.job_victim is None and len(erased) > reserve:
                         e_idle += idle_w * (start - clock)
                         clock = start
                     else:
@@ -546,8 +535,7 @@ class CardKernel:
                     smap[logical] = windex
                     wbatch += 1
                     e_write += write_energy
-                    if (background and len(erased) <= reserve
-                            and self.job_victim is None):
+                    if len(erased) <= reserve and self.job_victim is None:
                         whead.free_blocks = wfree
                         if wbatch:
                             live_n[windex] += wbatch

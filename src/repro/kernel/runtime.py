@@ -14,19 +14,8 @@ from contextlib import contextmanager
 _active: str | None = None
 
 
-def install(kernel: str | None) -> None:
-    """Make ``kernel`` the process-global default (None clears it)."""
-    global _active
-    _active = kernel
-
-
-def uninstall() -> None:
-    """Clear the process-global kernel selection."""
-    install(None)
-
-
 def active() -> str | None:
-    """The installed kernel name, or None when unset."""
+    """The active kernel name, or None when unset."""
     return _active
 
 

@@ -67,8 +67,6 @@ def unsupported_reason(config: "SimulationConfig", obs=None) -> str | None:
         return "write-back DRAM cache"
     if config.flash_cache_bytes:
         return "flash-backed disk cache"
-    if config.response_includes_queueing:
-        return "queueing-inclusive response times"
     spec = device_spec(config.device)
     if isinstance(spec, DiskSpec):
         pass  # fixed/no spin-down timeout, both supported

@@ -1,9 +1,9 @@
 """Process-global observability session (opt-in, None by default).
 
 Experiment drivers call :func:`repro.core.simulator.simulate` with no way
-to thread an extra argument through 22 signatures.  Instead, the CLI (or
-the engine's worker) installs a session here and ``Simulator.run`` falls
-back to :func:`active` when its ``obs`` keyword is None — which is also
+to thread an extra argument through 22 signatures.  Instead, the engine's
+worker installs a session here with :func:`observed`, and ``Simulator.run``
+falls back to :func:`active` when its ``obs`` keyword is None — which is also
 why observability has zero cost when nothing is installed: one module
 attribute read per *run*, not per operation.
 
@@ -20,18 +20,6 @@ if TYPE_CHECKING:
     from repro.obs.session import ObservabilitySession
 
 _active: "ObservabilitySession | None" = None
-
-
-def install(session: "ObservabilitySession") -> None:
-    """Make ``session`` the process-wide default for subsequent runs."""
-    global _active
-    _active = session
-
-
-def uninstall() -> None:
-    """Remove the process-wide session (observability off again)."""
-    global _active
-    _active = None
 
 
 def active() -> "ObservabilitySession | None":

@@ -25,7 +25,6 @@ from repro.devices.specs import (
     INTEL_DATASHEET,
     SDP10_DATASHEET,
 )
-from repro.devices.spindown import NeverSpinDownPolicy
 from repro.errors import ConfigurationError
 from repro.fs.compression import DOUBLESPACE, STACKER, DataKind
 from repro.fs.dosfs import DosFileSystem
@@ -78,10 +77,10 @@ class OmniBook:
     def build(self, setup: StorageSetup):
         """Build a fresh device + file-system stack for ``setup``."""
         if setup is StorageSetup.CU140:
-            disk = MagneticDisk(CU140_DATASHEET, NeverSpinDownPolicy())
+            disk = MagneticDisk(CU140_DATASHEET, spin_down_timeout_s=None)
             return DosFileSystem(disk)
         if setup is StorageSetup.CU140_COMPRESSED:
-            disk = MagneticDisk(CU140_DATASHEET, NeverSpinDownPolicy())
+            disk = MagneticDisk(CU140_DATASHEET, spin_down_timeout_s=None)
             return DosFileSystem(disk, compression=DOUBLESPACE)
         if setup is StorageSetup.SDP10:
             flash = FlashDisk(SDP10_DATASHEET, block_bytes=512)

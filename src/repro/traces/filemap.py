@@ -44,16 +44,15 @@ class FileMapper:
     Args:
         block_size: device block size in bytes; file offsets are rounded
             down and transfer ends rounded up to this granularity.
-        capacity_blocks: optional hard limit on the number of device blocks;
-            ``None`` means unbounded (the common case, since the simulated
-            devices are sized from the mapped trace).
+
+    The device is unbounded: the simulated devices are sized from the
+    mapped trace's high-water mark.
     """
 
-    def __init__(self, block_size: int, capacity_blocks: int | None = None) -> None:
+    def __init__(self, block_size: int) -> None:
         if block_size <= 0:
             raise TraceError(f"block_size must be positive, got {block_size}")
         self.block_size = block_size
-        self.capacity_blocks = capacity_blocks
         self._file_blocks: dict[int, dict[int, int]] = {}
         self._free_blocks: list[int] = []  # min-heap of recycled blocks
         self._next_block = 0
@@ -64,27 +63,13 @@ class FileMapper:
         if self._free_blocks:
             return heapq.heappop(self._free_blocks)
         block = self._next_block
-        if self.capacity_blocks is not None and block >= self.capacity_blocks:
-            raise TraceError(
-                f"trace needs more than {self.capacity_blocks} device blocks"
-            )
         self._next_block += 1
         return block
-
-    @property
-    def blocks_in_use(self) -> int:
-        """Number of device blocks currently bound to live file data."""
-        return sum(len(blocks) for blocks in self._file_blocks.values())
 
     @property
     def high_water_blocks(self) -> int:
         """Largest device block number ever handed out, plus one."""
         return self._next_block
-
-    def device_blocks(self, file_id: int) -> list[int]:
-        """Device blocks currently bound to ``file_id`` (in file order)."""
-        mapping = self._file_blocks.get(file_id, {})
-        return [mapping[index] for index in sorted(mapping)]
 
     # -- record translation ---------------------------------------------------
 
@@ -215,12 +200,6 @@ class ExtentMapper:
             self._owner[first + k] = (file_id, k)
         self._file_len[file_id] = nblocks
         return file_id, within
-
-
-def map_trace(trace: Trace, capacity_blocks: int | None = None) -> list[BlockOp]:
-    """Convenience wrapper: map a whole :class:`Trace` to disk-level ops."""
-    mapper = FileMapper(trace.block_size, capacity_blocks)
-    return mapper.translate_all(trace)
 
 
 def dataset_blocks(trace: Trace) -> int:

@@ -150,6 +150,16 @@ def test_configuration_error_prints_one_line_and_exits_2(argv, named, capsys):
     _assert_one_error_line(capsys, named)
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["simulate", "--spin-down-s", "nan"], "spin_down_timeout_s"),
+    (["faults", "--power-loss-at", "nan"], "power_loss_times"),
+    (["faults", "--power-loss-at", "inf"], "power_loss_times"),
+], ids=["spin-down-nan", "power-loss-nan", "power-loss-inf"])
+def test_non_finite_setting_prints_one_line_and_exits_2(argv, named, capsys):
+    assert main([*argv, "--ops", "100"]) == 2
+    _assert_one_error_line(capsys, named)
+
+
 def test_unknown_kernel_is_an_argument_error(capsys):
     argv = ["simulate", "--workload", "mac", "--ops", "100",
             "--kernel", "reference"]

@@ -19,17 +19,20 @@ def test_defaults_match_paper():
     assert config.warm_fraction == 0.1
     assert config.cleaning_policy == "greedy"
     assert not config.write_back
-    assert not config.response_includes_queueing
 
 
 def test_negative_dram_rejected():
     with pytest.raises(ConfigurationError):
         SimulationConfig(dram_bytes=-1)
+    with pytest.raises(ConfigurationError, match="dram_bytes"):
+        SimulationConfig(dram_bytes=float("nan"))
 
 
 def test_negative_sram_rejected():
     with pytest.raises(ConfigurationError):
         SimulationConfig(sram_bytes=-1)
+    with pytest.raises(ConfigurationError, match="sram_bytes"):
+        SimulationConfig(sram_bytes=float("nan"))
 
 
 def test_utilization_bounds():
@@ -63,6 +66,34 @@ def test_negative_spin_down_rejected():
 
 def test_none_spin_down_allowed():
     assert SimulationConfig(spin_down_timeout_s=None).spin_down_timeout_s is None
+
+
+def test_nan_spin_down_rejected():
+    with pytest.raises(ConfigurationError, match="spin_down_timeout_s"):
+        SimulationConfig(spin_down_timeout_s=float("nan"))
+
+
+@pytest.mark.parametrize("kernel", ["batched", "vector"])
+def test_infinite_spin_down_runs_like_none(kernel):
+    from repro.core.simulator import simulate
+    from repro.traces.workloads import workload_by_name
+    from tests.test_fastpath import result_snapshot
+
+    trace = workload_by_name("mac").generate(seed=3, n_ops=1500)
+    never, infinite = (
+        result_snapshot(simulate(
+            trace, SimulationConfig(spin_down_timeout_s=timeout), kernel=kernel
+        ))
+        for timeout in (None, float("inf"))
+    )
+    assert infinite == never
+
+
+@pytest.mark.parametrize("field", ["flash_capacity_bytes", "segment_bytes"])
+@pytest.mark.parametrize("value", [0, -64 * 1024, float("nan")])
+def test_non_positive_flash_geometry_rejected(field, value):
+    with pytest.raises(ConfigurationError, match=field):
+        SimulationConfig(device="intel-datasheet", **{field: value})
 
 
 def test_with_options_returns_modified_copy():

@@ -4,8 +4,8 @@
 per device family.  The digests below pin the rest of each device's
 state machine: SRAM in front of a coupled flash disk, the FlashCache
 hybrid, erase failures with spare remapping and a power loss on both
-flash families, a disk that never spins down, a flash card that cleans
-only on demand, and a 256-device fast fleet.  Each case digest is the
+flash families, a disk that never spins down, and a 256-device fast
+fleet.  Each case digest is the
 sha256 of the ``float.hex`` snapshot ``tests/test_fastpath.py`` compares,
 plus the reliability record, so any change to a float expression or to
 the order of a set, dict or deque mutation shows up here.
@@ -45,9 +45,6 @@ CASES = {
     "kh-never-spin-down": SimulationConfig(
         device="kh-datasheet", spin_down_timeout_s=None
     ),
-    "intel-on-demand-cleaning": SimulationConfig(
-        device="intel-datasheet", background_cleaning=False
-    ),
 }
 
 #: sha256 per case on the event path (the batched kernel).
@@ -67,18 +64,12 @@ DIGESTS = {
     "kh-never-spin-down": (
         "8311f0bf163ffbe870282298c0548e8a2c1c0dd9d8d212ba4536faec0c4cd41b"
     ),
-    "intel-on-demand-cleaning": (
-        "84a6fb822e9f2a296cc295066edb7ecf54c595c2d99e13b2df070c3c1d21b8b9"
-    ),
 }
 
 #: The cases inside the vector kernel's envelope, with its own digests.
 VECTOR_DIGESTS = {
     "kh-never-spin-down": (
         "de4f353ff94a3d0b68d21c857d46c55652cab13fdce16a27a069ea67dbe96590"
-    ),
-    "intel-on-demand-cleaning": (
-        "c5fca92a7e53e0edbe6ec5f501d380918f91394e3b97140f52c0c1576894ae6c"
     ),
 }
 

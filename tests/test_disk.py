@@ -4,15 +4,11 @@ import pytest
 
 from repro.devices.disk import MagneticDisk, SpindleState
 from repro.devices.specs import CU140_DATASHEET
-from repro.devices.spindown import FixedTimeoutPolicy, NeverSpinDownPolicy
 from repro.units import KB
 
 
-def make_disk(threshold=5.0, start_spinning=True):
-    policy = (
-        NeverSpinDownPolicy() if threshold is None else FixedTimeoutPolicy(threshold)
-    )
-    return MagneticDisk(CU140_DATASHEET, policy, start_spinning=start_spinning)
+def make_disk(threshold=5.0):
+    return MagneticDisk(CU140_DATASHEET, spin_down_timeout_s=threshold)
 
 
 SPEC = CU140_DATASHEET

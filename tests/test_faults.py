@@ -41,10 +41,18 @@ def test_plan_rejects_negative_knobs():
         FaultPlan(max_retries=-1)
     with pytest.raises(ConfigurationError):
         FaultPlan(retry_backoff_s=-0.1)
+    with pytest.raises(ConfigurationError, match="retry_backoff_s"):
+        FaultPlan(retry_backoff_s=float("nan"))
     with pytest.raises(ConfigurationError):
         FaultPlan(spare_segments=-1)
     with pytest.raises(ConfigurationError):
         FaultPlan(power_loss_times=(-5.0,))
+
+
+@pytest.mark.parametrize("time", [float("nan"), float("inf"), float("-inf")])
+def test_plan_rejects_non_finite_power_loss_times(time):
+    with pytest.raises(ConfigurationError, match="power_loss_times"):
+        FaultPlan(power_loss_times=(10.0, time))
 
 
 def test_plan_sorts_power_loss_times():
@@ -54,7 +62,6 @@ def test_plan_sorts_power_loss_times():
 
 def test_plan_enabled_flag():
     assert not FaultPlan().enabled
-    assert not FaultPlan.disabled().enabled
     assert FaultPlan(transient_read_rate=0.1).enabled
     assert FaultPlan(power_loss_times=(1.0,)).enabled
 
@@ -238,7 +245,7 @@ def test_crash_drops_dram_and_counts_losses():
     meter = hierarchy.reliability
     assert meter.power_losses == 1
     assert meter.dropped_cache_blocks >= 2
-    assert meter.recovery_time_s >= recovery_scan_s(hierarchy.device, plan)
+    assert meter.recovery_time_s >= recovery_scan_s(hierarchy.device)
     assert meter.recovery_energy_j > 0.0
     # The dropped blocks really are gone: the next read misses.
     hits_before = hierarchy.dram.hits

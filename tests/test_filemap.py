@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.errors import TraceError
 from repro.traces.compiled import compile_trace
-from repro.traces.filemap import FileMapper, dataset_blocks, map_trace
+from repro.traces.filemap import FileMapper, dataset_blocks
 from repro.traces.record import Operation, TraceRecord
 from repro.traces.trace import OPERATIONS, Trace
 from repro.units import KB
@@ -52,7 +52,6 @@ class TestFileMapper:
         mapper.translate(record(0, Operation.WRITE, 1, 0, 2 * KB))
         delete = mapper.translate(record(1, Operation.DELETE, 1))
         assert delete.blocks == (0, 1)
-        assert mapper.blocks_in_use == 0
 
     def test_deleted_blocks_are_recycled(self):
         mapper = FileMapper(KB)
@@ -73,19 +72,13 @@ class TestFileMapper:
         mapper.translate(record(2, Operation.WRITE, 2, 0, 2 * KB))
         assert mapper.high_water_blocks == 4
 
-    def test_capacity_limit_enforced(self):
-        mapper = FileMapper(KB, capacity_blocks=2)
-        with pytest.raises(TraceError):
-            mapper.translate(record(0, Operation.WRITE, 1, 0, 3 * KB))
-
     def test_device_blocks_in_file_order(self):
         mapper = FileMapper(KB)
         mapper.translate(record(0, Operation.WRITE, 1, 2 * KB, KB))  # file block 2
         mapper.translate(record(1, Operation.WRITE, 1, 0, KB))  # file block 0
-        blocks = mapper.device_blocks(1)
-        assert len(blocks) == 2
         # file block 0 allocated second -> device block 1
-        assert blocks == [1, 0]
+        assert mapper.translate(record(2, Operation.READ, 1, 0, KB)).blocks == (1,)
+        assert mapper.translate(record(3, Operation.READ, 1, 2 * KB, KB)).blocks == (0,)
 
     def test_invalid_block_size(self):
         with pytest.raises(TraceError):
@@ -94,7 +87,7 @@ class TestFileMapper:
 
 class TestMapTrace:
     def test_map_trace_preserves_order_and_count(self, tiny_trace):
-        ops = map_trace(tiny_trace)
+        ops = FileMapper(tiny_trace.block_size).translate_all(tiny_trace)
         assert len(ops) == len(tiny_trace)
         assert [op.time for op in ops] == [r.time for r in tiny_trace]
 
@@ -102,7 +95,7 @@ class TestMapTrace:
         assert dataset_blocks(tiny_trace) == 3
 
     def test_block_ops_size_is_block_aligned(self, tiny_trace):
-        for op in map_trace(tiny_trace):
+        for op in FileMapper(tiny_trace.block_size).translate_all(tiny_trace):
             assert op.size % tiny_trace.block_size == 0
             assert op.size == op.nblocks * tiny_trace.block_size
 

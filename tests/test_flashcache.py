@@ -8,14 +8,13 @@ from repro.devices.disk import MagneticDisk
 from repro.devices.flashcache import FlashCacheDevice
 from repro.devices.flashcard import FlashCard
 from repro.devices.specs import CU140_DATASHEET, INTEL_DATASHEET
-from repro.devices.spindown import FixedTimeoutPolicy
 from repro.errors import ConfigurationError
 from repro.traces.synthetic import SyntheticWorkload
 from repro.units import KB, MB
 
 
 def make_hybrid(cache_mb=2, watermark=None):
-    disk = MagneticDisk(CU140_DATASHEET, FixedTimeoutPolicy(5.0))
+    disk = MagneticDisk(CU140_DATASHEET, spin_down_timeout_s=5.0)
     flash = FlashCard(
         INTEL_DATASHEET, capacity_bytes=cache_mb * MB, block_bytes=1024
     )

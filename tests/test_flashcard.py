@@ -125,7 +125,8 @@ class TestCleaning:
         card.check_invariants()
 
     def test_write_stalls_when_no_erased_segment(self):
-        card = make_card(capacity_kb=128, segment_kb=32, background_cleaning=False)
+        # Back-to-back writes leave the background cleaner no idle time.
+        card = make_card(capacity_kb=128, segment_kb=32)
         card.preload(range(80))
         clock = 0.0
         for index in range(200):
@@ -134,7 +135,7 @@ class TestCleaning:
         assert card.write_stall_s > 0.0
 
     def test_stall_includes_erase_time(self):
-        card = make_card(capacity_kb=128, segment_kb=32, background_cleaning=False)
+        card = make_card(capacity_kb=128, segment_kb=32)
         card.preload(range(80))
         clock = 0.0
         worst = 0.0
@@ -143,13 +144,6 @@ class TestCleaning:
             worst = max(worst, completion - clock)
             clock = completion
         assert worst >= SPEC.erase_time_s * 0.9
-
-    def test_on_demand_never_cleans_in_background(self):
-        card = make_card(capacity_kb=128, segment_kb=32, background_cleaning=False)
-        card.preload(range(64))
-        clock = card.write(0.0, 1024, [0], 1)
-        card.advance(clock + 1000.0)
-        assert card.segments_cleaned == 0
 
     def test_out_of_space_raises(self):
         card = make_card(capacity_kb=96, segment_kb=32)

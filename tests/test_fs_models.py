@@ -10,7 +10,6 @@ from repro.devices.specs import (
     INTEL_DATASHEET,
     SDP10_DATASHEET,
 )
-from repro.devices.spindown import NeverSpinDownPolicy
 from repro.fs.compression import (
     DOUBLESPACE,
     STACKER,
@@ -49,7 +48,7 @@ class TestCompressionModel:
 
 
 def make_dosfs(compression=None):
-    disk = MagneticDisk(CU140_DATASHEET, NeverSpinDownPolicy())
+    disk = MagneticDisk(CU140_DATASHEET, spin_down_timeout_s=None)
     return DosFileSystem(disk, compression=compression)
 
 

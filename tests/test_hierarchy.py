@@ -175,15 +175,6 @@ class TestQueueReporting:
         # The read arrived during the long write but reports service only.
         assert second < first
 
-    def test_queue_wait_included_when_asked(self):
-        config = SimulationConfig(
-            device="sdp5-datasheet", dram_bytes=0, response_includes_queueing=True
-        )
-        hierarchy = build_hierarchy(config, KB, dataset_blocks=4096)
-        first = submit(hierarchy, op(0.0, Operation.WRITE, list(range(32)))).response_s
-        second = submit(hierarchy, op(0.0, Operation.READ, [100])).response_s
-        assert second > first * 0.9  # includes the wait behind the write
-
 
 class TestEnergyAggregation:
     def test_breakdown_has_all_components(self):

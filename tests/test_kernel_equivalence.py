@@ -102,7 +102,6 @@ _envelope_configs = st.builds(
     flash_utilization=st.floats(min_value=0.3, max_value=0.95),
     warm_fraction=st.floats(min_value=0.0, max_value=0.99),
     segment_bytes=st.sampled_from((None, 64 * KB, 128 * KB)),
-    background_cleaning=st.booleans(),
 )
 
 

@@ -38,7 +38,6 @@ config_strategy = st.fixed_dictionaries(
             ["greedy", "cost-benefit", "envy", "wear-aware", "cold-swap"]
         ),
         "write_back": st.booleans(),
-        "background_cleaning": st.booleans(),
     }
 )
 

@@ -1,58 +1,48 @@
-"""Spin-down policies."""
+"""Disk spin-down: a fixed idle timeout, or none."""
 
 import pytest
 
-from repro.devices.spindown import (
-    AdaptiveTimeoutPolicy,
-    FixedTimeoutPolicy,
-    NeverSpinDownPolicy,
-)
+from repro.devices.disk import MagneticDisk, SpindleState
+from repro.devices.specs import CU140_DATASHEET
 from repro.errors import ConfigurationError
+from repro.units import KB
+
+
+def idle_after_read(timeout, idle_s):
+    """Read once, idle ``idle_s`` seconds; return the read's completion,
+    the times spin-downs started, and the disk."""
+    disk = MagneticDisk(CU140_DATASHEET, spin_down_timeout_s=timeout)
+    events = []
+    disk.set_obs_sink(lambda kind, at, duration, name: events.append((kind, at)))
+    done = disk.read(0.0, KB, [0], file_id=1)
+    disk.advance(done + idle_s)
+    return done, [at for kind, at in events if kind == "spin_down"], disk
 
 
 def test_fixed_timeout_deadline():
-    policy = FixedTimeoutPolicy(5.0)
-    assert policy.spin_down_at(idle_since=10.0) == 15.0
+    done, starts, _ = idle_after_read(5.0, 60.0)
+    assert starts == [done + 5.0]
+    # The deadline itself is still idle time.
+    _, starts, disk = idle_after_read(5.0, 5.0)
+    assert starts == []
+    assert disk.state is SpindleState.SPINNING
 
 
 def test_fixed_timeout_zero_allowed():
-    policy = FixedTimeoutPolicy(0.0)
-    assert policy.spin_down_at(3.0) == 3.0
+    done, starts, _ = idle_after_read(0.0, 1.0)
+    assert starts == [done]
 
 
 def test_fixed_timeout_negative_rejected():
     with pytest.raises(ConfigurationError):
-        FixedTimeoutPolicy(-1.0)
+        MagneticDisk(CU140_DATASHEET, spin_down_timeout_s=-1.0)
+    with pytest.raises(ConfigurationError):
+        MagneticDisk(CU140_DATASHEET, spin_down_timeout_s=float("nan"))
 
 
 def test_never_policy():
-    assert NeverSpinDownPolicy().spin_down_at(0.0) is None
-
-
-def test_adaptive_grows_after_premature_spin_down():
-    policy = AdaptiveTimeoutPolicy(initial_s=5.0)
-    before = policy.threshold_s
-    policy.note_spin_up(at=10.0, idle_duration=6.0)  # woke soon after
-    assert policy.threshold_s > before
-
-
-def test_adaptive_shrinks_after_long_sleep():
-    policy = AdaptiveTimeoutPolicy(initial_s=5.0)
-    before = policy.threshold_s
-    policy.note_spin_up(at=1000.0, idle_duration=500.0)
-    assert policy.threshold_s < before
-
-
-def test_adaptive_respects_bounds():
-    policy = AdaptiveTimeoutPolicy(initial_s=5.0, minimum_s=1.0, maximum_s=30.0)
-    for _ in range(50):
-        policy.note_spin_up(0.0, 1.0)
-    assert policy.threshold_s <= 30.0
-    for _ in range(50):
-        policy.note_spin_up(0.0, 10_000.0)
-    assert policy.threshold_s >= 1.0
-
-
-def test_adaptive_invalid_bounds():
-    with pytest.raises(ConfigurationError):
-        AdaptiveTimeoutPolicy(initial_s=50.0, minimum_s=1.0, maximum_s=30.0)
+    # An infinite timeout never fires either.
+    for timeout in (None, float("inf")):
+        _, starts, disk = idle_after_read(timeout, 10_000.0)
+        assert starts == []
+        assert disk.state is SpindleState.SPINNING
