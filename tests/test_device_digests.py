@@ -45,6 +45,15 @@ CASES = {
     "kh-never-spin-down": SimulationConfig(
         device="kh-datasheet", spin_down_timeout_s=None
     ),
+    "kh-small-sram": SimulationConfig(
+        device="kh-datasheet", sram_bytes=4 * KB, spin_down_timeout_s=1.0
+    ),
+    "cu140-no-dram": SimulationConfig(
+        device="cu140-datasheet", dram_bytes=0, spin_down_timeout_s=1.0
+    ),
+    "intel-tight": SimulationConfig(
+        device="intel-datasheet", flash_utilization=0.95
+    ),
 }
 
 #: sha256 per case on the event path (the batched kernel).
@@ -64,12 +73,30 @@ DIGESTS = {
     "kh-never-spin-down": (
         "8311f0bf163ffbe870282298c0548e8a2c1c0dd9d8d212ba4536faec0c4cd41b"
     ),
+    "kh-small-sram": (
+        "5d2f3df8de36d4651de48bd6feac4cab4137f7a7e3a187f4feb5cde7c0076208"
+    ),
+    "cu140-no-dram": (
+        "c8a76187069feac825499318112062e5f083bf1407522842ffb991677807ed24"
+    ),
+    "intel-tight": (
+        "3dff4b73bc52cd114fd458b7e244c80af2bb7636471ecbc44fd952a5a0600946"
+    ),
 }
 
 #: The cases inside the vector kernel's envelope, with its own digests.
 VECTOR_DIGESTS = {
     "kh-never-spin-down": (
         "de4f353ff94a3d0b68d21c857d46c55652cab13fdce16a27a069ea67dbe96590"
+    ),
+    "kh-small-sram": (
+        "465181db58b1fae8b2f9a390c51f68efd96854bef9a881b8db570468d30b1613"
+    ),
+    "cu140-no-dram": (
+        "c99185f703a6dd66ca25e1c716c60326043b5f6c5e12c82e094931c9c4f52a59"
+    ),
+    "intel-tight": (
+        "d9695034daea28dfd9b8fd485b20d239829fee3743c1e72082bdaba0179e769e"
     ),
 }
 
@@ -112,6 +139,17 @@ def test_fault_cases_exercise_erase_failures(trace):
     assert card.retired_segments > 0 and card.power_losses == 1
     flash_disk = simulate(trace, CASES["sdp5a-faults"]).reliability
     assert flash_disk.retired_sectors > 0 and flash_disk.power_losses == 1
+
+
+def test_vector_cases_exercise_episodes_and_stalls(trace):
+    """The vector digests cover the kernels' data-dependent paths: each
+    disk case spins up (so the scan hands ops to scalar episodes), and
+    the tight card stalls writes on foreground cleaning."""
+    for case in ("kh-small-sram", "cu140-no-dram"):
+        stats = simulate(trace, CASES[case], kernel="vector").device_stats
+        assert stats["spin_ups"] > 0, case
+    card = simulate(trace, CASES["intel-tight"], kernel="vector").device_stats
+    assert card["stalled_writes"] > 0 and card["segments_cleaned"] > 0
 
 
 def test_fast_256_device_fleet_digest():
