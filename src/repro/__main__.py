@@ -281,7 +281,6 @@ def cmd_simulate(args) -> int:
     from repro.core.config import SimulationConfig
     from repro.core.simulator import simulate
 
-    trace = _load_workload(args.workload, args.ops, args.seed)
     config = SimulationConfig(
         device=args.device,
         dram_bytes=args.dram_kb * KB,
@@ -291,6 +290,7 @@ def cmd_simulate(args) -> int:
         cleaning_policy=args.cleaning_policy,
         write_back=args.write_back,
     )
+    trace = _load_workload(args.workload, args.ops, args.seed)
     result = simulate(trace, config, kernel=args.kernel)
     print(f"trace       {result.trace_name} ({len(trace)} ops, "
           f"{trace.duration:.0f} s)")
@@ -608,21 +608,21 @@ def cmd_cache(args) -> int:
 
 
 def cmd_faults(args) -> int:
+    from dataclasses import replace
+
     from repro.core.config import SimulationConfig
     from repro.core.simulator import simulate
     from repro.errors import FlashOutOfSpaceError, UnrecoverableDeviceError
     from repro.faults.plan import FaultPlan
 
-    trace = _load_workload(args.workload, args.ops, args.seed)
-    power_losses = args.power_loss_at
-    if power_losses is None:
-        power_losses = [0.5 * trace.duration]
+    # Settings are checked before the trace is generated; the default
+    # power loss lands mid-trace, so it is filled in once the trace exists.
     plan = FaultPlan(
         seed=args.seed,
         transient_read_rate=args.read_error_rate,
         transient_write_rate=args.write_error_rate,
         bad_block_rate=args.bad_block_rate,
-        power_loss_times=tuple(power_losses),
+        power_loss_times=tuple(args.power_loss_at or ()),
         spare_segments=args.spares,
         max_retries=args.max_retries,
     )
@@ -632,6 +632,10 @@ def cmd_faults(args) -> int:
         sram_bytes=args.sram_kb * KB,
         fault_plan=plan,
     )
+    trace = _load_workload(args.workload, args.ops, args.seed)
+    if args.power_loss_at is None:
+        plan = replace(plan, power_loss_times=(0.5 * trace.duration,))
+        config = replace(config, fault_plan=plan)
     try:
         result = simulate(trace, config)
     except (FlashOutOfSpaceError, UnrecoverableDeviceError) as exc:

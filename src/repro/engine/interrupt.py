@@ -20,11 +20,13 @@ from typing import Iterator
 INTERRUPT_EXIT_CODE = 130
 
 
+#: The signals :func:`cancel_on_signals` turns into a cancel request.
+CANCEL_SIGNALS = (signal.SIGINT, signal.SIGTERM)
+
+
 @contextlib.contextmanager
-def cancel_on_signals(
-    signals: tuple[int, ...] = (signal.SIGINT, signal.SIGTERM),
-) -> Iterator[threading.Event]:
-    """Yield a cancel event that the given signals set.
+def cancel_on_signals() -> Iterator[threading.Event]:
+    """Yield a cancel event that SIGINT and SIGTERM set.
 
     Handlers are installed on entry and the previous ones restored on
     exit, so nested use (tests, the serve front's own asyncio handlers)
@@ -40,7 +42,7 @@ def cancel_on_signals(
 
     previous = {}
     try:
-        for signum in signals:
+        for signum in CANCEL_SIGNALS:
             previous[signum] = signal.signal(signum, handler)
         yield cancel
     finally:

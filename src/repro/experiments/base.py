@@ -45,15 +45,11 @@ class Table:
             ) from None
         return [row[index] for row in self.rows]
 
-    def lookup(self, key: Cell, column: str, key_column: str | None = None) -> Cell:
-        """Value of ``column`` in the row whose first (or ``key_column``)
-        cell equals ``key``."""
-        key_index = 0
-        if key_column is not None:
-            key_index = self.headers.index(key_column)
+    def lookup(self, key: Cell, column: str) -> Cell:
+        """Value of ``column`` in the row whose first cell equals ``key``."""
         value_index = self.headers.index(column)
         for row in self.rows:
-            if row[key_index] == key:
+            if row[0] == key:
                 return row[value_index]
         raise ConfigurationError(f"table {self.title!r} has no row {key!r}")
 

@@ -8,10 +8,9 @@ had to spread erasures themselves.
 
 Two mechanisms are provided:
 
-* :class:`WearAwarePolicy` — a victim-selection wrapper that breaks ties
-  (within a tolerance band of the base policy's choice) toward the segment
-  with the fewest erasures.  Cheap, passive, and composes with any base
-  policy.
+* :class:`WearAwarePolicy` — greedy victim selection that breaks ties
+  (within a tolerance band of the greedy choice) toward the segment with
+  the fewest erasures.  Cheap and passive.
 * :class:`ColdSwapLeveler` — an active mechanism: when the gap between the
   most- and least-erased segments exceeds a threshold, the next cleaning
   victimizes the *least-erased* segment even if it is cold, migrating its
@@ -29,22 +28,18 @@ from repro.flash.segment import Segment
 
 
 class WearAwarePolicy(CleaningPolicy):
-    """Tie-break victim selection toward lightly-erased segments.
+    """Tie-break greedy victim selection toward lightly-erased segments.
 
     Among candidates whose reclaimable space is within
-    ``tolerance_blocks`` of the base policy's choice, pick the one with the
-    fewest erasures.  With ``tolerance_blocks=0`` this degenerates to the
-    base policy.
+    ``tolerance_blocks`` of the greedy choice, pick the one with the
+    fewest erasures.  With ``tolerance_blocks=0`` this degenerates to
+    greedy.
     """
 
-    def __init__(
-        self,
-        base: CleaningPolicy | None = None,
-        tolerance_blocks: int = 4,
-    ) -> None:
+    def __init__(self, tolerance_blocks: int = 4) -> None:
         if tolerance_blocks < 0:
             raise ConfigurationError("tolerance_blocks must be >= 0")
-        self.base = base if base is not None else GreedyPolicy()
+        self.base = GreedyPolicy()
         self.tolerance_blocks = tolerance_blocks
 
     def choose_victim(
@@ -71,20 +66,16 @@ class WearAwarePolicy(CleaningPolicy):
 class ColdSwapLeveler(CleaningPolicy):
     """Static wear leveling: occasionally clean the least-erased segment.
 
-    Normally defers to the base policy.  When
+    Normally defers to greedy selection.  When
     ``max(erase_count) - min(erase_count)`` exceeds ``gap_threshold``, the
     next victim is the least-erased cleanable segment, forcing its cold
     data to move and the under-used flash to enter the erase rotation.
     """
 
-    def __init__(
-        self,
-        base: CleaningPolicy | None = None,
-        gap_threshold: int = 8,
-    ) -> None:
+    def __init__(self, gap_threshold: int = 8) -> None:
         if gap_threshold < 1:
             raise ConfigurationError("gap_threshold must be >= 1")
-        self.base = base if base is not None else GreedyPolicy()
+        self.base = GreedyPolicy()
         self.gap_threshold = gap_threshold
         self.forced_swaps = 0
 

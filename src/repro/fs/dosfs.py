@@ -55,21 +55,21 @@ class DosFileSystem:
     operation after another (a micro-benchmark has no think time), so every
     device call starts when the previous one finished.
 
+    Its cost constants are the Table 1 calibration.
+
     Args:
         device: the underlying device model (disk or flash disk).
         compression: optional DoubleSpace/Stacker layer.
-        params: cost constants (defaults are the Table 1 calibration).
     """
 
     def __init__(
         self,
         device: StorageDevice,
         compression: CompressionModel | None = None,
-        params: DosFsParameters | None = None,
     ) -> None:
         self.device = device
         self.compression = compression
-        self.params = params if params is not None else DosFsParameters()
+        self.params = DosFsParameters()
         self.clock = 0.0
         self._next_block = 0
         self._files: dict[str, tuple[int, int]] = {}  # name -> (start, size)

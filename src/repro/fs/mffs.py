@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.devices.flashcard import FlashCard
-from repro.fs.compression import CompressionModel, DataKind, MFFS_COMPRESSION
+from repro.fs.compression import DataKind, MFFS_COMPRESSION
 from repro.units import KB, ms
 
 
@@ -50,24 +50,19 @@ class MicrosoftFlashFileSystem:
     """MFFS 2.00 over a :class:`FlashCard`.
 
     Like :class:`~repro.fs.dosfs.DosFileSystem`, it keeps a sequential
-    clock (micro-benchmarks have no think time).
+    clock (micro-benchmarks have no think time).  MFFS's built-in
+    compressor is always on in 2.00, and the cost constants are the
+    Table 1 calibration.
 
     Args:
         card: the flash card device model.
-        compression: MFFS's built-in compressor (always on in 2.00).
-        params: cost constants (defaults are the Table 1 calibration).
     """
 
-    def __init__(
-        self,
-        card: FlashCard,
-        compression: CompressionModel = MFFS_COMPRESSION,
-        params: MffsParameters | None = None,
-    ) -> None:
+    def __init__(self, card: FlashCard) -> None:
         self.card = card
         self.device = card  # uniform attribute across file-system models
-        self.compression = compression
-        self.params = params if params is not None else MffsParameters()
+        self.compression = MFFS_COMPRESSION
+        self.params = MffsParameters()
         self.clock = 0.0
         self.cumulative_written = 0  #: bytes written since the last erase
         self._next_block = 0

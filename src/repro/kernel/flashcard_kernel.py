@@ -1,4 +1,4 @@
-"""Lean flash-card kernel: the reference cleaning machinery on a diet.
+"""Lean flash-card kernel: the card's cleaning machinery on a diet.
 
 The card's timing is sequential and data-dependent (out-of-place writes,
 greedy victim selection, background cleaning consuming idle budget), so it
@@ -9,24 +9,34 @@ the EnergyMeter's per-charge dict updates become four float accumulators
 and one tight loop.
 
 Exactness discipline: this module mirrors
-:class:`~repro.devices.flashcard.FlashCard` expression-for-expression.  It
-starts from a freshly built, preloaded card, reads its per-block write and
-copy seconds, adopts its ``segments``, logical map, erased stock and
-heads, and mutates the *same* :class:`~repro.flash.segment.Segment`
-objects through the same insert/remove sequences.  That matters because a cleaning job
-snapshots ``deque(victim.live)`` — a set whose iteration order depends on
-its mutation history — so any shortcut that reordered set operations would
-reorder cleaning copies and diverge from the reference.  Only greedy
-victim selection is supported; other policies fall back to the batched
-path.
+:class:`~repro.devices.flashcard.FlashCard`'s write, cleaning and idle
+code expression-for-expression, on the card itself.  It starts from the
+hierarchy's freshly built, preloaded card and keeps all of its state
+there: the ``segments``, logical map and erased stock, the write and
+cleaner heads, the in-flight cleaning job (a ``_CleaningJob``), both
+clocks and the op, cleaning and stall counters.  So after a run the card
+is in the state the event path leaves it in.  The hot loop holds the
+clocks and op counters in locals and writes them back around every call
+that reads them.  The kernel's own state is its four energy floats (copy
+energy is one multiply per job step, a reassociation the kernel gate
+licenses), the per-layer latency sums, and per-segment live/free counts
+that shadow the segments for victim selection.
+
+The kernel mutates the card's :class:`~repro.flash.segment.Segment`
+objects through the same insert/remove sequences the card does.  That
+matters because a cleaning job snapshots ``deque(victim.live)`` — a set
+whose iteration order depends on its mutation history — so any shortcut
+that reordered set operations would reorder cleaning copies and diverge
+from the event path.  Only greedy victim selection is supported; other
+policies fall back to the batched path.
 """
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
+from repro.devices.flashcard import _CleaningJob
+from repro.errors import FlashOutOfSpaceError
 from repro.traces.trace import READ, WRITE
 
 
@@ -52,35 +62,18 @@ class CardKernel:
         self.segments = card.segments
         self.smap = card._map
         self.erased = card._erased
-        self.write_head = card._write_head
-        self.clean_head = card._clean_head
         # Per-segment live/free counters shadowing the Segment objects, so
         # victim selection is an argmin over arrays instead of a Python
         # scan of every segment.  (No segment retires in the vector
         # envelope — retirement needs a fault injector.)
         self.live_n = [len(s.live) for s in self.segments]
         self.free_n = [s.free_blocks for s in self.segments]
-        # In-flight cleaning job (mirrors _CleaningJob's fields).
-        self.job_victim = None
-        self.job_queue: deque | None = None
-        self.job_copy_progress = 0.0
-        self.job_erase_remaining = 0.0
 
-        self.clock = 0.0
-        self.busy = 0.0
         # Measured-window accounting (zeroed at the warm boundary).
         self.e_read = 0.0
         self.e_write = 0.0
         self.e_clean = 0.0
         self.e_idle = 0.0
-        self.reads = 0
-        self.writes = 0
-        self.bytes_read = 0
-        self.bytes_written = 0
-        self.segments_cleaned = 0
-        self.blocks_copied = 0
-        self.stalled_writes = 0
-        self.write_stall_s = 0.0
         self.device_latency_s = 0.0
         self.cleaning_latency_s = 0.0
 
@@ -91,10 +84,10 @@ class CardKernel:
 
     def _head_excludes(self) -> set:
         exclude = set()
-        head = self.write_head
+        head = self.card._write_head
         if head is not None and head.free_blocks != 0 and head.live:
             exclude.add(head.index)
-        head = self.clean_head
+        head = self.card._clean_head
         if head is not None and head.free_blocks != 0 and head.live:
             exclude.add(head.index)
         return exclude
@@ -126,28 +119,28 @@ class CardKernel:
         return self.segments[best]
 
     def _start_job(self, now: float) -> bool:
-        if self.job_victim is not None:
+        card = self.card
+        if card._job is not None:
             return True
-        head = self.clean_head
+        head = card._clean_head
         headroom = (head.free_blocks if head is not None else 0) + len(
             self.erased
         ) * self.bps
         victim = self._find_victim(headroom)
         if victim is None:
             return False
-        if victim is self.write_head:
-            self.write_head = None
-        if victim is self.clean_head:
-            self.clean_head = None
-        self.job_victim = victim
-        self.job_queue = deque(victim.live)
-        self.job_copy_progress = 0.0
-        self.job_erase_remaining = self.erase_time_s
+        if victim is card._write_head:
+            card._write_head = None
+        if victim is card._clean_head:
+            card._clean_head = None
+        card._job = _CleaningJob(victim, self.erase_time_s)
         return True
 
     def _job_step(self, now: float, budget: float) -> tuple[float, float]:
-        victim = self.job_victim
-        queue = self.job_queue
+        card = self.card
+        job = card._job
+        victim = job.victim
+        queue = job.copy_queue
         consumed = 0.0
         block_copy_s = self.block_copy_s
         active_w = self.active_w
@@ -163,8 +156,8 @@ class CardKernel:
         # the clean head and the per-segment counters live in locals and
         # are flushed in batches: nothing reads them mid-step (victim
         # selection only runs between steps).
-        progress = self.job_copy_progress
-        head = self.clean_head
+        progress = job.copy_progress_s
+        head = card._clean_head
         if head is not None:
             head_index = head.index
             head_live = head.live
@@ -200,7 +193,7 @@ class CardKernel:
                         head.last_write_time = alloc_t
                         batch = 0
                 head = segments[erased.popleft()]
-                self.clean_head = head
+                card._clean_head = head
                 head_index = head.index
                 head_live = head.live
                 head_free = head.free_blocks
@@ -216,7 +209,7 @@ class CardKernel:
                 live_n[head_index] += batch
                 free_n[head_index] -= batch
                 head.last_write_time = alloc_t
-        self.job_copy_progress = progress
+        job.copy_progress_s = progress
         # Copy energy in one multiply: every second consumed inside the
         # loop is copy work at active power, and energy is a tolerance-
         # covered sum, so reassociation is licensed.
@@ -224,35 +217,35 @@ class CardKernel:
         if copied:
             live_n[victim.index] -= copied
             victim.dead_blocks += copied
-            self.blocks_copied += copied
+            card.blocks_copied += copied
         if not queue and budget > 0:
-            step = min(budget, self.job_erase_remaining)
+            step = min(budget, job.erase_remaining_s)
             self.e_clean += self.erase_w * step
-            self.job_erase_remaining -= step
+            job.erase_remaining_s -= step
             consumed += step
-            if self.job_erase_remaining <= 1e-12:
+            if job.erase_remaining_s <= 1e-12:
                 victim.erase()
                 self.free_n[victim.index] = self.bps
                 self.erased.append(victim.index)
-                self.segments_cleaned += 1
-                self.job_victim = None
-                self.job_queue = None
+                card.segments_cleaned += 1
+                card._job = None
         return consumed, now + consumed
 
     def _advance(self, until: float) -> None:
-        clock = self.clock
+        card = self.card
+        clock = card.clock
         if until <= clock:
             return
         # Fast path: no job running and none startable means the whole
         # span is idle (identical arithmetic to falling out of the loop
         # below on its first test).
-        if self.job_victim is None and len(self.erased) > self.reserve:
+        if card._job is None and len(self.erased) > self.reserve:
             self.e_idle += self.idle_w * (until - clock)
-            self.clock = until
+            card.clock = until
             return
         budget = until - clock
         while budget > 1e-12:
-            if self.job_victim is None:
+            if card._job is None:
                 if not self._needs_cleaning() or not self._start_job(clock):
                     break
             consumed, _ = self._job_step(clock, budget)
@@ -262,7 +255,7 @@ class CardKernel:
                 break
         if budget > 0:
             self.e_idle += self.idle_w * budget
-        self.clock = until
+        card.clock = until
 
     # -- write path (mirrors FlashCard.write/_write_block) ------------------
 
@@ -272,25 +265,24 @@ class CardKernel:
             return False
         if available >= 2:
             return True
-        if self.job_victim is not None:
+        if self.card._job is not None:
             return False
         return self._find_victim() is None
 
     def _ensure_erased_for_write(self, now: float) -> float:
         if self._write_head_may_pop(now):
             return now
-        from repro.errors import FlashOutOfSpaceError
-
+        card = self.card
         stall_start = now
         while not self._write_head_may_pop(now):
-            if self.job_victim is None and not self._start_job(now):
+            if card._job is None and not self._start_job(now):
                 raise FlashOutOfSpaceError(
                     "write needs an erased segment but nothing can be cleaned"
                 )
-            while self.job_victim is not None:
+            while card._job is not None:
                 _, now = self._job_step(now, float("inf"))
-        self.stalled_writes += 1
-        self.write_stall_s += now - stall_start
+        card.stalled_writes += 1
+        card.write_stall_s += now - stall_start
         return now
 
     # -- the run loop --------------------------------------------------------
@@ -301,6 +293,7 @@ class CardKernel:
 
     def run(self, compiled, wait: np.ndarray, warm_count: int,
             trace_duration: float) -> dict:
+        card = self.card
         # Plain Python scalars: element reads from NumPy arrays return
         # boxed np.float64s whose arithmetic is several times slower, and
         # they would poison every downstream float in this loop.
@@ -332,23 +325,23 @@ class CardKernel:
         # loop; the few method calls that read or write it (_advance,
         # _ensure_erased_for_write, _reset_accounting) are bracketed by
         # explicit sync/reload pairs.
-        clock = self.clock
-        busy = self.busy
+        clock = card.clock
+        busy = card.busy_until
         e_read = self.e_read
         e_write = self.e_write
         e_idle = self.e_idle
-        n_reads = self.reads
-        n_writes = self.writes
-        bytes_read = self.bytes_read
-        bytes_written = self.bytes_written
+        n_reads = card.reads
+        n_writes = card.writes
+        bytes_read = card.bytes_read
+        bytes_written = card.bytes_written
         dev_lat = self.device_latency_s
         clean_lat = self.cleaning_latency_s
-        ws = self.write_stall_s
-        # Write-head state is localized the same way (``self.write_head``
+        ws = card.write_stall_s
+        # Write-head state is localized the same way (``card._write_head``
         # itself always stays correct; only the counters are batched).
         # Every bracketed call below flushes the counters first, because
         # victim scoring reads them.
-        whead = self.write_head
+        whead = card._write_head
         if whead is not None:
             windex = whead.index
             wlive = whead.live
@@ -391,11 +384,11 @@ class CardKernel:
                             free_n[windex] -= wbatch
                             whead.last_write_time = wlast
                             wbatch = 0
-                    self.clock = clock
+                    card.clock = clock
                     self.e_idle = e_idle
                     self._advance(boundary_t)
-                    clock = self.clock
-                    whead = self.write_head
+                    clock = card.clock
+                    whead = card._write_head
                     if whead is not None:
                         windex = whead.index
                         wlive = whead.live
@@ -416,7 +409,7 @@ class CardKernel:
                     a = t + w
                     start = a if a > busy else busy
                     if start > clock:
-                        if self.job_victim is None and len(erased) > reserve:
+                        if card._job is None and len(erased) > reserve:
                             e_idle += idle_w * (start - clock)
                         else:
                             if whead is not None:
@@ -426,12 +419,12 @@ class CardKernel:
                                     free_n[windex] -= wbatch
                                     whead.last_write_time = wlast
                                     wbatch = 0
-                            self.clock = clock
+                            card.clock = clock
                             self.e_idle = e_idle
                             self._advance(start)
-                            clock = self.clock
+                            clock = card.clock
                             e_idle = self.e_idle
-                            whead = self.write_head
+                            whead = card._write_head
                             if whead is not None:
                                 windex = whead.index
                                 wlive = whead.live
@@ -456,7 +449,7 @@ class CardKernel:
                     dev_lat += completion - a
                 else:
                     if t > clock:
-                        if self.job_victim is None and len(erased) > reserve:
+                        if card._job is None and len(erased) > reserve:
                             e_idle += idle_w * (t - clock)
                             clock = t
                         else:
@@ -467,12 +460,12 @@ class CardKernel:
                                     free_n[windex] -= wbatch
                                     whead.last_write_time = wlast
                                     wbatch = 0
-                            self.clock = clock
+                            card.clock = clock
                             self.e_idle = e_idle
                             self._advance(t)
-                            clock = self.clock
+                            clock = card.clock
                             e_idle = self.e_idle
-                            whead = self.write_head
+                            whead = card._write_head
                             if whead is not None:
                                 windex = whead.index
                                 wlive = whead.live
@@ -483,7 +476,7 @@ class CardKernel:
                 a = t + w
                 start = a if a > busy else busy
                 if start > clock:
-                    if self.job_victim is None and len(erased) > reserve:
+                    if card._job is None and len(erased) > reserve:
                         e_idle += idle_w * (start - clock)
                         clock = start
                     else:
@@ -494,12 +487,12 @@ class CardKernel:
                                 free_n[windex] -= wbatch
                                 whead.last_write_time = wlast
                                 wbatch = 0
-                        self.clock = clock
+                        card.clock = clock
                         self.e_idle = e_idle
                         self._advance(start)
-                        clock = self.clock
+                        clock = card.clock
                         e_idle = self.e_idle
-                        whead = self.write_head
+                        whead = card._write_head
                         if whead is not None:
                             windex = whead.index
                             wlive = whead.live
@@ -521,11 +514,11 @@ class CardKernel:
                                 free_n[windex] -= wbatch
                                 whead.last_write_time = wlast
                                 wbatch = 0
-                        self.write_stall_s = ws
+                        card.write_stall_s = ws
                         now = self._ensure_erased_for_write(now)
-                        ws = self.write_stall_s
+                        ws = card.write_stall_s
                         whead = segments[erased.popleft()]
-                        self.write_head = whead
+                        card._write_head = whead
                         windex = whead.index
                         wlive = whead.live
                         wfree = whead.free_blocks
@@ -535,7 +528,7 @@ class CardKernel:
                     smap[logical] = windex
                     wbatch += 1
                     e_write += write_energy
-                    if len(erased) <= reserve and self.job_victim is None:
+                    if len(erased) <= reserve and card._job is None:
                         whead.free_blocks = wfree
                         if wbatch:
                             live_n[windex] += wbatch
@@ -543,7 +536,7 @@ class CardKernel:
                             whead.last_write_time = wlast
                             wbatch = 0
                         self._start_job(now)
-                        whead = self.write_head
+                        whead = card._write_head
                         if whead is not None:
                             windex = whead.index
                             wlive = whead.live
@@ -571,12 +564,12 @@ class CardKernel:
                             free_n[windex] -= wbatch
                             whead.last_write_time = wlast
                             wbatch = 0
-                    self.clock = clock
+                    card.clock = clock
                     self.e_idle = e_idle
                     self._advance(t)
-                    clock = self.clock
+                    clock = card.clock
                     e_idle = self.e_idle
-                    whead = self.write_head
+                    whead = card._write_head
                     if whead is not None:
                         windex = whead.index
                         wlive = whead.live
@@ -595,46 +588,40 @@ class CardKernel:
                 live_n[windex] += wbatch
                 free_n[windex] -= wbatch
                 whead.last_write_time = wlast
-        self.clock = clock
-        self.busy = busy
+        card.clock = clock
+        card.busy_until = busy
         self.e_read = e_read
         self.e_write = e_write
         self.e_idle = e_idle
-        self.reads = n_reads
-        self.writes = n_writes
-        self.bytes_read = bytes_read
-        self.bytes_written = bytes_written
+        card.reads = n_reads
+        card.writes = n_writes
+        card.bytes_read = bytes_read
+        card.bytes_written = bytes_written
         self.device_latency_s = dev_lat
         self.cleaning_latency_s = clean_lat
-        self.write_stall_s = ws
+        card.write_stall_s = ws
 
         if not zeroed:
             # Every measured op was a skipped DRAM hit: emulate the warm
             # reset the reference performs at the boundary op.
-            if boundary_t > self.clock:
+            if boundary_t > card.clock:
                 self._advance(boundary_t)
             self._reset_accounting()
 
-        frontier = self.busy if self.busy > self.clock else self.clock
+        frontier = card.busy_until if card.busy_until > card.clock else card.clock
         last_t = times[-1] if compiled.n_ops else 0.0
         end_time = max(trace_duration, frontier, last_t)
         self._advance(end_time)
         return self._outcome(np.asarray(resp), end_time)
 
     def _reset_accounting(self) -> None:
+        self.card.reset_accounting()
         self.e_read = self.e_write = self.e_clean = self.e_idle = 0.0
-        self.reads = self.writes = 0
-        self.bytes_read = self.bytes_written = 0
-        self.segments_cleaned = 0
-        self.blocks_copied = 0
-        self.stalled_writes = 0
-        self.write_stall_s = 0.0
         self.device_latency_s = 0.0
         self.cleaning_latency_s = 0.0
-        for segment in self.segments:
-            segment.erase_count = 0
 
     def _outcome(self, resp: np.ndarray, end_time: float) -> dict:
+        card = self.card
         buckets = {}
         if self.e_read:
             buckets["read"] = self.e_read
@@ -644,20 +631,8 @@ class CardKernel:
             buckets["clean"] = self.e_clean
         if self.e_idle:
             buckets["idle"] = self.e_idle
-        total = self.e_read + self.e_write + self.e_clean + self.e_idle
-        stats = {
-            "reads": self.reads,
-            "writes": self.writes,
-            "bytes_read": self.bytes_read,
-            "bytes_written": self.bytes_written,
-            "energy_j": total,
-            "segments_cleaned": self.segments_cleaned,
-            "blocks_copied": self.blocks_copied,
-            "stalled_writes": self.stalled_writes,
-            "write_stall_s": self.write_stall_s,
-            "utilization": len(self.smap) / (len(self.segments) * self.bps),
-            "erased_segments": len(self.erased),
-        }
+        stats = card.stats()
+        stats["energy_j"] = self.e_read + self.e_write + self.e_clean + self.e_idle
         return {
             "responses": resp,
             "device_buckets": buckets,
@@ -665,6 +640,6 @@ class CardKernel:
             "device_latency_s": self.device_latency_s,
             "cleaning_latency_s": self.cleaning_latency_s,
             "cleaning_energy_j": self.e_clean,
-            "cleaning_stall_s": self.write_stall_s,
+            "cleaning_stall_s": card.write_stall_s,
             "end_time": end_time,
         }

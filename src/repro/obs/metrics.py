@@ -93,6 +93,8 @@ class Gauge:
 #: Prometheus summary-form rows); what fleet aggregation and ``/metrics``
 #: consumers read.
 EXPORT_QUANTILES = (0.50, 0.90, 0.99)
+#: Namespace prefix of every exported Prometheus metric name.
+PROMETHEUS_PREFIX = "repro_"
 
 
 class Histogram:
@@ -294,11 +296,12 @@ class MetricsRegistry:
         path.write_text(json.dumps(self.to_json_dict(), indent=1, sort_keys=True))
         return path
 
-    def to_prometheus(self, prefix: str = "repro_") -> str:
-        """The final instrument values in Prometheus text exposition format."""
+    def to_prometheus(self) -> str:
+        """The final instrument values in Prometheus text exposition format,
+        each name under ``PROMETHEUS_PREFIX``."""
         lines: list[str] = []
         for name, inst in sorted(self._instruments.items()):
-            full = sanitize_metric_name(prefix + name)
+            full = sanitize_metric_name(PROMETHEUS_PREFIX + name)
             if inst.help:
                 lines.append(f"# HELP {full} {inst.help}")
             lines.append(f"# TYPE {full} {inst.kind}")
@@ -327,11 +330,11 @@ class MetricsRegistry:
                 lines.append(f"{full} {_fmt(inst.sample())}")
         return "\n".join(lines) + "\n"
 
-    def write_prometheus(self, path: str | Path, prefix: str = "repro_") -> Path:
+    def write_prometheus(self, path: str | Path) -> Path:
         path = Path(path)
         if path.parent != Path(""):
             path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.to_prometheus(prefix))
+        path.write_text(self.to_prometheus())
         return path
 
 

@@ -247,7 +247,6 @@ class JobManager:
         runners: int = 1,
         policy: ExecutionPolicy | None = None,
         chaos: ChaosPlan | None = None,
-        metrics: MetricsRegistry | None = None,
         start: bool = True,
     ) -> None:
         if queue_limit < 1:
@@ -261,7 +260,7 @@ class JobManager:
         self.jobs = resolve_jobs(jobs)
         self.policy = policy
         self.chaos = chaos
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self._queue: queue.Queue[Job | None] = queue.Queue(maxsize=queue_limit)
         self._jobs: dict[str, Job] = {}
         self._order: list[str] = []

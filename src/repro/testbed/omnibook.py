@@ -66,10 +66,8 @@ class BenchmarkResult:
 class OmniBook:
     """Micro-benchmark runner over the modelled storage setups."""
 
-    def __init__(self, card_live_bytes: int = 0, seed: int = 0) -> None:
-        """``card_live_bytes`` preloads live data on the flash card (the
-        Figure 3 configurations); 0 models a freshly erased card."""
-        self.card_live_bytes = card_live_bytes
+    def __init__(self, seed: int = 0) -> None:
+        """``seed`` drives the benchmarks' random choices."""
         self.seed = seed
 
     # -- setup construction --------------------------------------------------------
@@ -90,9 +88,6 @@ class OmniBook:
             return DosFileSystem(flash, compression=STACKER)
         if setup is StorageSetup.INTEL_MFFS:
             card = FlashCard(INTEL_DATASHEET, block_bytes=512)
-            if self.card_live_bytes:
-                live_blocks = self.card_live_bytes // card.block_bytes
-                card.preload(range(live_blocks))
             return MicrosoftFlashFileSystem(card)
         raise ConfigurationError(f"unknown setup {setup!r}")  # pragma: no cover
 

@@ -17,6 +17,11 @@ from repro.traces.record import Operation
 from repro.traces.trace import Trace
 from repro.units import KB
 
+#: Blocks the LRU stack of :func:`reuse_distances` remembers; a block
+#: pushed below this depth is forgotten, so its next touch counts as a
+#: first touch.
+MAX_TRACKED_BLOCKS = 100_000
+
 
 @dataclass(frozen=True)
 class WorkingSetPoint:
@@ -65,7 +70,7 @@ def working_set_curve(trace: Trace, window_s: float) -> list[WorkingSetPoint]:
     return points
 
 
-def reuse_distances(trace: Trace, max_tracked: int = 100_000) -> list[int]:
+def reuse_distances(trace: Trace) -> list[int]:
     """LRU stack distances for block re-references.
 
     Distance d means: between two touches of the same block, d distinct
@@ -91,7 +96,7 @@ def reuse_distances(trace: Trace, max_tracked: int = 100_000) -> list[int]:
                 stack.pop(position)
                 for moved in stack[position:]:
                     positions[moved] -= 1
-            elif len(stack) >= max_tracked:
+            elif len(stack) >= MAX_TRACKED_BLOCKS:
                 evicted = stack.pop(0)
                 del positions[evicted]
                 for moved_key in positions:

@@ -117,32 +117,29 @@ class FileMapper:
 #: MiB per request.
 MAX_TRANSFER_BYTES = 64 * 1024 * 1024
 
+#: Cap, in blocks, on a file :class:`ExtentMapper` synthesises: a
+#: sequential scan of the whole device becomes a run of files this size
+#: instead of one device-sized file.  A single access larger than the cap
+#: still becomes one file (a file is at least as large as its largest
+#: transfer).
+MAX_FILE_BLOCKS = 4096
+
 
 class ExtentMapper:
     """Synthesises file identity for disk-level trace records.
 
     Args:
         block_size: device block size in bytes.
-        max_file_blocks: cap on a synthesised file's size; a sequential
-            scan of the whole device becomes a run of ``max_file_blocks``
-            files instead of one device-sized file.  A single access
-            larger than the cap still becomes one file (a file is at
-            least as large as its largest transfer).
 
     The mapping is deterministic in input order: file ids are dense
     integers assigned on first touch, so the same disk trace always
     synthesises the same file structure.
     """
 
-    def __init__(self, block_size: int, max_file_blocks: int = 4096) -> None:
+    def __init__(self, block_size: int) -> None:
         if block_size <= 0:
             raise TraceError(f"block_size must be positive, got {block_size}")
-        if max_file_blocks <= 0:
-            raise TraceError(
-                f"max_file_blocks must be positive, got {max_file_blocks}"
-            )
         self.block_size = block_size
-        self.max_file_blocks = max_file_blocks
         #: device block -> (file_id, block index within the file)
         self._owner: dict[int, tuple[int, int]] = {}
         self._file_len: dict[int, int] = {}
@@ -158,7 +155,7 @@ class ExtentMapper:
         Heuristic, in priority order: (1) a run already owned end to end
         by one file at contiguous indices reuses it; (2) a run starting
         right after a file's current tail extends that file (sequential
-        streams coalesce, up to ``max_file_blocks``); (3) anything else
+        streams coalesce, up to ``MAX_FILE_BLOCKS``); (3) anything else
         — first touch, partial overlap, extent crossing — becomes a
         fresh file claiming the whole run (overlapped blocks are
         re-owned, which keeps every lookup O(run length) and total).
@@ -189,7 +186,7 @@ class ExtentMapper:
         if predecessor is not None:
             file_id, index = predecessor
             tail = self._file_len[file_id]
-            if index == tail - 1 and tail + nblocks <= self.max_file_blocks:
+            if index == tail - 1 and tail + nblocks <= MAX_FILE_BLOCKS:
                 for k in range(nblocks):
                     self._owner[first + k] = (file_id, tail + k)
                 self._file_len[file_id] = tail + nblocks

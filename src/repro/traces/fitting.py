@@ -59,6 +59,11 @@ MODEL_VERSION = 1
 #: Probe length cap for calibration rounds — enough for stable moments
 #: without making ``repro fit`` slow on long traces.
 _PROBE_OPS = 40_000
+#: Bound on the probe-generate-rescale loop that matches distinct-data
+#: coverage and realised transfer sizes.
+_CALIBRATION_ROUNDS = 3
+#: Generator seed of every calibration probe.
+_PROBE_SEED = 0
 #: Burst-mean scale held fixed while ``burst_weight`` is solved.
 _BURST_MEAN_SCALE = 0.1
 
@@ -196,15 +201,8 @@ def fit_trace(
     *,
     name: str | None = None,
     source: str | None = None,
-    calibration_rounds: int = 3,
-    probe_seed: int = 0,
 ) -> FittedWorkload:
-    """Learn a :class:`FittedWorkload` from ``trace``.
-
-    ``calibration_rounds`` bounds the probe-generate-rescale loop that
-    matches distinct-data coverage and realised transfer sizes; 0 skips
-    calibration (moment transfer only).
-    """
+    """Learn a :class:`FittedWorkload` from ``trace``."""
     if len(trace) < 2:
         raise TraceError(
             f"cannot fit {trace.name!r}: need >= 2 records, got {len(trace)}"
@@ -218,7 +216,7 @@ def fit_trace(
     sequential = _sequential_share(trace, repeat)
     min_blocks, max_blocks = _file_size_range(trace)
     zipf = _fit_zipf_exponent(trace)
-    burst_weight = _fit_burst_weight(stats, probe_seed)
+    burst_weight = _fit_burst_weight(stats)
 
     # Duration is pinned so the spec's default operation count equals the
     # source's record count: the model extends by *operations*, and the
@@ -244,7 +242,7 @@ def fit_trace(
         min_file_blocks=min_blocks,
         max_file_blocks=max_blocks,
     )
-    spec = _calibrate(spec, trace, stats, calibration_rounds, probe_seed)
+    spec = _calibrate(spec, trace, stats)
     return FittedWorkload(
         spec=spec, reference=stats, source=source or trace.name
     )
@@ -362,7 +360,7 @@ _BURST_WEIGHT_GRID = (
 )
 
 
-def _fit_burst_weight(stats: TraceStatistics, probe_seed: int) -> float:
+def _fit_burst_weight(stats: TraceStatistics) -> float:
     """Choose ``burst_weight`` so the gap mixture's realised std is as
     close as possible to the trace's inter-arrival std.
 
@@ -392,7 +390,7 @@ def _fit_burst_weight(stats: TraceStatistics, probe_seed: int) -> float:
             burst_weight=weight,
             burst_mean_scale=_BURST_MEAN_SCALE,
         )
-        rng = random.Random(probe_seed)
+        rng = random.Random(_PROBE_SEED)
         _file_table(spec, rng)  # the draws a trace makes before its gaps
         gaps = _gap_chunk(spec, rng) + _gap_chunk(spec, rng)  # 8192 gaps
         mean = sum(gaps) / len(gaps)
@@ -405,11 +403,7 @@ def _fit_burst_weight(stats: TraceStatistics, probe_seed: int) -> float:
 
 
 def _calibrate(
-    spec: WorkloadSpec,
-    trace: Trace,
-    stats: TraceStatistics,
-    rounds: int,
-    probe_seed: int,
+    spec: WorkloadSpec, trace: Trace, stats: TraceStatistics
 ) -> WorkloadSpec:
     """Probe-generate-rescale loop for coverage and realised sizes.
 
@@ -428,8 +422,8 @@ def _calibrate(
         block_size=trace.block_size,
     )
     probe_target = compute_statistics(truncated)
-    for _ in range(max(0, rounds)):
-        probe = spec.generate(seed=probe_seed, n_ops=probe_ops)
+    for _ in range(_CALIBRATION_ROUNDS):
+        probe = spec.generate(seed=_PROBE_SEED, n_ops=probe_ops)
         realised = compute_statistics(probe)
         changes: dict[str, Any] = {}
         if realised.distinct_kbytes > 0 and probe_target.distinct_kbytes > 0:
@@ -455,11 +449,11 @@ def _calibrate(
         if not changes:
             break
         spec = _replace(spec, **changes)
-    return _calibrate_interarrival(spec, stats, probe_seed)
+    return _calibrate_interarrival(spec, stats)
 
 
 def _calibrate_interarrival(
-    spec: WorkloadSpec, stats: TraceStatistics, probe_seed: int
+    spec: WorkloadSpec, stats: TraceStatistics
 ) -> WorkloadSpec:
     """Correct the systematic gap between spec and realised *per-record*
     inter-arrival means.
@@ -484,7 +478,7 @@ def _calibrate_interarrival(
     for _ in range(3):
         realised_total = 0.0
         for offset in range(4):
-            probe = spec.generate(seed=probe_seed + offset, n_ops=probe_ops)
+            probe = spec.generate(seed=_PROBE_SEED + offset, n_ops=probe_ops)
             realised_total += compute_statistics(probe).interarrival_mean_s
         realised = realised_total / 4
         if realised <= 0:

@@ -160,6 +160,23 @@ def test_non_finite_setting_prints_one_line_and_exits_2(argv, named, capsys):
     _assert_one_error_line(capsys, named)
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["simulate", "--spin-down-s", "nan"], "spin_down_timeout_s"),
+    (["faults", "--power-loss-at", "nan"], "power_loss_times"),
+    (["faults", "--read-error-rate", "2"], "transient_read_rate"),
+], ids=["spin-down-nan", "power-loss-nan", "read-error-rate"])
+def test_bad_setting_is_rejected_before_the_trace_loads(argv, named, capsys,
+                                                        monkeypatch):
+    import repro.__main__ as cli
+
+    def no_trace(*args):
+        raise AssertionError("the trace was loaded before the settings were checked")
+
+    monkeypatch.setattr(cli, "_load_workload", no_trace)
+    assert main(argv) == 2
+    _assert_one_error_line(capsys, named)
+
+
 def test_unknown_kernel_is_an_argument_error(capsys):
     argv = ["simulate", "--workload", "mac", "--ops", "100",
             "--kernel", "reference"]

@@ -1,6 +1,6 @@
 """The vector kernel is an *engine*, not a behaviour.
 
-Three contracts pinned here:
+Four contracts pinned here:
 
 1. **Vector vs the event path, within declared tolerance** — the event
    path (``kernel="batched"``) is the reference.  Across the paper's
@@ -14,24 +14,37 @@ Three contracts pinned here:
    every registered experiment runs on the vector path at the golden
    corpus's point agrees with the batched path within the same gate, and
    no fewer simulations than today take the vector path.
-3. **Cross-kernel cache identity** — a unit's kernel is part of its
+3. **One state** — the vector kernels drive the hierarchy's own disk,
+   SRAM buffer and flash card, so after a run those devices hold what
+   the event path leaves in them.
+4. **Cross-kernel cache identity** — a unit's kernel is part of its
    cache key, so a vector result can never replay for a batched (or
    default) request, and vice versa.
 """
 
 from __future__ import annotations
 
+import functools
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.contract import compare_results
+from repro.contract import EXACT, KERNEL_CLOSE, compare, compare_results
 from repro.core.config import SimulationConfig
+from repro.core.hierarchy import build_hierarchy
 from repro.core.simulator import Simulator, simulate
+from repro.devices.disk import MagneticDisk
 from repro.engine import ResultCache, WorkUnit, cache_key, execute
 from repro.experiments.registry import all_experiments
 from repro.experiments.runner import run_experiment
+from repro.experiments.traces_cache import dram_for
+from repro.kernel.disk_kernel import DiskKernel
+from repro.kernel.dram import classify
+from repro.kernel.flashcard_kernel import CardKernel
 from repro.kernel.vector import unsupported_reason
+from repro.traces.compiled import compile_trace
 from repro.traces.synthetic import SyntheticWorkload
 from repro.traces.workloads import workload_by_name
 from repro.units import KB, MB
@@ -174,6 +187,139 @@ def test_vector_matches_batched_across_the_registry(monkeypatch):
         ).problems()
     ]
     assert problems == []
+
+
+@functools.cache
+def _state_trace(workload: str):
+    return workload_by_name(workload).generate(seed=7, n_ops=4000)
+
+
+#: Per workload: a disk with the paper's DRAM for the trace, a disk whose
+#: small SRAM buffer holds writes across spin-downs, and a card at two
+#: utilizations (the tighter one stalls writes on cleaning).
+_STATE_CONFIGS = {
+    "cu140-dram": lambda workload: SimulationConfig(
+        device="cu140-datasheet", dram_bytes=dram_for(workload)
+    ),
+    "kh-small-sram": lambda workload: SimulationConfig(
+        device="kh-datasheet", sram_bytes=4 * KB, spin_down_timeout_s=1.0
+    ),
+    "intel-0.8": lambda workload: SimulationConfig(
+        device="intel-datasheet", flash_utilization=0.8
+    ),
+    "intel-0.95": lambda workload: SimulationConfig(
+        device="intel-datasheet", flash_utilization=0.95
+    ),
+}
+
+
+def _hierarchy(trace, config):
+    ops = compile_trace(trace)
+    stack = build_hierarchy(config, trace.block_size, max(1, ops.dataset_blocks))
+    return ops, stack, int(ops.n_ops * config.warm_fraction)
+
+
+def _run_event_path(trace, config):
+    """Drive a fresh hierarchy as ``Simulator._execute`` does."""
+    ops, stack, warm = _hierarchy(trace, config)
+    stack.run_batch(ops, 0, warm)
+    stack.reset_accounting()
+    stack.run_batch(ops, warm, ops.n_ops)
+    stack.finalize(max(trace.duration, stack.latest_time()))
+    return stack
+
+
+def _run_vector_kernel(trace, config):
+    """Drive a fresh hierarchy's devices as ``simulate_vector`` does."""
+    ops, stack, warm = _hierarchy(trace, config)
+    if stack.dram is not None:
+        plan = classify(trace, ops, stack.dram.capacity_blocks)
+        wait = plan.waits_for(ops, stack.dram.spec, stack.block_bytes)
+    else:
+        plan = None
+        wait = np.zeros(ops.n_ops)
+    if isinstance(stack.device, MagneticDisk):
+        kernel = DiskKernel(stack.device, stack.sram, plan, stack.block_bytes)
+    else:
+        kernel = CardKernel(stack.device, plan, stack.block_bytes)
+    return stack, kernel.run(ops, wait, warm, trace.duration)
+
+
+def _index(segment):
+    return None if segment is None else segment.index
+
+
+def _device_state(stack) -> tuple[dict, dict]:
+    """(fields both engines must leave equal, float fields they must
+    leave within the kernel gate) of the hierarchy's device and buffer."""
+    device = stack.device
+    exact = {
+        "reads": device.reads,
+        "writes": device.writes,
+        "bytes_read": device.bytes_read,
+        "bytes_written": device.bytes_written,
+    }
+    close = {"clock": device.clock, "busy_until": device.busy_until}
+    if isinstance(device, MagneticDisk):
+        exact.update(
+            state=device.state,
+            spin_ups=device.spin_ups,
+            spin_downs=device.spin_downs,
+            last_file=device._last_file,
+            sram=stack.sram.drain() if stack.sram is not None else None,
+        )
+        close["idle_since"] = device._idle_since
+        return exact, close
+    job = device._job
+    exact.update(
+        write_head=_index(device._write_head),
+        clean_head=_index(device._clean_head),
+        job_victim=None if job is None else job.victim.index,
+        job_copy_queue=None if job is None else list(job.copy_queue),
+        erased=list(device._erased),
+        map=device._map,
+        live=[list(segment.live) for segment in device.segments],
+        erase_counts=[segment.erase_count for segment in device.segments],
+        segments_cleaned=device.segments_cleaned,
+        blocks_copied=device.blocks_copied,
+        stalled_writes=device.stalled_writes,
+    )
+    close.update(
+        write_stall_s=device.write_stall_s,
+        copy_progress_s=None if job is None else job.copy_progress_s,
+        erase_remaining_s=None if job is None else job.erase_remaining_s,
+    )
+    return exact, close
+
+
+@pytest.mark.parametrize("config_name", list(_STATE_CONFIGS))
+@pytest.mark.parametrize("workload", ["mac", "hp", "dos"])
+def test_vector_kernels_leave_devices_as_the_event_path_does(workload, config_name):
+    """One state for both engines: the kernels run on the hierarchy's own
+    devices, so the disk's spindle, counters and seek locality, the SRAM
+    buffer's contents, and the card's heads, cleaning job, erased stock,
+    map and segments end where the event path leaves them."""
+    trace = _state_trace(workload)
+    config = _STATE_CONFIGS[config_name](workload)
+    assert unsupported_reason(config) is None
+    vector_stack, outcome = _run_vector_kernel(trace, config)
+    device = vector_stack.device
+
+    reported = dict(outcome["device_stats"])
+    expected = device.stats()
+    del reported["energy_j"], expected["energy_j"]
+    assert reported == expected
+    if not isinstance(device, MagneticDisk):
+        device.check_invariants()
+
+    ref_exact, ref_close = _device_state(_run_event_path(trace, config))
+    cand_exact, cand_close = _device_state(vector_stack)
+    table = dict.fromkeys(ref_exact, EXACT) | dict.fromkeys(ref_close, KERNEL_CLOSE)
+    report = compare(
+        ref_exact | ref_close, cand_exact | cand_close, table,
+        reference_name="event path", candidate_name="vector kernel",
+    )
+    assert report.problems() == []
 
 
 class TestCrossKernelCache:
