@@ -251,14 +251,13 @@ class FlashCard(StorageDevice):
         utilization it can be the only way to make progress.
         """
 
-        def protected(head: Segment | None) -> bool:
-            return head is not None and not head.is_full and head.live_blocks > 0
-
         exclude = set()
-        if protected(self._write_head):
-            exclude.add(self._write_head.index)
-        if protected(self._clean_head):
-            exclude.add(self._clean_head.index)
+        head = self._write_head
+        if head is not None and head.free_blocks and head.live:
+            exclude.add(head.index)
+        head = self._clean_head
+        if head is not None and head.free_blocks and head.live:
+            exclude.add(head.index)
         return exclude
 
     def _cleaner_headroom(self) -> int:
@@ -272,15 +271,19 @@ class FlashCard(StorageDevice):
         Victims whose live data cannot fit in the cleaner's current
         headroom are skipped: cleaning a smaller (or emptier) segment first
         grows the headroom, and refusing infeasible victims is what keeps
-        the cleaner deadlock-free at very high utilization.
+        the cleaner deadlock-free at very high utilization.  No segment
+        holds more than ``blocks_per_segment`` live blocks, so below that
+        headroom is the only case the filter removes anything.
         """
         if self._job is not None:
             return True
         headroom = self._cleaner_headroom()
-        feasible = [
-            segment for segment in self.segments if segment.live_blocks <= headroom
-        ]
-        victim = self.policy.choose_victim(feasible, self._head_indices(), now)
+        segments = self.segments
+        if headroom < self.blocks_per_segment:
+            segments = [
+                segment for segment in segments if len(segment.live) <= headroom
+            ]
+        victim = self.policy.choose_victim(segments, self._head_indices(), now)
         if victim is None:
             return False
         if victim is self._write_head:

@@ -13,6 +13,7 @@ results; :class:`CostBenefitPolicy` (Sprite LFS) and
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from collections.abc import Iterable, Sequence
 
@@ -53,7 +54,14 @@ class CleaningPolicy(ABC):
 
 
 class GreedyPolicy(CleaningPolicy):
-    """Lowest utilization first (the MFFS policy, paper section 2)."""
+    """Lowest utilization first (the MFFS policy, paper section 2).
+
+    The segment with the fewest live blocks wins, ties going to the lowest
+    index whatever the list order.  Both engines clean through this
+    choice, once per job start and per write-head check, so it is one pass
+    with no candidate list: the cheap live-count test rejects most
+    segments before the candidate tests run.
+    """
 
     def choose_victim(
         self,
@@ -61,10 +69,26 @@ class GreedyPolicy(CleaningPolicy):
         exclude: Iterable[int],
         now: float,
     ) -> Segment | None:
-        candidates = self._candidates(segments, exclude)
-        if not candidates:
-            return None
-        return min(candidates, key=lambda s: (s.live_blocks, s.index))
+        excluded = set(exclude)
+        best = None
+        best_live = math.inf
+        for segment in segments:
+            live = len(segment.live)
+            if live >= best_live and (
+                live > best_live or segment.index > best.index
+            ):
+                continue
+            capacity = segment.capacity
+            if (
+                live >= capacity
+                or segment.free_blocks == capacity
+                or segment.retired
+                or segment.index in excluded
+            ):
+                continue
+            best = segment
+            best_live = live
+        return best
 
 
 class CostBenefitPolicy(CleaningPolicy):

@@ -27,10 +27,13 @@ episode runs each operation through the disk's own ``advance``/``read``/
 waited out, spin-ups, sync flushes, buffered-read hits — until the disk
 is spinning with an empty buffer again, then resumes the vector scan.  So
 the disk and the buffer are the kernel's only device state, and a run
-leaves them as the event path does.  The scan's trigger test is
-conservative: a false positive merely runs a few ops through the (exact)
-scalar path; false negatives cannot occur because arrivals only enter the
-test, never the 1e-12 loop guard.
+leaves them as the event path does: the buffer's contents and its
+absorbed-write and flush counters (each scan counts its absorbed writes,
+which drain at once to the spinning disk).  The buffer's clock and meter
+are not driven; ``_assemble`` computes SRAM energy in closed form.  The
+scan's trigger test is conservative: a false positive merely runs a few
+ops through the (exact) scalar path; false negatives cannot occur because
+arrivals only enter the test, never the 1e-12 loop guard.
 
 Operations are processed in chunks (split at the warm boundary) so a
 trace with many spin-down episodes rescans at most one chunk per episode.
@@ -103,6 +106,7 @@ class DiskKernel:
                 or disk.state is not SpindleState.SPINNING):
             return
         blocks = sram.drain()
+        sram.background_flushes += 1
         start = disk.busy_until if disk.busy_until > disk.clock else disk.clock
         disk.write(start, len(blocks) * self.block_bytes, blocks, file_id)
 
@@ -142,6 +146,7 @@ class DiskKernel:
             if sram is not None and sram.can_ever_fit(blocks):
                 if not sram.fits(blocks):
                     flush = sram.drain()
+                    sram.sync_flushes += 1
                     completion = disk.write(
                         now, len(flush) * bb, flush, FLUSH_FILE_ID
                     )
@@ -306,6 +311,14 @@ class DiskKernel:
             fg = ~absorbed[local]  # read misses and bypass writes
             resp[local[fg]] = adjusted[fg] - times[local[fg]]
 
+        # Each absorbed write lands in the empty buffer and, the disk
+        # spinning, drains at once as a background flush.
+        sram = self.sram
+        if sram is not None:
+            n_absorbed = int(absorbed[s:v].sum())
+            sram.absorbed_writes += n_absorbed
+            sram.background_flushes += n_absorbed
+
         clock_entry = disk.clock
         if k:
             disk.busy_until = float(completions[k - 1])
@@ -342,6 +355,8 @@ class DiskKernel:
 
     def _reset_accounting(self) -> None:
         self.disk.reset_accounting()
+        if self.sram is not None:
+            self.sram.reset_accounting()
         self.device_latency_s = 0.0
         self.sram_wait_s = 0.0
 

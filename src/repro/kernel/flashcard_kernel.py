@@ -1,41 +1,44 @@
-"""Lean flash-card kernel: the card's cleaning machinery on a diet.
+"""Lean flash-card kernel: the card's own cleaner, without the request path.
 
 The card's timing is sequential and data-dependent (out-of-place writes,
-greedy victim selection, background cleaning consuming idle budget), so it
-cannot be advanced as closed-form array math the way the disk and flash
-disk can.  What the vector path removes instead is everything *around* the
-device: the request/response pool, hook bus, per-request attribution, and
-the EnergyMeter's per-charge dict updates become four float accumulators
-and one tight loop.
+victim selection, background cleaning consuming idle budget), so it cannot
+be advanced as closed-form array math the way the disk and flash disk can.
+What the vector path removes instead is everything *around* the device:
+the request/response pool, hook bus, per-request attribution, and the
+EnergyMeter's per-charge dict updates become four float accumulators and
+one tight loop.
 
-Exactness discipline: this module mirrors
-:class:`~repro.devices.flashcard.FlashCard`'s write, cleaning and idle
-code expression-for-expression, on the card itself.  It starts from the
-hierarchy's freshly built, preloaded card and keeps all of its state
-there: the ``segments``, logical map and erased stock, the write and
-cleaner heads, the in-flight cleaning job (a ``_CleaningJob``), both
-clocks and the op, cleaning and stall counters.  So after a run the card
-is in the state the event path leaves it in.  The hot loop holds the
-clocks and op counters in locals and writes them back around every call
-that reads them.  The kernel's own state is its four energy floats (copy
-energy is one multiply per job step, a reassociation the kernel gate
-licenses), the per-layer latency sums, and per-segment live/free counts
-that shadow the segments for victim selection.
+The kernel runs on the hierarchy's freshly built, preloaded card and keeps
+all of its state there: the ``segments``, logical map and erased stock,
+the write and cleaner heads, the in-flight cleaning job, both clocks and
+the op, cleaning and stall counters.  Each write, copy and delete updates
+its segments per block as ``FlashCard`` does (``live``, ``free_blocks``,
+``dead_blocks``, ``last_write_time``), so the card's own
+``_start_job`` and ``_write_head_may_pop`` choose victims and reserve the
+last erased segment through ``card.policy``: any cleaning policy runs
+here, and after a run the card is in the state the event path leaves it
+in.
+
+What stays in the kernel mirrors ``FlashCard.write``/``_write_block``,
+``_job_step``, ``advance`` and ``_ensure_erased_for_write`` expression for
+expression, but charges energy to four floats and two latency sums
+instead of the card's meter: copy energy is one multiply per job step
+where the card charges per block, a reassociation the kernel gate of
+:mod:`repro.contract` licenses.  Running the card's own methods would
+change those vector bits.
 
 The kernel mutates the card's :class:`~repro.flash.segment.Segment`
 objects through the same insert/remove sequences the card does.  That
 matters because a cleaning job snapshots ``deque(victim.live)`` — a set
 whose iteration order depends on its mutation history — so any shortcut
 that reordered set operations would reorder cleaning copies and diverge
-from the event path.  Only greedy victim selection is supported; other
-policies fall back to the batched path.
+from the event path.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.devices.flashcard import _CleaningJob
 from repro.errors import FlashOutOfSpaceError
 from repro.traces.trace import READ, WRITE
 
@@ -53,21 +56,12 @@ class CardKernel:
         self.idle_w = spec.idle_power_w
         self.read_latency_s = spec.read_latency_s
         self.read_bw = spec.read_bandwidth_bps
-        self.erase_time_s = spec.erase_time_s
         self.block_write_s = card.block_write_s
         self.block_copy_s = card.block_copy_s
-        self.bps = card.blocks_per_segment
         self.reserve = card.reserve_segments
-
         self.segments = card.segments
         self.smap = card._map
         self.erased = card._erased
-        # Per-segment live/free counters shadowing the Segment objects, so
-        # victim selection is an argmin over arrays instead of a Python
-        # scan of every segment.  (No segment retires in the vector
-        # envelope — retirement needs a fault injector.)
-        self.live_n = [len(s.live) for s in self.segments]
-        self.free_n = [s.free_blocks for s in self.segments]
 
         # Measured-window accounting (zeroed at the warm boundary).
         self.e_read = 0.0
@@ -77,97 +71,22 @@ class CardKernel:
         self.device_latency_s = 0.0
         self.cleaning_latency_s = 0.0
 
-    # -- cleaning (mirrors FlashCard._start_job/_job_step/advance) ---------
-
-    def _needs_cleaning(self) -> bool:
-        return len(self.erased) <= self.reserve
-
-    def _head_excludes(self) -> set:
-        exclude = set()
-        head = self.card._write_head
-        if head is not None and head.free_blocks != 0 and head.live:
-            exclude.add(head.index)
-        head = self.card._clean_head
-        if head is not None and head.free_blocks != 0 and head.live:
-            exclude.add(head.index)
-        return exclude
-
-    def _find_victim(self, headroom=None):
-        """Greedy victim (min live count, ties to lowest index) or None.
-
-        Matches ``GreedyPolicy.choose_victim`` over the (optionally
-        headroom-filtered) segment list: erased and fully-live segments
-        are skipped, the write/clean heads are excluded while partially
-        filled.
-        """
-        bps = self.bps
-        live_n = self.live_n
-        free_n = self.free_n
-        excludes = self._head_excludes()
-        best = -1
-        best_live = bps  # fully-live segments are never candidates
-        for index, count in enumerate(live_n):
-            if (count >= best_live
-                    or free_n[index] == bps
-                    or (headroom is not None and count > headroom)
-                    or index in excludes):
-                continue
-            best = index
-            best_live = count
-        if best < 0:
-            return None
-        return self.segments[best]
-
-    def _start_job(self, now: float) -> bool:
-        card = self.card
-        if card._job is not None:
-            return True
-        head = card._clean_head
-        headroom = (head.free_blocks if head is not None else 0) + len(
-            self.erased
-        ) * self.bps
-        victim = self._find_victim(headroom)
-        if victim is None:
-            return False
-        if victim is card._write_head:
-            card._write_head = None
-        if victim is card._clean_head:
-            card._clean_head = None
-        card._job = _CleaningJob(victim, self.erase_time_s)
-        return True
+    # -- cleaning (mirrors FlashCard._job_step/advance) --------------------
 
     def _job_step(self, now: float, budget: float) -> tuple[float, float]:
         card = self.card
         job = card._job
         victim = job.victim
         queue = job.copy_queue
-        consumed = 0.0
-        block_copy_s = self.block_copy_s
-        active_w = self.active_w
         live = victim.live
-        live_n = self.live_n
-        free_n = self.free_n
+        block_copy_s = self.block_copy_s
         segments = self.segments
         smap = self.smap
         erased = self.erased
-        e_clean = self.e_clean
-        copied = 0
-        # The copy loop is the hottest code in a cleaning-bound run, so
-        # the clean head and the per-segment counters live in locals and
-        # are flushed in batches: nothing reads them mid-step (victim
-        # selection only runs between steps).
-        progress = job.copy_progress_s
         head = card._clean_head
-        if head is not None:
-            head_index = head.index
-            head_live = head.live
-            head_free = head.free_blocks
-        else:
-            head_index = -1
-            head_live = None
-            head_free = 0
-        batch = 0
-        alloc_t = now
+        progress = job.copy_progress_s
+        consumed = 0.0
+        copied = 0
         while queue and budget > 0:
             logical = queue[0]
             if logical not in live:
@@ -184,38 +103,20 @@ class CardKernel:
             progress = 0.0
             queue.popleft()
             live.remove(logical)
-            if head_free == 0:
-                if head is not None:
-                    head.free_blocks = 0
-                    if batch:
-                        live_n[head_index] += batch
-                        free_n[head_index] -= batch
-                        head.last_write_time = alloc_t
-                        batch = 0
+            if head is None or not head.free_blocks:
                 head = segments[erased.popleft()]
                 card._clean_head = head
-                head_index = head.index
-                head_live = head.live
-                head_free = head.free_blocks
-            head_free -= 1
-            head_live.add(logical)
-            alloc_t = now + consumed
-            smap[logical] = head_index
-            batch += 1
+            head.free_blocks -= 1
+            head.live.add(logical)
+            head.last_write_time = now + consumed
+            smap[logical] = head.index
             copied += 1
-        if head is not None:
-            head.free_blocks = head_free
-            if batch:
-                live_n[head_index] += batch
-                free_n[head_index] -= batch
-                head.last_write_time = alloc_t
         job.copy_progress_s = progress
         # Copy energy in one multiply: every second consumed inside the
         # loop is copy work at active power, and energy is a tolerance-
         # covered sum, so reassociation is licensed.
-        self.e_clean = e_clean + active_w * consumed
+        self.e_clean += self.active_w * consumed
         if copied:
-            live_n[victim.index] -= copied
             victim.dead_blocks += copied
             card.blocks_copied += copied
         if not queue and budget > 0:
@@ -225,8 +126,7 @@ class CardKernel:
             consumed += step
             if job.erase_remaining_s <= 1e-12:
                 victim.erase()
-                self.free_n[victim.index] = self.bps
-                self.erased.append(victim.index)
+                erased.append(victim.index)
                 card.segments_cleaned += 1
                 card._job = None
         return consumed, now + consumed
@@ -236,17 +136,17 @@ class CardKernel:
         clock = card.clock
         if until <= clock:
             return
+        budget = until - clock
         # Fast path: no job running and none startable means the whole
         # span is idle (identical arithmetic to falling out of the loop
         # below on its first test).
         if card._job is None and len(self.erased) > self.reserve:
-            self.e_idle += self.idle_w * (until - clock)
+            self.e_idle += self.idle_w * budget
             card.clock = until
             return
-        budget = until - clock
         while budget > 1e-12:
             if card._job is None:
-                if not self._needs_cleaning() or not self._start_job(clock):
+                if not card._needs_cleaning() or not card._start_job(clock):
                     break
             consumed, _ = self._job_step(clock, budget)
             clock += consumed
@@ -257,25 +157,15 @@ class CardKernel:
             self.e_idle += self.idle_w * budget
         card.clock = until
 
-    # -- write path (mirrors FlashCard.write/_write_block) ------------------
-
-    def _write_head_may_pop(self, now: float) -> bool:
-        available = len(self.erased)
-        if available == 0:
-            return False
-        if available >= 2:
-            return True
-        if self.card._job is not None:
-            return False
-        return self._find_victim() is None
+    # -- write path (mirrors FlashCard._ensure_erased_for_write) ------------
 
     def _ensure_erased_for_write(self, now: float) -> float:
-        if self._write_head_may_pop(now):
-            return now
         card = self.card
+        if card._write_head_may_pop(now):
+            return now
         stall_start = now
-        while not self._write_head_may_pop(now):
-            if card._job is None and not self._start_job(now):
+        while not card._write_head_may_pop(now):
+            if card._job is None and not card._start_job(now):
                 raise FlashOutOfSpaceError(
                     "write needs an erased segment but nothing can be cleaned"
                 )
@@ -315,16 +205,13 @@ class CardKernel:
         smap = self.smap
         segments = self.segments
         erased = self.erased
-        live_n = self.live_n
-        free_n = self.free_n
         block_write_s = self.block_write_s
         write_energy = active_w * block_write_s
         reserve = self.reserve
 
         # Hot accounting state lives in locals for the duration of the
-        # loop; the few method calls that read or write it (_advance,
-        # _ensure_erased_for_write, _reset_accounting) are bracketed by
-        # explicit sync/reload pairs.
+        # loop; the calls that read or write it (_advance,
+        # _reset_accounting) are bracketed by explicit sync/reload pairs.
         clock = card.clock
         busy = card.busy_until
         e_read = self.e_read
@@ -336,22 +223,6 @@ class CardKernel:
         bytes_written = card.bytes_written
         dev_lat = self.device_latency_s
         clean_lat = self.cleaning_latency_s
-        ws = card.write_stall_s
-        # Write-head state is localized the same way (``card._write_head``
-        # itself always stays correct; only the counters are batched).
-        # Every bracketed call below flushes the counters first, because
-        # victim scoring reads them.
-        whead = card._write_head
-        if whead is not None:
-            windex = whead.index
-            wlive = whead.live
-            wfree = whead.free_blocks
-        else:
-            windex = -1
-            wlive = None
-            wfree = 0
-        wbatch = 0
-        wlast = 0.0
 
         # DRAM-hit reads never reach the device; their only effect is the
         # idle/cleaning advance to their op time, which defers losslessly
@@ -371,176 +242,85 @@ class CardKernel:
         boundary_t = times[warm_count - 1] if warm_count > 0 else None
         zeroed = warm_count == 0
 
-        # The shared advance-to-op-time happens inside each branch: reads
-        # and writes jump straight to their service start (>= t, so the
-        # merged advance covers the same span with the same budget).
         for i in indices:
             if not zeroed and i >= warm_count:
                 if boundary_t > clock:
-                    if whead is not None:
-                        whead.free_blocks = wfree
-                        if wbatch:
-                            live_n[windex] += wbatch
-                            free_n[windex] -= wbatch
-                            whead.last_write_time = wlast
-                            wbatch = 0
                     card.clock = clock
                     self.e_idle = e_idle
                     self._advance(boundary_t)
                     clock = card.clock
-                    whead = card._write_head
-                    if whead is not None:
-                        windex = whead.index
-                        wlive = whead.live
-                        wfree = whead.free_blocks
                 self._reset_accounting()
                 e_read = e_write = e_idle = 0.0
                 n_reads = n_writes = 0
                 bytes_read = bytes_written = 0
-                dev_lat = clean_lat = ws = 0.0
+                dev_lat = clean_lat = 0.0
                 zeroed = True
             t = times[i]
             kind = kinds[i]
-            if kind == READ:
-                dev = dev_counts[i]
-                w = waits[i]
-                if dev:
-                    size = dev * bb
-                    a = t + w
-                    start = a if a > busy else busy
-                    if start > clock:
-                        if card._job is None and len(erased) > reserve:
-                            e_idle += idle_w * (start - clock)
-                        else:
-                            if whead is not None:
-                                whead.free_blocks = wfree
-                                if wbatch:
-                                    live_n[windex] += wbatch
-                                    free_n[windex] -= wbatch
-                                    whead.last_write_time = wlast
-                                    wbatch = 0
-                            card.clock = clock
-                            self.e_idle = e_idle
-                            self._advance(start)
-                            clock = card.clock
-                            e_idle = self.e_idle
-                            whead = card._write_head
-                            if whead is not None:
-                                windex = whead.index
-                                wlive = whead.live
-                                wfree = whead.free_blocks
-                    duration = read_latency + size / read_bw
-                    e_read += active_w * duration
-                    n_reads += 1
-                    bytes_read += size
-                    completion = start + duration
-                    # Mirror the reference response expression bit-for-bit:
-                    # the queue wait is clipped out of the completion, and
-                    # the response is completion minus issue time (the
-                    # subtraction's cancellation noise is part of the
-                    # reference's observable output).
-                    qw = busy - a
-                    busy = completion
-                    clock = completion
-                    if qw > 0.0:
-                        over = completion - a
-                        completion -= qw if qw < over else over
-                    resp[i] = completion - t
-                    dev_lat += completion - a
-                else:
-                    if t > clock:
-                        if card._job is None and len(erased) > reserve:
-                            e_idle += idle_w * (t - clock)
-                            clock = t
-                        else:
-                            if whead is not None:
-                                whead.free_blocks = wfree
-                                if wbatch:
-                                    live_n[windex] += wbatch
-                                    free_n[windex] -= wbatch
-                                    whead.last_write_time = wlast
-                                    wbatch = 0
-                            card.clock = clock
-                            self.e_idle = e_idle
-                            self._advance(t)
-                            clock = card.clock
-                            e_idle = self.e_idle
-                            whead = card._write_head
-                            if whead is not None:
-                                windex = whead.index
-                                wlive = whead.live
-                                wfree = whead.free_blocks
-                    resp[i] = w
-            elif kind == WRITE:
-                w = waits[i]
+            w = waits[i]
+            # Advance to the op's service start: reads and writes that
+            # reach the device jump straight there (>= t, so the merged
+            # advance covers the same span with the same budget).
+            dev = kind == WRITE or (kind == READ and dev_counts[i])
+            if dev:
                 a = t + w
-                start = a if a > busy else busy
-                if start > clock:
-                    if card._job is None and len(erased) > reserve:
-                        e_idle += idle_w * (start - clock)
-                        clock = start
-                    else:
-                        if whead is not None:
-                            whead.free_blocks = wfree
-                            if wbatch:
-                                live_n[windex] += wbatch
-                                free_n[windex] -= wbatch
-                                whead.last_write_time = wlast
-                                wbatch = 0
-                        card.clock = clock
-                        self.e_idle = e_idle
-                        self._advance(start)
-                        clock = card.clock
-                        e_idle = self.e_idle
-                        whead = card._write_head
-                        if whead is not None:
-                            windex = whead.index
-                            wlive = whead.live
-                            wfree = whead.free_blocks
-                now = start
-                stall_before = ws
+                target = a if a > busy else busy
+            else:
+                target = t
+            if target > clock:
+                if card._job is None and len(erased) > reserve:
+                    e_idle += idle_w * (target - clock)
+                else:
+                    card.clock = clock
+                    self.e_idle = e_idle
+                    self._advance(target)
+                    e_idle = self.e_idle
+                clock = target
+            if kind == READ:
+                if not dev:
+                    resp[i] = w
+                    continue
+                size = dev_counts[i] * bb
+                duration = read_latency + size / read_bw
+                e_read += active_w * duration
+                n_reads += 1
+                bytes_read += size
+                completion = target + duration
+                # Mirror the reference response expression bit-for-bit:
+                # the queue wait is clipped out of the completion, and
+                # the response is completion minus issue time (the
+                # subtraction's cancellation noise is part of the
+                # reference's observable output).
+                qw = busy - a
+                busy = completion
+                clock = completion
+                if qw > 0.0:
+                    over = completion - a
+                    completion -= qw if qw < over else over
+                resp[i] = completion - t
+                dev_lat += completion - a
+            elif kind == WRITE:
+                now = target
+                stall_before = card.write_stall_s
+                head = card._write_head
                 for logical in all_blocks[i]:
                     old_index = smap.pop(logical, None)
                     if old_index is not None:
                         old = segments[old_index]
                         old.live.remove(logical)
-                        live_n[old_index] -= 1
                         old.dead_blocks += 1
-                    if whead is None or wfree == 0:
-                        if whead is not None:
-                            whead.free_blocks = wfree
-                            if wbatch:
-                                live_n[windex] += wbatch
-                                free_n[windex] -= wbatch
-                                whead.last_write_time = wlast
-                                wbatch = 0
-                        card.write_stall_s = ws
+                    if head is None or not head.free_blocks:
                         now = self._ensure_erased_for_write(now)
-                        ws = card.write_stall_s
-                        whead = segments[erased.popleft()]
-                        card._write_head = whead
-                        windex = whead.index
-                        wlive = whead.live
-                        wfree = whead.free_blocks
-                    wfree -= 1
-                    wlive.add(logical)
-                    wlast = now
-                    smap[logical] = windex
-                    wbatch += 1
+                        head = segments[erased.popleft()]
+                        card._write_head = head
+                    head.free_blocks -= 1
+                    head.live.add(logical)
+                    head.last_write_time = now
+                    smap[logical] = head.index
                     e_write += write_energy
                     if len(erased) <= reserve and card._job is None:
-                        whead.free_blocks = wfree
-                        if wbatch:
-                            live_n[windex] += wbatch
-                            free_n[windex] -= wbatch
-                            whead.last_write_time = wlast
-                            wbatch = 0
-                        self._start_job(now)
-                        whead = card._write_head
-                        if whead is not None:
-                            windex = whead.index
-                            wlive = whead.live
-                            wfree = whead.free_blocks
+                        card._start_job(now)
+                        head = card._write_head
                     now += block_write_s
                 n_writes += 1
                 bytes_written += sizes[i]
@@ -552,42 +332,17 @@ class CardKernel:
                     over = completion - a
                     completion -= qw if qw < over else over
                 resp[i] = completion - t
-                stall = ws - stall_before
+                stall = card.write_stall_s - stall_before
                 dev_lat += (completion - a) - stall
                 clean_lat += stall
             else:  # DELETE
-                if t > clock:
-                    if whead is not None:
-                        whead.free_blocks = wfree
-                        if wbatch:
-                            live_n[windex] += wbatch
-                            free_n[windex] -= wbatch
-                            whead.last_write_time = wlast
-                            wbatch = 0
-                    card.clock = clock
-                    self.e_idle = e_idle
-                    self._advance(t)
-                    clock = card.clock
-                    e_idle = self.e_idle
-                    whead = card._write_head
-                    if whead is not None:
-                        windex = whead.index
-                        wlive = whead.live
-                        wfree = whead.free_blocks
                 for logical in all_blocks[i]:
                     index = smap.pop(logical, None)
                     if index is not None:
                         segment = segments[index]
                         segment.live.remove(logical)
-                        live_n[index] -= 1
                         segment.dead_blocks += 1
 
-        if whead is not None:
-            whead.free_blocks = wfree
-            if wbatch:
-                live_n[windex] += wbatch
-                free_n[windex] -= wbatch
-                whead.last_write_time = wlast
         card.clock = clock
         card.busy_until = busy
         self.e_read = e_read
@@ -599,7 +354,6 @@ class CardKernel:
         card.bytes_written = bytes_written
         self.device_latency_s = dev_lat
         self.cleaning_latency_s = clean_lat
-        card.write_stall_s = ws
 
         if not zeroed:
             # Every measured op was a skipped DRAM hit: emulate the warm

@@ -9,7 +9,8 @@ the device-appropriate kernel:
 * :class:`~repro.kernel.disk_kernel.DiskKernel` (magnetic disk + SRAM),
 * :func:`~repro.kernel.flashdisk_kernel.run_flashdisk` (coupled flash
   disk),
-* :class:`~repro.kernel.flashcard_kernel.CardKernel` (flash card).
+* :class:`~repro.kernel.flashcard_kernel.CardKernel` (flash card, under
+  any cleaning policy: victims are the card's own policy's choice).
 
 The kernels return raw per-op response arrays plus device accounting; this
 module rebuilds the :class:`~repro.core.results.SimulationResult` —
@@ -54,10 +55,12 @@ def unsupported_reason(config: "SimulationConfig", obs=None) -> str | None:
 
     The envelope covers the paper's entire Table 4 / Figure 4 sweep:
     write-through LRU DRAM, optional SRAM in front of a magnetic disk with
-    a fixed (or no) spin-down timeout, coupled-mode flash disks, and
-    greedy-cleaned flash cards.  Everything else — faults, observability
-    sessions, write-back caches, non-greedy cleaners — falls back to the
-    batched event path, which remains the semantic ground truth.
+    a fixed (or no) spin-down timeout, coupled-mode flash disks, and flash
+    cards under any cleaning policy (the card kernel cleans through the
+    card's own policy).  Everything else — faults, observability sessions,
+    write-back caches, flash-backed disk caches, SRAM on flash, async
+    flash-disk erasure — falls back to the batched event path, which
+    remains the semantic ground truth.
     """
     if obs is not None:
         return "observability session active"
@@ -76,8 +79,6 @@ def unsupported_reason(config: "SimulationConfig", obs=None) -> str | None:
         if config.sram_on_flash and config.sram_bytes:
             return "SRAM buffer on flash"
     elif isinstance(spec, FlashCardSpec):
-        if config.cleaning_policy != "greedy":
-            return f"cleaning policy {config.cleaning_policy!r}"
         if config.sram_on_flash and config.sram_bytes:
             return "SRAM buffer on flash"
     else:

@@ -1,6 +1,8 @@
 """Cleaning-policy victim selection."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.flash.cleaner import (
@@ -58,6 +60,46 @@ class TestGreedy:
         segments = build_segments([5, 5])
         victim = GreedyPolicy().choose_victim(segments, exclude=(), now=0.0)
         assert victim.index == 0
+
+    @given(data=st.data())
+    def test_one_pass_matches_the_candidate_minimum(self, data):
+        """The one-pass chooser returns the minimum of the candidate list
+        by (live blocks, index), in any list order: full, erased, retired
+        and partly dead segments, under random exclusions."""
+        capacity = 4
+        kinds = data.draw(st.lists(
+            st.sampled_from(("full", "erased", "retired", "partial")),
+            max_size=12,
+        ))
+        segments = []
+        for index, kind in enumerate(kinds):
+            segment = Segment(index, capacity)
+            if kind != "erased":
+                # A retired segment failed its erase after its live data
+                # was copied away, so its written slots are all dead.
+                if kind == "full":
+                    written, dead = capacity, 0
+                else:
+                    written = data.draw(st.integers(1, capacity))
+                    dead = written if kind == "retired" else data.draw(
+                        st.integers(0, written))
+                for logical in range(written):
+                    segment.allocate(index * 100 + logical, 0.0)
+                for logical in range(dead):
+                    segment.invalidate(index * 100 + logical)
+                if kind == "retired":
+                    segment.retire()
+            segments.append(segment)
+        order = data.draw(st.permutations(segments))
+        exclude = data.draw(st.sets(st.integers(min_value=0, max_value=12)))
+
+        policy = GreedyPolicy()
+        candidates = policy._candidates(order, exclude)
+        expected = (
+            min(candidates, key=lambda s: (s.live_blocks, s.index))
+            if candidates else None
+        )
+        assert policy.choose_victim(order, exclude, now=0.0) is expected
 
 
 class TestCostBenefit:

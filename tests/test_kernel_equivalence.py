@@ -102,12 +102,16 @@ def test_vector_matches_reference_property(workload, device, seed, n_ops):
 
 
 #: Configurations inside ``unsupported_reason``'s envelope: both disks
-#: with any SRAM and spin-down, coupled flash disks, greedy flash cards.
+#: with any SRAM and spin-down, coupled flash disks, flash cards under
+#: every cleaning policy.
 _envelope_configs = st.builds(
     SimulationConfig,
     device=st.sampled_from((
         "cu140-datasheet", "kh-datasheet",
         "sdp5-datasheet", "sdp10-datasheet", "intel-datasheet",
+    )),
+    cleaning_policy=st.sampled_from((
+        "greedy", "cost-benefit", "envy", "wear-aware", "cold-swap",
     )),
     dram_bytes=st.sampled_from((0, 64 * KB, 2 * MB)),
     sram_bytes=st.sampled_from((0, 32 * KB, 1 * MB)),
@@ -139,12 +143,12 @@ def test_vector_matches_batched_across_configs(config, workload, seed):
 def test_vector_falls_back_outside_envelope():
     """Outside the envelope the result is the batched answer, labelled."""
     trace = _trace("mac", n_ops=200, seed=1)
-    config = SimulationConfig(device="intel-datasheet",
-                              cleaning_policy="cost-benefit")
+    config = SimulationConfig(device="intel-datasheet", dram_bytes=64 * KB,
+                              write_back=True)
     result = simulate(trace, config, kernel="vector")
     assert result.extra["kernel"] == "batched"
     assert result.extra["kernel_requested"] == "vector"
-    assert "cost-benefit" in result.extra["kernel_fallback_reason"]
+    assert "write-back" in result.extra["kernel_fallback_reason"]
     batched = simulate(trace, config)
     assert result.energy_j == batched.energy_j
     assert result.duration_s == batched.duration_s
@@ -154,8 +158,8 @@ def test_vector_falls_back_outside_envelope():
 REGISTRY_SCALE = 0.02
 REGISTRY_SEED = 3
 #: Simulations of the whole registry that take the vector path there
-#: (131 of 159); fewer means a configuration started falling back.
-REGISTRY_VECTOR_SIMULATIONS = 131
+#: (137 of 159); fewer means a configuration started falling back.
+REGISTRY_VECTOR_SIMULATIONS = 137
 
 
 def test_vector_matches_batched_across_the_registry(monkeypatch):
@@ -195,8 +199,9 @@ def _state_trace(workload: str):
 
 
 #: Per workload: a disk with the paper's DRAM for the trace, a disk whose
-#: small SRAM buffer holds writes across spin-downs, and a card at two
-#: utilizations (the tighter one stalls writes on cleaning).
+#: small SRAM buffer holds writes across spin-downs, a greedy card at two
+#: utilizations (the tighter one stalls writes on cleaning), and tight
+#: cards under an age-scored and a wear-leveling policy.
 _STATE_CONFIGS = {
     "cu140-dram": lambda workload: SimulationConfig(
         device="cu140-datasheet", dram_bytes=dram_for(workload)
@@ -209,6 +214,14 @@ _STATE_CONFIGS = {
     ),
     "intel-0.95": lambda workload: SimulationConfig(
         device="intel-datasheet", flash_utilization=0.95
+    ),
+    "intel-cost-benefit-0.95": lambda workload: SimulationConfig(
+        device="intel-datasheet", flash_utilization=0.95,
+        cleaning_policy="cost-benefit",
+    ),
+    "intel-cold-swap-0.95": lambda workload: SimulationConfig(
+        device="intel-datasheet", flash_utilization=0.95,
+        cleaning_policy="cold-swap",
     ),
 }
 
@@ -261,13 +274,20 @@ def _device_state(stack) -> tuple[dict, dict]:
     }
     close = {"clock": device.clock, "busy_until": device.busy_until}
     if isinstance(device, MagneticDisk):
+        sram = stack.sram
         exact.update(
             state=device.state,
             spin_ups=device.spin_ups,
             spin_downs=device.spin_downs,
             last_file=device._last_file,
-            sram=stack.sram.drain() if stack.sram is not None else None,
         )
+        if sram is not None:
+            exact.update(
+                sram_absorbed_writes=sram.absorbed_writes,
+                sram_sync_flushes=sram.sync_flushes,
+                sram_background_flushes=sram.background_flushes,
+                sram=sram.drain(),
+            )
         close["idle_since"] = device._idle_since
         return exact, close
     job = device._job
@@ -279,6 +299,8 @@ def _device_state(stack) -> tuple[dict, dict]:
         erased=list(device._erased),
         map=device._map,
         live=[list(segment.live) for segment in device.segments],
+        free_blocks=[segment.free_blocks for segment in device.segments],
+        dead_blocks=[segment.dead_blocks for segment in device.segments],
         erase_counts=[segment.erase_count for segment in device.segments],
         segments_cleaned=device.segments_cleaned,
         blocks_copied=device.blocks_copied,
@@ -289,6 +311,8 @@ def _device_state(stack) -> tuple[dict, dict]:
         copy_progress_s=None if job is None else job.copy_progress_s,
         erase_remaining_s=None if job is None else job.erase_remaining_s,
     )
+    for segment in device.segments:
+        close[f"last_write_time[{segment.index}]"] = segment.last_write_time
     return exact, close
 
 
@@ -297,8 +321,9 @@ def _device_state(stack) -> tuple[dict, dict]:
 def test_vector_kernels_leave_devices_as_the_event_path_does(workload, config_name):
     """One state for both engines: the kernels run on the hierarchy's own
     devices, so the disk's spindle, counters and seek locality, the SRAM
-    buffer's contents, and the card's heads, cleaning job, erased stock,
-    map and segments end where the event path leaves them."""
+    buffer's contents and counters, and the card's heads, cleaning job,
+    erased stock, map and segments (live sets, free, dead and erase
+    counts, last write times) end where the event path leaves them."""
     trace = _state_trace(workload)
     config = _STATE_CONFIGS[config_name](workload)
     assert unsupported_reason(config) is None
